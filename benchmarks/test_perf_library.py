@@ -2,9 +2,9 @@
 
 The fused pipeline of :func:`repro.core.library_flow.characterize_library`
 is the last big per-Python-loop consolidation of the flow: instead of one
-RK4 pass and two MAP solves *per arc*, the whole library runs a handful of
-signature-grouped mega-batched RK4 passes and exactly two stacked MAP
-solves.  This benchmark measures that consolidation on a realistic workload:
+RK4 pass and two MAP solves *per arc*, the whole library runs one tiled RK4
+pass over a flat row table and exactly two stacked MAP solves.  This
+benchmark measures that consolidation on a realistic workload:
 
 * a synthetic library of ``REPRO_BENCH_LIB_CELLS`` cells (cycling over
   catalog templates and renamed per index, the footprint-twin shape of real

@@ -4,12 +4,12 @@ The library-scale view of the paper's flow: learn the cross-technology
 priors once, then characterize *every* arc of a standard-cell library --
 cells x input pins x output transitions -- through
 :func:`repro.core.library_flow.characterize_library`.  The default *fused*
-pipeline flattens the whole library into one simulation plan (grouped by
-equivalent-inverter signature, deduplicated per operating point) and one
-stacked MAP solve per response; the unified ledger shows exactly where the
-library's time goes (plan / simulate / extract / solve stages, rows per
-signature group).  The resulting :class:`LibraryCharacterization` is
-consumed directly:
+pipeline flattens the whole library into one simulation plan (deduplicated
+per equivalent-inverter signature and operating point, integrated as one
+flat row table) and one stacked MAP solve per response; the unified ledger
+shows exactly where the library's time goes (plan / simulate / extract /
+solve stages, distinct rows per signature).  The resulting
+:class:`LibraryCharacterization` is consumed directly:
 
 1. Liberty (.lib) export with NLDM mean tables and LVF-style sigma tables;
 2. a per-seed statistical timing view driving deterministic STA and Monte
@@ -99,7 +99,7 @@ def main() -> None:
           f"({result.simulation_runs} simulation runs, "
           f"pipeline={result.pipeline!r}, solver={result.solver!r})")
     print(f"  simulation plan: {metrics.get('fused_rows_simulated', 0)} rows "
-          f"in {metrics.get('fused_signature_groups', 0)} signature groups "
+          f"over {metrics.get('fused_signature_groups', 0)} signatures "
           f"({metrics.get('fused_rows_deduplicated', 0)} deduplicated, "
           f"{metrics.get('fused_rows_cached', 0)} cache hits)")
     engine_label = args.engine or runtime.resolve_transient_engine(None)

@@ -87,7 +87,7 @@ def format_ledger(ledger: RunLedger, title: str = "Run ledger") -> str:
     Six sections (each omitted when empty): wall time per stage,
     simulation runs per label, free-form metrics (solver iterations, gate
     evaluations, ...), work-group size summaries (e.g. the fused library
-    pipeline's rows per equivalent-inverter signature group), cache
+    pipeline's distinct rows per equivalent-inverter signature), cache
     hit/miss/eviction activity, and the failures recorded by non-strict
     (gracefully degrading) runs.
 

@@ -99,11 +99,12 @@ class EquivalentInverter:
         Two reductions with equal signatures are interchangeable inside
         :func:`repro.spice.batch.simulate_arc_transitions`: the devices
         (model class plus every parameter array, bit for bit), the lumped
-        capacitances and the output-transition polarity all match, so their
-        conditions can share one mega-batched RK4 pass.  This is how the
-        fused library pipeline groups heterogeneous cells -- footprint
-        twins (same drive, same topology class, different logic names) land
-        in the same group even though their cache identities differ.
+        capacitances and the output-transition polarity all match, so a row
+        of one at an operating point is the same simulation as a row of the
+        other there.  This is the fused pipelines' dedup key -- footprint
+        twins (same drive, same topology class, different logic names)
+        share it even though their cache identities differ -- while rows of
+        every signature share one transient pass.
 
         The token is a content digest (cell and arc *names* are deliberately
         excluded -- the engine only reads them for error messages), computed

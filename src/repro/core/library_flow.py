@@ -26,17 +26,16 @@ Two pipelines produce identical results:
 
 * ``pipeline="fused"`` (default) flattens every ``(cell, arc, condition)``
   of the library into one global simulation plan.  Rows first consult the
-  simulation cache; the remaining rows are grouped by *equivalent-inverter
-  simulation signature* (see
-  :meth:`repro.cells.equivalent_inverter.EquivalentInverter.simulation_signature`),
-  so footprint-equivalent cells share a handful of mega-batched RK4 passes
-  instead of one pass per arc -- and rows that are physically identical
-  (same signature, same operating point, e.g. footprint twins on a shared
-  condition grid) are integrated exactly once and scattered to every arc
-  that needs them.  Groups are split on the flat row axis --
-  honoring the ``runtime`` memory budget and the executor's shard hint
-  (better process-pool load balance than whole-arc fan-out) -- and all
-  extractions land in a single stacked, block-diagonal MAP solve
+  simulation cache; rows that are physically identical (same
+  *equivalent-inverter simulation signature*, see
+  :meth:`repro.cells.equivalent_inverter.EquivalentInverter.simulation_signature`,
+  and same operating point, e.g. footprint twins on a shared condition
+  grid) are integrated exactly once and scattered to every arc that needs
+  them.  What remains is one flat row table integrated in one pass,
+  whatever the cells and polarities, tiled on the row axis only by the
+  memory budget and the executor's shard hint (better process-pool load
+  balance than whole-arc fan-out) -- and all extractions land in a single
+  stacked, block-diagonal MAP solve
   (:func:`repro.core.batch_map.map_estimate_stacked`).
 * ``pipeline="per_arc"`` runs one simulate-and-extract job per arc (the
   pre-fusion flow), kept for parity testing; its results, counter charges
@@ -375,10 +374,10 @@ def characterize_fused_jobs(
     checkpointer: Optional[Checkpointer] = None,
     stepper: Optional[StepperSpec] = None,
 ) -> "Tuple[List[Optional[StatisticalCharacterization]], List[FailureReport]]":
-    """The fused library pipeline: plan -> mega-batch -> stacked solve.
+    """The fused library pipeline: plan -> one tiled pass -> stacked solve.
 
     Produces exactly the per-arc pipeline's characterizations (same values,
-    same per-arc ledger run counts); the planning/mega-batching half is the
+    same per-arc ledger run counts); the planning/integration half is the
     shared :class:`~repro.core.simulation_plan.SimulationPlan` (also driving
     historical characterization for prior learning); see the module
     docstring for the design.  Public since PR 10: the characterization
@@ -407,7 +406,7 @@ def characterize_fused_jobs(
 
     # ------------------------------------------------------------------
     # Plan: resolve reductions, consult the simulation cache per row, and
-    # group the rows that still need integrating by inverter signature.
+    # dedup the rows that still need integrating by inverter signature.
     # The plan consults the reduction cache and the simulation cache per
     # row; recording its cache deltas keeps the fused ledger as observable
     # as the per-arc pipeline's (which wraps its sweeps in ledger.caches()).
@@ -426,9 +425,9 @@ def characterize_fused_jobs(
     job_slews = plan.job_slews
 
     # ------------------------------------------------------------------
-    # Simulate: each signature group is one mega-batched RK4 pass, split on
-    # the flat row axis by the memory budget and the executor's shard hint
-    # (rows are independent, so any split reproduces the one-pass results).
+    # Simulate: the whole row table is one pass, tiled on the flat row axis
+    # by the memory budget and the executor's shard hint (rows are
+    # independent, so any tiling reproduces the one-pass results).
     # ------------------------------------------------------------------
     if plan.needs_simulation:
         # Worker-side cache activity (reductions, any in-worker cache use)

@@ -31,9 +31,9 @@ Both halves of the phase run fleet-scale batched:
 * :func:`characterize_historical_library` (default ``engine="fused"``)
   pushes every (cell, arc, condition) row of a historical node through the
   shared :class:`~repro.core.simulation_plan.SimulationPlan` -- one
-  signature-grouped mega-batched RK4 pass per equivalent-inverter footprint
-  with cross-arc dedup -- and fits all arcs in one stacked least-squares
-  solve (:func:`repro.core.batch_map.fit_least_squares_stacked`);
+  transient pass over every arc of the node on the configured engine, with
+  cross-arc dedup -- and fits all arcs in one stacked least-squares solve
+  (:func:`repro.core.batch_map.fit_least_squares_stacked`);
 * :func:`learn_priors` and :func:`learn_class_priors` stack every
   (response x arc-class) star graph into one
   :class:`~repro.bayes.factor_graph.BatchedFactorGraph` run, so a fleet of
@@ -61,6 +61,7 @@ from repro.core.timing_model import (
     N_PARAMETERS,
     fit_least_squares,
 )
+from repro.runtime import resolve_transient_engine
 from repro.runtime.accounting import RunLedger
 from repro.runtime.executor import get_executor
 from repro.runtime.resilience import (
@@ -69,6 +70,7 @@ from repro.runtime.resilience import (
     resolve_strict,
     run_with_retry,
 )
+from repro.spice.stepper import resolve_stepper
 from repro.spice.sweep import sweep_conditions
 from repro.spice.testbench import SimulationCounter
 from repro.technology.node import TechnologyNode
@@ -246,10 +248,10 @@ def _characterize_fused_historical(
     """Fused engine: one global simulation plan + one stacked model fit.
 
     Every (cell, arc, condition) row of the historical node flows through
-    the shared :class:`SimulationPlan` (signature grouping dedups rows of
-    footprint-twin arcs, the simulation cache fills repeat visits), then all
-    (arc x response) compact models are fitted in one stacked
-    Levenberg-Marquardt solve.
+    the shared :class:`SimulationPlan` (one transient pass; signature
+    dedup merges rows of footprint-twin arcs, the simulation cache fills
+    repeat visits), then all (arc x response) compact models are fitted in
+    one stacked Levenberg-Marquardt solve.
 
     With ``strict=False`` broken rows are quarantined instead of aborting:
     degraded arcs are fitted on their surviving reference conditions (with
@@ -264,9 +266,13 @@ def _characterize_fused_historical(
         fit_least_squares_stacked,
     )
 
+    # The configured transient engine drives this phase like every other
+    # flow ("serial" integrates on the fixed-step batched engine here).
+    stepper = resolve_stepper(resolve_transient_engine(None))
     plan = SimulationPlan(technology, variation=None,
                           integrate_stage="priors:integrate",
-                          on_failure="raise" if strict else "quarantine")
+                          on_failure="raise" if strict else "quarantine",
+                          stepper=stepper)
     with ledger.stage("priors:plan"), ledger.caches():
         for cell, arc in arcs:
             plan.add_job(cell, arc, conditions)
@@ -415,11 +421,11 @@ def characterize_historical_library(
         Optional simulation-run accounting.
     engine:
         ``"fused"`` (default) flattens every (cell, arc, condition) row into
-        one :class:`SimulationPlan` -- signature-grouped mega-batched RK4
-        with cross-arc dedup and cache reuse -- and fits all arcs in one
-        stacked least-squares solve; ``"batched"`` integrates each arc's
-        reference-condition set in its own 2-D RK4 pass; ``"serial"`` keeps
-        the per-condition reference integrator for equivalence runs.
+        one :class:`SimulationPlan` -- one transient pass on the configured
+        engine, with cross-arc dedup and cache reuse -- and fits all arcs
+        in one stacked least-squares solve; ``"batched"`` integrates each
+        arc's reference-condition set in its own 2-D RK4 pass; ``"serial"``
+        keeps the per-condition reference integrator for equivalence runs.
     ledger:
         Optional :class:`RunLedger`; stages ``priors:plan``,
         ``priors:simulate``/``priors:integrate`` and ``priors:fit`` plus

@@ -1,13 +1,29 @@
-"""Signature-grouped global simulation planning (the fused pipelines' front half).
+"""Global simulation planning over one flat row table.
 
-PR 5 introduced a library-wide fused characterization pipeline: flatten every
+The front half of the fused characterization pipelines: flatten every
 ``(cell, arc, condition)`` of a workload into one global plan, consult the
-simulation cache per row, group the remaining rows by *equivalent-inverter
-simulation signature* (footprint-equivalent cells reduce to bit-identical
-inverters), dedup physically identical rows, and integrate each group in a
-handful of mega-batched RK4 passes.  That planning logic is useful beyond
-library characterization -- historical-library characterization for prior
-learning (:mod:`repro.core.prior_learning`) runs the same row shape -- so it
+simulation cache per row, dedup physically identical rows, and integrate
+what is left in one transient pass per plan.  Each row is keyed by its
+*equivalent-inverter simulation signature* (footprint-equivalent cells
+reduce to bit-identical inverters) plus its operating point: rows with
+equal keys are the same simulation and integrate once for all of them.
+The signature is only that dedup key and never splits the pass: every
+cache-missing, deduplicated row of the plan goes into one *row table* (one
+equivalent inverter per row; see :mod:`repro.spice.batch`), so rows of
+different cells and output polarities share one integration.
+
+A plan has one technology, one variation sample and one stepper, so the
+whole table is one pass, tiled on the flat row axis only by the memory
+budget and the executor's shard hint.  The budget is the configured
+``runtime`` ``max_bytes`` or, when none is configured,
+:data:`DEFAULT_PASS_BYTES` measured with
+:func:`~repro.spice.batch.transient_item_bytes` -- up to 26 rows at 200
+seeds, so a historical node (one seed) or a service batch (32 seeds) is a
+single pass and a 200-seed library a handful.  Rows are independent, so
+any tiling is bit-identical to any other.
+
+Library characterization and historical-library characterization for prior
+learning (:mod:`repro.core.prior_learning`) both run this row shape, so it
 lives here, importable by both flows without creating an import cycle
 (:mod:`repro.core.library_flow` imports :mod:`repro.core.prior_learning`
 for :class:`~repro.core.prior_learning.TimingPrior`).
@@ -20,11 +36,10 @@ historical characterization):
 1. :meth:`SimulationPlan.add_job` per (cell, arc) with its operating points
    (consults the reduction and simulation caches row by row), then
    :meth:`SimulationPlan.record_metrics`;
-2. :meth:`SimulationPlan.simulate` -- each signature group split on the flat
-   row axis by the memory budget and the executor's shard hint, one
-   :func:`simulate_rows_job` per chunk through
-   ``executor.map_accounted`` (process-safe);
-3. :meth:`SimulationPlan.finalize` -- scatter group results to every
+2. :meth:`SimulationPlan.simulate` -- the row table split into tiles, one
+   :func:`simulate_rows_job` per tile through ``executor.map_accounted``
+   (process-safe);
+3. :meth:`SimulationPlan.finalize` -- scatter tile results to every
    ``(job, condition)`` row and fill the simulation cache.
 
 After ``finalize``, ``plan.job_delays[job][cond]`` / ``job_slews`` hold one
@@ -33,8 +48,7 @@ After ``finalize``, ``plan.job_delays[job][cond]`` / ``job_slews`` hold one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -52,79 +66,45 @@ from repro.spice.transient import DEFAULT_STEPS
 from repro.technology.node import TechnologyNode
 from repro.technology.variation import VariationSample
 
+#: Byte budget of one integration tile when no ``runtime`` ``max_bytes`` is
+#: configured (an explicit budget always wins).  Peak memory of a pass grows
+#: with its rows, so an unbounded pass over a large library would cost far
+#: more memory than the per-call overhead it saves.
+DEFAULT_PASS_BYTES = 64 * 2**20
+
 
 def simulate_rows_job(payload: tuple):
-    """Integrate one chunk of flat simulation rows; module-level for pickling.
+    """Integrate one tile of a plan's row table; module-level for pickling.
 
-    The payload carries a *representative* (cell, arc) of the chunk's
-    signature group -- every row in the chunk reduces to a bit-identical
-    equivalent inverter, so one reduction serves all rows whatever cell
-    they came from -- and the :class:`~repro.spice.stepper.StepperSpec`
-    selecting the integration scheme (``rk45`` dispatches to the adaptive
-    engine).  Returns the per-row delay/slew matrices plus the chunk's
-    :class:`RunLedger` (integration wall time under the flow's own stage
-    label and the chunk's step/RHS-evaluation metrics, merged back in
-    payload order by the executor).
+    The payload carries one equivalent-inverter reduction per row (rows of
+    one signature share the object, so a pickled tile ships each reduction
+    once), the rows' ``(sin, cload, vdd)`` operating points and the
+    :class:`~repro.spice.stepper.StepperSpec` selecting the integration
+    scheme (``rk45`` dispatches to the adaptive engine).  Returns the
+    per-row delay/slew matrices plus the tile's :class:`RunLedger`
+    (integration wall time under the flow's own stage label and the tile's
+    step/RHS-evaluation metrics, merged back in payload order by the
+    executor).
     """
-    (technology, cell, arc, variation, triples, stepper, stage,
-     on_failure) = payload
+    inverters, triples, stepper, stage, on_failure = payload
     ledger = RunLedger()
-    with ledger.caches():
-        inverter = reduce_cell_cached(cell, technology, arc=arc,
-                                      variation=variation)
-        with ledger.stage(stage):
-            if stepper.method == "rk45":
-                result = simulate_arc_transitions_adaptive(
-                    inverter, triples[:, 0], triples[:, 1], triples[:, 2],
-                    stepper=stepper, on_failure=on_failure)
-            else:
-                result = simulate_arc_transitions(
-                    inverter, triples[:, 0], triples[:, 1], triples[:, 2],
-                    n_steps=stepper.n_steps, on_failure=on_failure)
-            record_integration_stats(ledger, result.stats)
-            delay = np.asarray(result.delay(), dtype=float)
-            slew = np.asarray(result.output_slew(), dtype=float)
+    with ledger.stage(stage):
+        if stepper.method == "rk45":
+            result = simulate_arc_transitions_adaptive(
+                inverters, triples[:, 0], triples[:, 1], triples[:, 2],
+                stepper=stepper, on_failure=on_failure)
+        else:
+            result = simulate_arc_transitions(
+                inverters, triples[:, 0], triples[:, 1], triples[:, 2],
+                n_steps=stepper.n_steps, on_failure=on_failure)
+        record_integration_stats(ledger, result.stats)
+        delay = np.asarray(result.delay(), dtype=float)
+        slew = np.asarray(result.output_slew(), dtype=float)
     return (delay, slew, result.quarantined), ledger
 
 
-@dataclass
-class SignatureGroup:
-    """Simulation rows sharing one equivalent-inverter signature.
-
-    ``cell``/``arc`` are the representative reduction (first job that hit
-    the signature); ``rows`` are ``(job, cond, key, slot)`` tuples in
-    deterministic (job, condition) order, where ``slot`` indexes into
-    ``triples`` -- the group's *unique* operating points.  Rows of
-    footprint-twin arcs at the same operating point are physically the same
-    simulation, so they share a slot and are integrated exactly once (a
-    dedup the per-arc pipeline cannot see: its cache keys carry the cell
-    identity).
-    """
-
-    cell: Cell
-    arc: TimingArc
-    rows: List[tuple] = field(default_factory=list)
-    triples: List[tuple] = field(default_factory=list)
-    slot_index: Dict[tuple, int] = field(default_factory=dict)
-    delays: List[Optional[np.ndarray]] = field(default_factory=list)
-    slews: List[Optional[np.ndarray]] = field(default_factory=list)
-    quarantined: List[bool] = field(default_factory=list)
-
-    def add_row(self, job: int, cond: int, key: tuple,
-                triple: tuple) -> None:
-        slot = self.slot_index.get(triple)
-        if slot is None:
-            slot = len(self.triples)
-            self.slot_index[triple] = slot
-            self.triples.append(triple)
-            self.delays.append(None)
-            self.slews.append(None)
-            self.quarantined.append(False)
-        self.rows.append((job, cond, key, slot))
-
-
 class SimulationPlan:
-    """One cache-aware, signature-grouped plan over flat (job, condition) rows."""
+    """One cache-aware, deduplicated plan over flat (job, condition) rows."""
 
     def __init__(self, technology: TechnologyNode,
                  variation: Optional[VariationSample] = None,
@@ -140,7 +120,7 @@ class SimulationPlan:
         self.n_steps = int(n_steps)
         #: Integration scheme of every batched call (and the engine part of
         #: every simulation-cache key); defaults to fixed-step RK4 at
-        #: ``n_steps``, the historical behaviour.
+        #: ``n_steps``.  The flows pass the resolved transient engine's.
         self.stepper = (stepper if stepper is not None
                         else StepperSpec(method="rk4", n_steps=self.n_steps))
         self.n_seeds = variation.n_seeds if variation is not None else 1
@@ -160,9 +140,18 @@ class SimulationPlan:
         #: Per-job, per-condition ``(n_seeds,)`` delay/slew rows.
         self.job_delays: List[List[Optional[np.ndarray]]] = []
         self.job_slews: List[List[Optional[np.ndarray]]] = []
-        self.groups: Dict[tuple, SignatureGroup] = {}
+        #: signature -> operating point -> the ``(job, cond, cache key)``
+        #: rows it serves.  Each (signature, operating point) is one row of
+        #: the table; insertion order is the table's order.
+        self._rows: Dict[tuple, Dict[tuple, List[tuple]]] = {}
+        #: signature -> the first reduction that produced it (equal
+        #: signatures are interchangeable inside the engines).
+        self._reductions: Dict[tuple, object] = {}
         self._n_rows_total = 0
-        self._payload_slots: List[Tuple[SignatureGroup, slice]] = []
+        #: The row table as ``(signature, operating point, targets)`` and
+        #: its tiles, set by :meth:`simulate`.
+        self._table: List[tuple] = []
+        self._tiles: List[slice] = []
         self._results: Optional[list] = None
 
     # ------------------------------------------------------------------
@@ -173,8 +162,8 @@ class SimulationPlan:
         """Register one (cell, arc) with its operating points.
 
         Resolves the equivalent-inverter reduction, consults the simulation
-        cache per condition, and files the remaining rows into signature
-        groups.  Returns the job index.
+        cache per condition, and files the remaining rows under their
+        (signature, operating point) dedup key.  Returns the job index.
         """
         job = len(self.inverters)
         inverter = reduce_cell_cached(cell, self.technology, arc=arc,
@@ -193,11 +182,9 @@ class SimulationPlan:
             if cached is not None:
                 delays[cond], slews[cond] = cached
                 continue
-            group = self.groups.get(signature)
-            if group is None:
-                group = SignatureGroup(cell=cell, arc=arc)
-                self.groups[signature] = group
-            group.add_row(job, cond, key, triple)
+            self._reductions.setdefault(signature, inverter)
+            points = self._rows.setdefault(signature, {})
+            points.setdefault(triple, []).append((job, cond, key))
         self.job_delays.append(delays)
         self.job_slews.append(slews)
         self._n_rows_total += len(triples)
@@ -206,116 +193,125 @@ class SimulationPlan:
     def record_metrics(self, ledger: RunLedger,
                        prefix: str = "fused") -> None:
         """Dedup/cache accounting under the flow's metric prefix."""
-        planned_rows = sum(len(group.rows) for group in self.groups.values())
-        unique_rows = sum(len(group.triples) for group in self.groups.values())
+        planned_rows = sum(len(targets) for points in self._rows.values()
+                           for targets in points.values())
+        unique_rows = sum(len(points) for points in self._rows.values())
         ledger.add_metric(f"{prefix}_rows_total", self._n_rows_total)
         ledger.add_metric(f"{prefix}_rows_simulated", unique_rows)
         ledger.add_metric(f"{prefix}_rows_deduplicated",
                           planned_rows - unique_rows)
         ledger.add_metric(f"{prefix}_rows_cached",
                           self._n_rows_total - planned_rows)
-        ledger.add_metric(f"{prefix}_signature_groups", len(self.groups))
+        ledger.add_metric(f"{prefix}_signature_groups", len(self._rows))
         ledger.add_metric(f"{prefix}_rows_cross_job_shared",
                           sum(self.shared_row_counts().values()))
-        if self.groups:
+        if self._rows:
             ledger.add_group_sizes(
                 f"{prefix}:signature_rows",
-                [len(group.triples) for group in self.groups.values()])
+                [len(points) for points in self._rows.values()])
 
     def shared_row_counts(self) -> Dict[int, int]:
-        """Per-job count of planned rows whose slot serves another job too.
+        """Per-job count of planned rows that serve another job too.
 
         This is the plan's request-attribution view: for each job, how many
         of its cache-missing rows are physically identical to a row some
-        *other* job planned (same signature group, same operating-point
-        slot) and therefore integrate exactly once for all of them.  The
-        serving front door reports these counts as its coalescing metric --
-        a row shared across jobs is work one request did for another.  Jobs
-        whose rows all hit the cache (or that never missed) are absent.
+        *other* job planned (same signature, same operating point) and
+        therefore integrate exactly once for all of them.  The serving
+        front door reports these counts as its coalescing metric -- a row
+        shared across jobs is work one request did for another.  Jobs whose
+        rows all hit the cache (or that never missed) are absent.
         """
-        slot_jobs: Dict[tuple, set] = {}
-        for signature, group in self.groups.items():
-            for job, cond, key, slot in group.rows:
-                slot_jobs.setdefault((signature, slot), set()).add(job)
         counts: Dict[int, int] = {}
-        for signature, group in self.groups.items():
-            for job, cond, key, slot in group.rows:
-                if len(slot_jobs[(signature, slot)]) > 1:
-                    counts[job] = counts.get(job, 0) + 1
+        for points in self._rows.values():
+            for targets in points.values():
+                if len({job for job, _cond, _key in targets}) > 1:
+                    for job, _cond, _key in targets:
+                        counts[job] = counts.get(job, 0) + 1
         return counts
 
     @property
     def needs_simulation(self) -> bool:
         """Whether any row missed the cache (phases 2/3 have work to do)."""
-        return bool(self.groups)
+        return bool(self._rows)
 
     # ------------------------------------------------------------------
-    # Phase 2: mega-batched integration
+    # Phase 2: one tiled pass over the row table
     # ------------------------------------------------------------------
     def simulate(self, executor, ledger: RunLedger,
                  max_bytes: Optional[int] = None,
                  on_chunk=None) -> None:
-        """Integrate every signature group, split on the flat row axis.
+        """Integrate the whole row table, tiled on the flat row axis.
 
-        Chunks honor the ``runtime`` memory budget and the executor's shard
-        hint (rows are independent, so any split reproduces the one-pass
-        results).  Worker-side cache activity arrives in the per-job ledgers
-        merged by ``map_accounted``.
+        Tiles honor the memory budget (``max_bytes``, else the configured
+        ``runtime`` budget, else :data:`DEFAULT_PASS_BYTES`) and the
+        executor's shard hint; rows are independent, so any tiling
+        reproduces the one-pass results.  Worker-side activity arrives in
+        the per-tile ledgers merged by ``map_accounted``.
 
         ``on_chunk(payload_index, result)``, when given, fires as each
-        chunk's result becomes available -- pair it with
+        tile's result becomes available -- pair it with
         :meth:`commit_chunk` to persist completed rows mid-run (the
-        checkpoint layer's crash-safety window is one chunk, not the whole
+        checkpoint layer's crash-safety window is one tile, not the whole
         simulate phase).
         """
         budget = resolve_max_bytes(max_bytes)
-        item_bytes = transient_item_bytes(self.n_seeds, self.n_steps)
+        if budget is None:
+            budget = DEFAULT_PASS_BYTES
+        self._table = [(signature, triple, targets)
+                       for signature, points in self._rows.items()
+                       for triple, targets in points.items()]
+        n_rows = len(self._table)
+        self._tiles = plan_chunks(
+            n_rows, transient_item_bytes(self.n_seeds, self.n_steps), budget,
+            min_chunks=executor.shard_hint(n_rows))
         payloads = []
-        self._payload_slots = []
-        for group in self.groups.values():
-            n_unique = len(group.triples)
-            for chunk in plan_chunks(n_unique, item_bytes, budget,
-                                     min_chunks=executor.shard_hint(n_unique)):
-                triples = np.array(group.triples[chunk], dtype=float)
-                payloads.append((self.technology, group.cell, group.arc,
-                                 self.variation, triples, self.stepper,
-                                 self.integrate_stage, self.on_failure))
-                self._payload_slots.append((group, chunk))
+        for tile in self._tiles:
+            rows = self._table[tile]
+            payloads.append((
+                [self._reductions[signature] for signature, _, _ in rows],
+                np.array([triple for _, triple, _ in rows], dtype=float),
+                self.stepper, self.integrate_stage, self.on_failure))
         self._results = executor.map_accounted(simulate_rows_job, payloads,
                                                ledger=ledger,
                                                on_result=on_chunk)
 
-    def commit_chunk(self, payload_index: int, result, sink) -> int:
-        """Write one completed chunk's clean rows through ``sink``.
+    def _tile_rows(self, tile: slice, result):
+        """``(delay_row, slew_row, quarantined, targets)`` per tile row."""
+        delay, slew, quarantined = result
+        for offset, (_signature, _triple, targets) in enumerate(
+                self._table[tile]):
+            yield (np.asarray(delay[offset], dtype=float),
+                   np.asarray(slew[offset], dtype=float),
+                   quarantined is not None and bool(quarantined[offset]),
+                   targets)
 
-        ``result`` is the chunk's bare map result (``(delay, slew,
+    def commit_chunk(self, payload_index: int, result, sink) -> int:
+        """Write one completed tile's clean rows through ``sink``.
+
+        ``result`` is the tile's bare map result (``(delay, slew,
         quarantined)``); ``sink(key, delay_row, slew_row)`` receives every
         non-quarantined row under its simulation-cache condition key --
-        footprint twins sharing a slot each get their own key, exactly the
-        entries :meth:`finalize` would put in the cache at the end of the
-        phase.  Returns the number of rows written.  Quarantined rows are
-        deliberately skipped: a resumed run must re-simulate them, not
+        footprint twins sharing a table row each get their own key, exactly
+        the entries :meth:`finalize` would put in the cache at the end of
+        the phase.  Returns the number of rows written.  Quarantined rows
+        are deliberately skipped: a resumed run must re-simulate them, not
         replay the failure.
         """
-        group, chunk = self._payload_slots[payload_index]
-        delay, slew, quarantined = result
         written = 0
-        for job, cond, key, slot in group.rows:
-            if not (chunk.start <= slot < chunk.stop):
+        for delay_row, slew_row, quarantined, targets in self._tile_rows(
+                self._tiles[payload_index], result):
+            if quarantined:
                 continue
-            offset = slot - chunk.start
-            if quarantined is not None and quarantined[offset]:
-                continue
-            sink(key, np.asarray(delay[offset], dtype=float),
-                 np.asarray(slew[offset], dtype=float))
-            written += 1
+            for _job, _cond, key in targets:
+                sink(key, delay_row, slew_row)
+                written += 1
         return written
 
     # ------------------------------------------------------------------
     # Phase 3: scatter + cache fill
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        """Scatter group results to every row and fill the simulation cache.
+        """Scatter tile results to every row and fill the simulation cache.
 
         Call inside ``ledger.caches()`` so the cache *puts* are attributed
         to the parent (worker windows are merged separately and must not be
@@ -323,26 +319,19 @@ class SimulationPlan:
         """
         if self._results is None:
             raise RuntimeError("finalize() requires a prior simulate() call")
-        for (group, chunk), (delay, slew, quarantined) in zip(
-                self._payload_slots, self._results):
-            for index, slot in enumerate(range(chunk.start, chunk.stop)):
-                group.delays[slot] = np.asarray(delay[index], dtype=float)
-                group.slews[slot] = np.asarray(slew[index], dtype=float)
-                if quarantined is not None and quarantined[index]:
-                    group.quarantined[slot] = True
-        for group in self.groups.values():
-            for job, cond, key, slot in group.rows:
-                delay_row = group.delays[slot]
-                slew_row = group.slews[slot]
-                self.job_delays[job][cond] = delay_row
-                self.job_slews[job][cond] = slew_row
-                if group.quarantined[slot]:
-                    # A quarantined row is a failed measurement: record it
-                    # against every job that shares the slot and keep it out
-                    # of the simulation cache (a retry must re-simulate, not
-                    # replay the failure).
-                    self.quarantined_rows.setdefault(job, []).append(cond)
-                    continue
-                self._cache.put(key, delay_row, slew_row)
+        for tile, result in zip(self._tiles, self._results):
+            for delay_row, slew_row, quarantined, targets in self._tile_rows(
+                    tile, result):
+                for job, cond, key in targets:
+                    self.job_delays[job][cond] = delay_row
+                    self.job_slews[job][cond] = slew_row
+                    if quarantined:
+                        # A quarantined row is a failed measurement: record
+                        # it against every job that shares the row and keep
+                        # it out of the simulation cache (a retry must
+                        # re-simulate, not replay the failure).
+                        self.quarantined_rows.setdefault(job, []).append(cond)
+                        continue
+                    self._cache.put(key, delay_row, slew_row)
         for conds in self.quarantined_rows.values():
             conds.sort()

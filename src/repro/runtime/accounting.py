@@ -13,8 +13,8 @@ The :class:`RunLedger` merges all of it into one picklable record:
 * **metrics** -- free-form integer counters (solver iterations, timing
   queries, chunk counts);
 * **group sizes** -- named lists of work-group sizes (e.g. how many
-  simulation rows each equivalent-inverter signature group of the fused
-  library pipeline carried), so batching effectiveness is observable;
+  distinct simulation rows each equivalent-inverter signature contributed
+  to the fused library pipeline's row table), so dedup is observable;
 * **cache activity** -- hit/miss/eviction deltas of the registered runtime
   caches (``with ledger.caches(): ...`` snapshots around a block);
 * **gauges** -- high-water marks (peak queue depth of the serving front

@@ -45,6 +45,8 @@ import pickle
 import struct
 import tempfile
 import time
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -52,6 +54,11 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.runtime import faultinject
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    fcntl = None
 
 __all__ = [
     "DiskStore",
@@ -213,6 +220,8 @@ class DiskStore:
         self._evictions = 0
         self._quarantined = 0
         self._stale_locks_broken = 0
+        #: Owner token of the maintenance lock while this handle holds it.
+        self._lock_token: Optional[str] = None
         #: digest -> size; rebuilt by scanning on construction so a store
         #: reopened over an existing directory accounts its inventory.
         self._index: Dict[str, int] = {}
@@ -472,38 +481,70 @@ class DiskStore:
 
     # ------------------------------------------------------------------
     # Best-effort maintenance lock (with stale-lock breaking)
+    #
+    # The lock file is published with its owner token already inside it
+    # (written to a temp file, then hard-linked to ``.lock``, which fails if
+    # a lock exists), so no contender ever reads an empty lock.  Breaking
+    # and releasing both move the lock aside under a unique name first and
+    # check the moved token before deleting it; a lock that changed hands
+    # in between is linked back, never deleted.  Every step runs under a
+    # short kernel ``flock`` on ``.guard`` (held for a few syscalls, never
+    # across maintenance, dropped by the kernel if its holder dies), so
+    # between handles of this class the read-check-move sequences cannot
+    # interleave at all; the token checks keep the protocol safe where
+    # ``flock`` is unavailable.
     # ------------------------------------------------------------------
+    @contextmanager
+    def _guard(self):
+        if fcntl is None:
+            yield
+            return
+        with open(self._root / ".guard", "ab") as handle:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+            yield
+
     def _acquire_lock(self) -> bool:
         faultinject.plant_stale_lock(SITE_STORE_LOCK, self._lock_path)
-        for _ in range(2):
-            try:
-                fd = os.open(self._lock_path,
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if self._lock_is_stale():
-                    try:
-                        self._lock_path.unlink()
-                    except OSError:
-                        return False
-                    self._stale_locks_broken += 1
-                    continue
-                return False
-            except OSError:
-                return False
-            with os.fdopen(fd, "w") as handle:
-                handle.write(f"{os.getpid()}:{time.time()}")
-            return True
-        return False
-
-    def _lock_is_stale(self) -> bool:
-        """A lock is stale when its holder is dead or it outlived its age."""
+        token = f"{os.getpid()}:{time.time()}:{uuid.uuid4().hex}"
+        staged = self._tmp_dir / f"lock-{uuid.uuid4().hex}"
         try:
-            pid_text, _, stamp_text = (
-                self._lock_path.read_text(encoding="utf-8").partition(":"))
+            staged.write_text(token, encoding="utf-8")
+            with self._guard():
+                for _ in range(2):
+                    try:
+                        os.link(staged, self._lock_path)
+                    except FileExistsError:
+                        if not self._break_stale_lock():
+                            return False
+                        self._stale_locks_broken += 1
+                        continue
+                    self._lock_token = token
+                    return True
+            return False
+        except OSError:
+            return False
+        finally:
+            try:
+                staged.unlink()
+            except OSError:
+                pass
+
+    def _read_lock(self, path: Path) -> Optional[str]:
+        try:
+            return path.read_text(encoding="utf-8")
+        except OSError:
+            return None
+
+    def _lock_is_stale(self, token: Optional[str]) -> bool:
+        """A lock is stale when its holder is dead or it outlived its age."""
+        if token is None:
+            return False  # released meanwhile: nothing to break
+        try:
+            pid_text, stamp_text = token.split(":")[:2]
             pid = int(pid_text)
             stamp = float(stamp_text)
-        except (OSError, ValueError):
-            return True  # unreadable lock: treat as abandoned
+        except ValueError:
+            return True  # malformed: no holder ever published it whole
         if time.time() - stamp > self._stale_lock_s:
             return True
         if pid == os.getpid():
@@ -516,8 +557,35 @@ class DiskStore:
             return False
         return False
 
-    def _release_lock(self) -> None:
+    def _take_lock_file(self, expected: str) -> bool:
+        """Delete ``.lock`` only if it holds ``expected``; True if it did."""
+        moved = self._tmp_dir / f"unlock-{uuid.uuid4().hex}"
         try:
-            self._lock_path.unlink()
+            os.rename(self._lock_path, moved)
+        except OSError:
+            return False
+        taken = self._read_lock(moved) == expected
+        if not taken:
+            try:
+                os.link(moved, self._lock_path)
+            except OSError:
+                pass  # a newer lock exists: it wins
+        try:
+            moved.unlink()
+        except OSError:
+            pass
+        return taken
+
+    def _break_stale_lock(self) -> bool:
+        token = self._read_lock(self._lock_path)
+        return self._lock_is_stale(token) and self._take_lock_file(token)
+
+    def _release_lock(self) -> None:
+        token, self._lock_token = self._lock_token, None
+        if token is None:
+            return
+        try:
+            with self._guard():
+                self._take_lock_file(token)
         except OSError:
             pass

@@ -47,27 +47,29 @@ Design notes:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.cells.equivalent_inverter import EquivalentInverter
-from repro.cells.library import Transition
 from repro.runtime import faultinject
 from repro.spice import transient as _serial
 from repro.spice.batch import (
     BatchTransientResult,
     SITE_INTEGRATE,
-    _alpha_power_params,
-    _estimate_windows,
+    _RowTable,
+    _fused_params,
+    _input_level,
+    _signed_slope,
+    _take,
+    _take_device,
+    _take_params,
+    _transition_complete,
+    _validated_conditions,
 )
 from repro.spice.stepper import IntegrationStats, StepperSpec
 from repro.spice.transient import TransientResult
-from repro.spice.waveform import (
-    SLEW_HIGH_THRESHOLD,
-    SLEW_LOW_THRESHOLD,
-    WaveformBatch,
-)
+from repro.spice.waveform import WaveformBatch
 
 SITE_REJECT = faultinject.register_fault_site(
     "adaptive.reject",
@@ -112,15 +114,22 @@ class _AlphaPowerWorkspace:
     gain, the saturation ratio -- living in three scratch matrices
     allocated once for the whole batch.  Each call operates on the
     ``[:n]`` prefix views, so the adaptive hot loop performs no
-    per-evaluation array allocation.
+    per-evaluation array allocation.  Per-row parameters of a row table
+    (``params`` from :func:`repro.spice.batch._fused_params`) follow the
+    active prefix through :meth:`compact`.
     """
 
-    def __init__(self, nmos, pmos, n_cond: int, n_seeds: int):
-        self._params = (_alpha_power_params(nmos), _alpha_power_params(pmos))
+    def __init__(self, params: tuple, n_cond: int, n_seeds: int):
+        self._params = params
         shape = (n_cond, n_seeds)
         self._s1 = np.empty(shape)
         self._s2 = np.empty(shape)
         self._s3 = np.empty(shape)
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep rows ``keep`` of the per-row parameters (prefix compaction)."""
+        self._params = tuple(_take_params(device, keep)
+                             for device in self._params)
 
     def currents(self, n: int, vgs_n, vds_n, vgs_p, vds_p,
                  out_down, out_up) -> None:
@@ -158,7 +167,7 @@ class _AlphaPowerWorkspace:
 
 
 def simulate_arc_transitions_adaptive(
-    inverter: EquivalentInverter,
+    inverter: Union[EquivalentInverter, Sequence[EquivalentInverter]],
     sin,
     cload,
     vdd,
@@ -194,45 +203,25 @@ def simulate_arc_transitions_adaptive(
     if stepper.method != "rk45":
         raise ValueError(f"the adaptive engine requires an rk45 stepper, "
                          f"got method={stepper.method!r}")
-    if on_failure not in ("raise", "quarantine"):
-        raise ValueError(f"on_failure must be 'raise' or 'quarantine', "
-                         f"got {on_failure!r}")
-    sin = np.atleast_1d(np.asarray(sin, dtype=float))
-    cload = np.atleast_1d(np.asarray(cload, dtype=float))
-    vdd = np.atleast_1d(np.asarray(vdd, dtype=float))
-    if not (sin.shape == cload.shape == vdd.shape) or sin.ndim != 1:
-        raise ValueError("sin, cload and vdd must be 1-D arrays of equal length")
-    if sin.size == 0:
-        raise ValueError("at least one condition is required")
-    for name, values in (("sin", sin), ("cload", cload), ("vdd", vdd)):
-        bad = np.nonzero(~np.isfinite(values))[0]
-        if bad.size:
-            raise ValueError(
-                f"{name} contains a non-finite value at condition index "
-                f"{int(bad[0])} ({bad.size} of {values.size} non-finite)")
-    if np.any(sin <= 0.0) or np.any(cload <= 0.0) or np.any(vdd <= 0.0):
-        raise ValueError("sin, cload and vdd must all be positive")
+    sin, cload, vdd = _validated_conditions(sin, cload, vdd, on_failure)
+    n_cond = sin.size
+    table = _RowTable.build(inverter, n_cond)
     faultinject.fire(SITE_INTEGRATE)
 
-    n_cond = sin.size
-    falling_output = inverter.arc.output_transition is Transition.FALL
-
-    parasitic = np.asarray(inverter.parasitic_cap, dtype=float)
-    miller = np.asarray(inverter.miller_cap, dtype=float)
-    n_seeds = max(parasitic.size, miller.size, 1)
-    parasitic = np.broadcast_to(parasitic, (n_seeds,))
-    miller = np.broadcast_to(miller, (n_seeds,))
-
-    nmos = inverter.nmos
-    pmos = inverter.pmos
-    from repro.devices.alpha_power import AlphaPowerMOSFET
-    fused = (type(nmos) is AlphaPowerMOSFET and type(pmos) is AlphaPowerMOSFET)
-    kernel = _AlphaPowerWorkspace(nmos, pmos, n_cond, n_seeds) if fused else None
+    n_seeds = table.n_seeds
+    # Per-row table entries below follow the active prefix as rows retire.
+    falling = table.falling
+    miller = table.miller
+    nmos = table.nmos
+    pmos = table.pmos
+    fused = _fused_params(nmos, pmos)
+    kernel = (_AlphaPowerWorkspace(fused, n_cond, n_seeds)
+              if fused is not None else None)
 
     # The adaptive horizon equals the fixed engines' fully-extended window
     # (initial window plus every geometric extension), so the two engines
     # declare "non-functional at this operating point" at the same point.
-    window = _estimate_windows(inverter, sin, cload, vdd)
+    window = table.windows(sin, cload, vdd)
     growth = 1.8
     horizon = window * (growth ** _serial._MAX_EXTENSIONS - 1.0) / (growth - 1.0)
 
@@ -242,8 +231,8 @@ def simulate_arc_transitions_adaptive(
     ids = np.arange(n_cond)
     ramp = sin.copy()
     supply = vdd.copy()
-    slope_signed = (supply / ramp) if falling_output else -(supply / ramp)
-    caps = cload[:, np.newaxis] + parasitic[np.newaxis, :]
+    slope_signed = _signed_slope(supply, ramp, falling)
+    caps = cload[:, np.newaxis] + table.parasitic
     clamp_low = (-0.2 * supply)[:, np.newaxis].copy()
     clamp_high = (1.2 * supply)[:, np.newaxis].copy()
     tmax = sin + horizon
@@ -253,8 +242,8 @@ def simulate_arc_transitions_adaptive(
     h = ramp * _H0_RAMP_FRACTION
     errold = np.full(n_cond, 1e-4)
     rejects = np.zeros(n_cond, dtype=int)
-    y = np.broadcast_to((supply[:, np.newaxis] if falling_output
-                         else np.zeros((n_cond, 1))), (n_cond, n_seeds)).copy()
+    y = np.broadcast_to(np.where(falling, supply, 0.0)[:, np.newaxis],
+                        (n_cond, n_seeds)).copy()
 
     # ------------------------------------------------------------------
     # Single-allocation workspace: stage buffers, scratch, sample stores.
@@ -288,7 +277,7 @@ def simulate_arc_transitions_adaptive(
         stats.rhs_evals += na * n_seeds
         sup = supply[:na]
         frac = np.clip(t_vec / ramp[:na], 0.0, 1.0)
-        vin = sup * frac if falling_output else sup * (1.0 - frac)
+        vin = sup * _input_level(frac, falling)
         dvin = np.where(on_ramp, slope_signed[:na], 0.0)
         vin_col = vin[:, np.newaxis]
         sup_col = sup[:, np.newaxis]
@@ -404,7 +393,7 @@ def simulate_arc_transitions_adaptive(
             # for the boundary sample (crossings live in the tail).
             crossed_idx = np.nonzero(accept & hits_ramp_end)[0]
             if crossed_idx.size:
-                k[0][crossed_idx] -= (miller[np.newaxis, :]
+                k[0][crossed_idx] -= (_take(miller, crossed_idx)
                                       * slope_signed[crossed_idx, np.newaxis]
                                       / caps[crossed_idx])
             # Commit samples under each row's original condition index.
@@ -426,14 +415,8 @@ def simulate_arc_transitions_adaptive(
 
         # Retirement: completed rows leave the batch; failed rows abort or
         # quarantine.  Completion uses the fixed engines' far-slew margins.
-        sup_col = supply[:na, np.newaxis]
-        if falling_output:
-            complete = np.all(y[:na] <= 0.5 * SLEW_LOW_THRESHOLD * sup_col,
-                              axis=1)
-        else:
-            complete = np.all(
-                y[:na] >= sup_col - 0.5 * (1.0 - SLEW_HIGH_THRESHOLD) * sup_col,
-                axis=1)
+        complete = _transition_complete(y[:na], supply[:na, np.newaxis],
+                                        falling)
         done = complete & (t[:na] >= ramp[:na])
         overran = (t[:na] >= tmax[:na]) & ~done
         storm = rejects[:na] >= stepper.max_rejects
@@ -458,6 +441,14 @@ def simulate_arc_transitions_adaptive(
                 arr[:new_na] = arr[:na][kidx]
             for mat in (y, caps, clamp_low, clamp_high, k[0]):
                 mat[:new_na] = mat[:na][kidx]
+            if not isinstance(falling, bool):
+                falling = falling[kidx]
+            miller = _take(miller, kidx)
+            if kernel is not None:
+                kernel.compact(kidx)
+            else:
+                nmos = _take_device(nmos, kidx)
+                pmos = _take_device(pmos, kidx)
             na = new_na
     else:
         raise RuntimeError("adaptive integration exceeded the iteration "
@@ -466,8 +457,8 @@ def simulate_arc_transitions_adaptive(
     if first_failure is not None:
         index, reason = first_failure
         raise RuntimeError(
-            f"output of {inverter.cell_name} did not complete its transition "
-            f"(sin={sin[index]:.3g}s, cload={cload[index]:.3g}F, "
+            f"output of {table.cell_name(index)} did not complete its "
+            f"transition (sin={sin[index]:.3g}s, cload={cload[index]:.3g}F, "
             f"vdd={vdd[index]:.3g}V); the cell is likely non-functional at "
             f"this operating point (adaptive stepper: {reason})"
         )
@@ -500,10 +491,7 @@ def simulate_arc_transitions_adaptive(
     # Input ramps on the same non-uniform axes (exactly piecewise linear,
     # so the input batch needs no dense-output derivative).
     fraction = np.clip(time_matrix / sin[:, np.newaxis], 0.0, 1.0)
-    if falling_output:
-        vin_matrix = vdd[:, np.newaxis] * fraction
-    else:
-        vin_matrix = vdd[:, np.newaxis] * (1.0 - fraction)
+    vin_matrix = vdd[:, np.newaxis] * _input_level(fraction, table.falling)
 
     input_batch = WaveformBatch(time_matrix, vin_matrix, valid_len=lengths)
     output_batch = WaveformBatch(time_matrix, volt_matrix, valid_len=lengths,

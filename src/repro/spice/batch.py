@@ -1,43 +1,57 @@
-"""Batched multi-condition transient engine.
+"""Batched multi-condition transient engine over a flat row table.
 
 The serial engine (:mod:`repro.spice.transient`) integrates one
 ``(Sin, Cload, Vdd)`` condition at a time, so a sweep of ``n`` conditions pays
 the Python-level RK4 loop ``n`` times over.  This module integrates *all*
-conditions of an arc at once in a single 2-D state array of shape
-``(n_conditions, n_seeds)`` -- the software analogue of batching SPICE runs
-with ``.ALTER`` statements, applied across operating points as well as
-process seeds.
+rows of a pass at once in a single 2-D state array of shape
+``(n_rows, n_seeds)`` -- the software analogue of batching SPICE runs with
+``.ALTER`` statements, applied across operating points, process seeds and
+cells alike.
 
 Design notes:
 
-* **Per-condition time normalization.**  Every condition keeps its own ramp
-  duration and its own post-ramp window, but all conditions advance through a
+* **The row table.**  A pass is either one equivalent inverter driven at
+  every row (the classic single-arc call of
+  :func:`repro.spice.sweep.sweep_conditions`) or one reduction *per row*, so
+  rows of different cells and output polarities share one pass.  Device
+  parameters, capacitances, post-ramp windows and output polarity are then
+  carried per row; values every reduction agrees on keep their shared
+  shape (scalars or ``(n_seeds,)`` vectors, notably the ``pow`` exponent),
+  and only values that differ become ``(n_rows, n_seeds)`` / ``(n_rows, 1)``
+  arrays.  Each row therefore computes exactly what a pass over its own
+  reduction computes, bit for bit, while the interpreted loop is paid once
+  for the whole table.  :class:`~repro.core.simulation_plan.SimulationPlan`
+  builds these tables from a workload's cache-missing rows.
+* **Per-condition time normalization.**  Every row keeps its own ramp
+  duration and its own post-ramp window, but all rows advance through a
   shared *normalized step index*: step ``i`` of the batch integrates step
-  ``i`` of every condition with that condition's own ``dt``.  The per-step
-  NumPy work therefore grows from ``(n_seeds,)`` arrays to
-  ``(n_conditions, n_seeds)`` arrays while the interpreted loop overhead is
-  paid once, which is where the speedup comes from.
+  ``i`` of every row with that row's own ``dt``.  The per-step NumPy work
+  therefore grows from ``(n_seeds,)`` arrays to ``(n_rows, n_seeds)`` arrays
+  while the interpreted loop overhead is paid once, which is where the
+  speedup comes from.
 * **Phase handling.**  The ramp/tail chunk boundaries and step counts are the
   exact ones of the serial engine (shared via
   :func:`repro.spice.transient._phase_steps`), and every arithmetic operation
   is the elementwise-identical broadcast of the serial engine's scalar
   expression.  The two engines therefore agree to floating-point noise
   (equivalence is enforced at ``rtol <= 1e-9`` by the test suite).
-* **Active-set retirement.**  The completion check runs per condition; the
-  conditions that finish are retired from the derivative evaluation while the
+* **Active-set retirement.**  The completion check runs per row; the rows
+  that finish are retired from the derivative evaluation while the
   geometric window extension continues only for the stragglers, so one slow
   low-Vdd corner no longer forces extra integration work on the whole batch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cells.equivalent_inverter import EquivalentInverter
 from repro.cells.library import Transition
+from repro.devices import AlphaPowerMOSFET, MOSFET
 from repro.runtime import faultinject
 from repro.spice import transient as _serial
 from repro.spice.stepper import IntegrationStats
@@ -148,6 +162,181 @@ def _scalarize(value) -> object:
     return float(array.reshape(-1)[0]) if array.size == 1 else array
 
 
+def _take(value, index):
+    """Rows ``index`` of a per-row value; shared values pass through.
+
+    Per-row values are exactly the 2-D ones: shared parameters are scalars
+    or ``(n_seeds,)`` vectors (see :class:`_RowTable`).
+    """
+    return value[index] if np.ndim(value) == 2 else value
+
+
+def _take_params(params: dict, index) -> dict:
+    """A prepared kernel-parameter dict restricted to rows ``index``."""
+    return {key: _take(value, index) for key, value in params.items()}
+
+
+def _take_device(device: MOSFET, index) -> MOSFET:
+    """``device`` restricted to rows ``index`` (itself if none is per-row)."""
+    params = device.params
+    changes = {field.name: getattr(params, field.name)[index]
+               for field in dataclasses.fields(params)
+               if np.ndim(getattr(params, field.name)) == 2}
+    return type(device)(params.replace(**changes)) if changes else device
+
+
+def _row_values(values: Sequence, row_of: np.ndarray):
+    """One pass-wide parameter from its value on each distinct reduction.
+
+    Values that agree bit for bit stay exactly as they are -- scalars or
+    ``(n_seeds,)`` vectors -- so the hot loop keeps its shared operands;
+    values that differ become one row per simulated condition,
+    ``(n_rows, n_seeds)`` or ``(n_rows, 1)``.
+    """
+    first = values[0]
+    if all(value is first or (np.shape(value) == np.shape(first)
+                              and np.array_equal(value, first))
+           for value in values[1:]):
+        return first
+    flat = [np.asarray(value, dtype=float).reshape(-1) for value in values]
+    width = max(value.size for value in flat)
+    stacked = np.stack([np.broadcast_to(value, (width,)) for value in flat])
+    return stacked[row_of]
+
+
+def _row_device(devices: Sequence[MOSFET], row_of: np.ndarray) -> MOSFET:
+    """One device for the pass, per-row only where the reductions differ."""
+    first = devices[0]
+    if all(device is first for device in devices[1:]):
+        return first
+    if any(type(device) is not type(first) for device in devices):
+        raise ValueError("every row of one pass must use one device model")
+    changes = {}
+    for field in dataclasses.fields(first.params):
+        values = [getattr(device.params, field.name) for device in devices]
+        if np.asarray(values[0]).dtype.kind not in "fiub":
+            continue  # the polarity tag; currents never read it
+        merged = _row_values(values, row_of)
+        if merged is not values[0]:
+            changes[field.name] = merged
+    return type(first)(first.params.replace(**changes)) if changes else first
+
+
+@dataclass(frozen=True)
+class _RowTable:
+    """What the engines read from the equivalent inverters, per row.
+
+    Built from one :class:`EquivalentInverter` (every row shares it) or one
+    reduction per row.  Shared values keep the single-inverter shapes;
+    values that differ between the pass's reductions are per-row 2-D arrays
+    (:func:`_row_values`).  ``falling`` is a plain bool when every row has
+    the same output polarity and a ``(n_rows,)`` mask otherwise.
+    """
+
+    reductions: Tuple[EquivalentInverter, ...]
+    #: Index into ``reductions`` of every row.
+    row_of: np.ndarray
+    n_seeds: int
+    falling: object
+    parasitic: np.ndarray
+    miller: np.ndarray
+    nmos: MOSFET
+    pmos: MOSFET
+
+    @classmethod
+    def build(cls, inverter, n_rows: int) -> "_RowTable":
+        if isinstance(inverter, EquivalentInverter):
+            reductions = [inverter]
+            row_of = np.zeros(n_rows, dtype=int)
+        else:
+            rows = list(inverter)
+            if len(rows) != n_rows:
+                raise ValueError(f"expected one equivalent inverter per "
+                                 f"condition ({n_rows}), got {len(rows)}")
+            slots: Dict[int, int] = {}
+            reductions = []
+            row_of = np.empty(n_rows, dtype=int)
+            for row, reduction in enumerate(rows):
+                slot = slots.get(id(reduction))
+                if slot is None:
+                    slot = slots[id(reduction)] = len(reductions)
+                    reductions.append(reduction)
+                row_of[row] = slot
+        n_seeds = max(max(np.size(reduction.parasitic_cap),
+                          np.size(reduction.miller_cap), 1)
+                      for reduction in reductions)
+        flags = [reduction.arc.output_transition is Transition.FALL
+                 for reduction in reductions]
+        falling = (flags[0] if all(flag == flags[0] for flag in flags)
+                   else np.array(flags)[row_of])
+
+        def caps(name):
+            return _row_values(
+                [np.broadcast_to(np.asarray(getattr(reduction, name),
+                                            dtype=float), (n_seeds,))
+                 for reduction in reductions], row_of)
+
+        return cls(reductions=tuple(reductions), row_of=row_of,
+                   n_seeds=n_seeds, falling=falling,
+                   parasitic=caps("parasitic_cap"), miller=caps("miller_cap"),
+                   nmos=_row_device([r.nmos for r in reductions], row_of),
+                   pmos=_row_device([r.pmos for r in reductions], row_of))
+
+    def falling_at(self, index):
+        """Output polarity of rows ``index`` (the shared bool when uniform)."""
+        return (self.falling if isinstance(self.falling, bool)
+                else self.falling[index])
+
+    def cell_name(self, row: int) -> str:
+        return self.reductions[self.row_of[row]].cell_name
+
+    def windows(self, sin: np.ndarray, cload: np.ndarray,
+                vdd: np.ndarray) -> np.ndarray:
+        """Per-row post-ramp window, each from its own reduction."""
+        if len(self.reductions) == 1:
+            return _estimate_windows(self.reductions[0], sin, cload, vdd)
+        window = np.empty(sin.size)
+        for slot, reduction in enumerate(self.reductions):
+            rows = np.nonzero(self.row_of == slot)[0]
+            window[rows] = _estimate_windows(reduction, sin[rows], cload[rows],
+                                             vdd[rows])
+        return window
+
+
+def _input_level(fraction, falling):
+    """Input voltage over supply; a rising ramp drives a falling output."""
+    if falling is True:
+        return fraction
+    if falling is False:
+        return 1.0 - fraction
+    mask = falling.reshape(falling.shape + (1,) * (np.ndim(fraction) - 1))
+    return np.where(mask, fraction, 1.0 - fraction)
+
+
+def _signed_slope(supply: np.ndarray, ramp: np.ndarray, falling) -> np.ndarray:
+    """Input ramp slope per row, positive for a rising input."""
+    slope = supply / ramp
+    if falling is True:
+        return slope
+    if falling is False:
+        return -slope
+    return np.where(falling, slope, -slope)
+
+
+def _transition_complete(state: np.ndarray, supply_col: np.ndarray,
+                         falling) -> np.ndarray:
+    """Rows whose every seed is past the far slew threshold (both engines)."""
+    if falling is not False:
+        fell = np.all(state <= 0.5 * SLEW_LOW_THRESHOLD * supply_col, axis=1)
+        if falling is True:
+            return fell
+    rose = np.all(state >= supply_col - 0.5 * (1.0 - SLEW_HIGH_THRESHOLD)
+                  * supply_col, axis=1)
+    if falling is False:
+        return rose
+    return np.where(falling, fell, rose)
+
+
 def _alpha_power_params(device) -> dict:
     """Pre-combined alpha-power parameters for the fused hot-loop kernels.
 
@@ -157,6 +346,7 @@ def _alpha_power_params(device) -> dict:
     swing into the softplus smoothing and its negated reciprocal, ``alpha``
     into the half exponent) and size-1 arrays collapse to Python scalars so
     the elementwise chains stay on NumPy's fast scalar-operand paths.
+    Parameters that are per-row in a row table stay 2-D here.
     """
     p = device.params
     smoothing = _scalarize(np.asarray(p.subthreshold_swing, dtype=float) / 2.3)
@@ -173,29 +363,32 @@ def _alpha_power_params(device) -> dict:
     }
 
 
-def _alpha_power_kernel(nmos, pmos):
+def _fused_params(nmos: MOSFET, pmos: MOSFET) -> Optional[tuple]:
+    """Prepared ``(nmos, pmos)`` kernel parameters (``None``: generic path).
+
+    ``None`` unless both devices are :class:`AlphaPowerMOSFET` instances;
+    the engines then fall back to the generic per-device calls (e.g. for
+    the virtual-source FinFET model).
+    """
+    if type(nmos) is not AlphaPowerMOSFET or type(pmos) is not AlphaPowerMOSFET:
+        return None
+    return (_alpha_power_params(nmos), _alpha_power_params(pmos))
+
+
+def _alpha_power_kernel(prepared: tuple):
     """Fused alpha-power drain-current evaluation for the batched hot loop.
 
     Computes the same smooth alpha-power model as
     :meth:`repro.devices.alpha_power.AlphaPowerMOSFET.current` (softplus
     overdrive, one half-exponent pow, tanh saturation) but restructured for
-    throughput: device parameters are pre-combined once per simulation,
-    size-1 parameters collapse to Python scalars, and the elementwise chain
-    reuses buffers with ``out=`` instead of allocating a temporary per
-    operation.  The reassociated arithmetic differs from the reference
-    implementation only at the last-ulp level, far inside the engine's
-    ``rtol <= 1e-9`` equivalence budget (enforced by the test suite).
-
-    Returns ``None`` unless both devices are :class:`AlphaPowerMOSFET`
-    instances; the engine then falls back to the generic per-device calls
-    (e.g. for the virtual-source FinFET model).
+    throughput: device parameters are pre-combined once per simulation
+    (``prepared``, from :func:`_fused_params`), size-1 parameters collapse
+    to Python scalars, and the elementwise chain reuses buffers with
+    ``out=`` instead of allocating a temporary per operation.  The
+    reassociated arithmetic differs from the reference implementation only
+    at the last-ulp level, far inside the engine's ``rtol <= 1e-9``
+    equivalence budget (enforced by the test suite).
     """
-    from repro.devices.alpha_power import AlphaPowerMOSFET
-
-    if type(nmos) is not AlphaPowerMOSFET or type(pmos) is not AlphaPowerMOSFET:
-        return None
-
-    prepared = (_alpha_power_params(nmos), _alpha_power_params(pmos))
 
     def one_device(p, vgs, vds_raw):
         vds = np.maximum(vds_raw, 0.0)
@@ -242,21 +435,47 @@ def _estimate_windows(inverter: EquivalentInverter, sin: np.ndarray,
     return 0.5 * sin + _serial._WINDOW_MARGIN * np.maximum(intrinsic, 1e-13)
 
 
+def _validated_conditions(sin, cload, vdd, on_failure: str) -> tuple:
+    """The condition arrays as 1-D floats, checked for both engines."""
+    if on_failure not in ("raise", "quarantine"):
+        raise ValueError(f"on_failure must be 'raise' or 'quarantine', "
+                         f"got {on_failure!r}")
+    sin = np.atleast_1d(np.asarray(sin, dtype=float))
+    cload = np.atleast_1d(np.asarray(cload, dtype=float))
+    vdd = np.atleast_1d(np.asarray(vdd, dtype=float))
+    if not (sin.shape == cload.shape == vdd.shape) or sin.ndim != 1:
+        raise ValueError("sin, cload and vdd must be 1-D arrays of equal length")
+    if sin.size == 0:
+        raise ValueError("at least one condition is required")
+    for name, values in (("sin", sin), ("cload", cload), ("vdd", vdd)):
+        bad = np.nonzero(~np.isfinite(values))[0]
+        if bad.size:
+            raise ValueError(
+                f"{name} contains a non-finite value at condition index "
+                f"{int(bad[0])} ({bad.size} of {values.size} non-finite)")
+    if np.any(sin <= 0.0) or np.any(cload <= 0.0) or np.any(vdd <= 0.0):
+        raise ValueError("sin, cload and vdd must all be positive")
+    return sin, cload, vdd
+
+
 def simulate_arc_transitions(
-    inverter: EquivalentInverter,
+    inverter: Union[EquivalentInverter, Sequence[EquivalentInverter]],
     sin,
     cload,
     vdd,
     n_steps: int = DEFAULT_STEPS,
     on_failure: str = "raise",
 ) -> BatchTransientResult:
-    """Simulate every requested condition of one arc in a single batch.
+    """Simulate every requested condition row in a single batch.
 
     Parameters
     ----------
     inverter:
         Equivalent inverter produced by :func:`repro.cells.reduce_cell`
-        (possibly carrying per-seed parameter arrays).
+        (possibly carrying per-seed parameter arrays) driven at every row,
+        or a sequence with one reduction per row -- the row table of a
+        multi-cell pass, whose rows may mix cells and output polarities
+        (every reduction must share the seed count and device model).
     sin, cload, vdd:
         Input transition times (seconds), load capacitances (farads) and
         supply voltages (volts); arrays or sequences of equal length.
@@ -283,47 +502,23 @@ def simulate_arc_transitions(
     ------
     ValueError
         For empty, mismatched, non-finite or non-positive condition
-        arrays, ``n_steps < 16``, or an unknown ``on_failure``.
+        arrays, a row table of the wrong length, ``n_steps < 16``, or an
+        unknown ``on_failure``.
     RuntimeError
         Only with ``on_failure="raise"``: if any condition's output fails
         to complete its transition after the maximum number of window
         extensions (same semantics as the serial engine).
     """
-    if on_failure not in ("raise", "quarantine"):
-        raise ValueError(f"on_failure must be 'raise' or 'quarantine', "
-                         f"got {on_failure!r}")
-    sin = np.atleast_1d(np.asarray(sin, dtype=float))
-    cload = np.atleast_1d(np.asarray(cload, dtype=float))
-    vdd = np.atleast_1d(np.asarray(vdd, dtype=float))
-    if not (sin.shape == cload.shape == vdd.shape) or sin.ndim != 1:
-        raise ValueError("sin, cload and vdd must be 1-D arrays of equal length")
-    if sin.size == 0:
-        raise ValueError("at least one condition is required")
-    for name, values in (("sin", sin), ("cload", cload), ("vdd", vdd)):
-        bad = np.nonzero(~np.isfinite(values))[0]
-        if bad.size:
-            raise ValueError(
-                f"{name} contains a non-finite value at condition index "
-                f"{int(bad[0])} ({bad.size} of {values.size} non-finite)")
-    if np.any(sin <= 0.0) or np.any(cload <= 0.0) or np.any(vdd <= 0.0):
-        raise ValueError("sin, cload and vdd must all be positive")
+    sin, cload, vdd = _validated_conditions(sin, cload, vdd, on_failure)
     if n_steps < 16:
         raise ValueError("n_steps must be at least 16")
+    n_cond = sin.size
+    table = _RowTable.build(inverter, n_cond)
     faultinject.fire(SITE_INTEGRATE)
 
-    n_cond = sin.size
-    falling_output = inverter.arc.output_transition is Transition.FALL
-
-    parasitic = np.asarray(inverter.parasitic_cap, dtype=float)
-    miller = np.asarray(inverter.miller_cap, dtype=float)
-    n_seeds = max(parasitic.size, miller.size, 1)
-    parasitic = np.broadcast_to(parasitic, (n_seeds,))
-    miller = np.broadcast_to(miller, (n_seeds,))
-    total_cap = cload[:, np.newaxis] + parasitic[np.newaxis, :]
-
-    nmos = inverter.nmos
-    pmos = inverter.pmos
-    kernel = _alpha_power_kernel(nmos, pmos)
+    n_seeds = table.n_seeds
+    total_cap = cload[:, np.newaxis] + table.parasitic
+    fused = _fused_params(table.nmos, table.pmos)
     stats = IntegrationStats(method="rk4")
 
     def integrate_chunk(t_begin: np.ndarray, t_end: np.ndarray, steps: int,
@@ -333,34 +528,39 @@ def simulate_arc_transitions(
         """Lockstep RK4 over per-condition intervals ``[t_begin, t_end]``.
 
         Everything that is constant across the chunk -- the active rows of
-        the condition arrays, the clamp bounds, the ramp slope magnitudes --
-        is gathered once here rather than on every RK4 stage evaluation.
-        Samples are written straight into the caller-provided ``time_out`` /
-        ``volt_out`` views (shapes ``(n_active, steps + 1[, n_seeds])``), and
-        the RK4 combination runs in place on the stage buffers, so the hot
-        loop allocates nothing beyond the derivative evaluations.  ``state``
-        is advanced in place and returned.
+        the condition arrays and of the row table, the clamp bounds, the
+        signed ramp slopes -- is gathered once here rather than on every
+        RK4 stage evaluation.  Samples are written straight into the
+        caller-provided ``time_out`` / ``volt_out`` views (shapes
+        ``(n_active, steps + 1[, n_seeds])``), and the RK4 combination runs
+        in place on the stage buffers, so the hot loop allocates nothing
+        beyond the derivative evaluations.  ``state`` is advanced in place
+        and returned.
         """
         ramp = sin[idx]
         supply = vdd[idx]
         supply_col = supply[:, np.newaxis]
         clamp_low = -0.2 * supply_col
         clamp_high = 1.2 * supply_col
-        slope_mag = supply / ramp
+        falling = table.falling_at(idx)
+        slope = _signed_slope(supply, ramp, falling)
         cap = total_cap[idx]
+        miller = _take(table.miller, idx)
+        if fused is not None:
+            kernel = _alpha_power_kernel(
+                tuple(_take_params(params, idx) for params in fused))
+        else:
+            nmos = _take_device(table.nmos, idx)
+            pmos = _take_device(table.pmos, idx)
 
         def derivative(t: np.ndarray, vout: np.ndarray) -> np.ndarray:
             fraction = np.clip(t / ramp, 0.0, 1.0)
             on_ramp = (t >= 0.0) & (t <= ramp)
-            if falling_output:  # rising input drives a falling output
-                vin = supply * fraction
-                dvin = np.where(on_ramp, slope_mag, 0.0)
-            else:
-                vin = supply * (1.0 - fraction)
-                dvin = np.where(on_ramp, -slope_mag, 0.0)
+            vin = supply * _input_level(fraction, falling)
+            dvin = np.where(on_ramp, slope, 0.0)
             vin = vin[:, np.newaxis]
             vout_clamped = np.minimum(np.maximum(vout, clamp_low), clamp_high)
-            if kernel is not None:
+            if fused is not None:
                 pull_down, pull_up = kernel(vin, supply_col - vin,
                                             vout_clamped,
                                             supply_col - vout_clamped)
@@ -412,7 +612,7 @@ def simulate_arc_transitions(
             volt_out[:, index + 1] = state
         return state
 
-    initial_value = vdd[:, np.newaxis] if falling_output else np.zeros((n_cond, 1))
+    initial_value = np.where(table.falling, vdd, 0.0)[:, np.newaxis]
     vout = np.broadcast_to(initial_value, (n_cond, n_seeds)).copy()
 
     # Every condition records at least ramp + first tail window; those two
@@ -439,7 +639,7 @@ def simulate_arc_transitions(
     # Extension records are (active indices, times, voltages); active sets
     # are nested, so every condition's chunks are a prefix of the sequence
     # and share offsets with the other conditions still running.
-    window = _estimate_windows(inverter, sin, cload, vdd)
+    window = table.windows(sin, cload, vdd)
     t_start = sin.copy()
     active = all_idx
     extension_records = []
@@ -462,12 +662,8 @@ def simulate_arc_transitions(
                                 voltages)
         vout[active] = state
 
-        supply = vdd[active, np.newaxis]
-        if falling_output:
-            done = np.all(state <= 0.5 * SLEW_LOW_THRESHOLD * supply, axis=1)
-        else:
-            done = np.all(state >= supply - 0.5 * (1.0 - SLEW_HIGH_THRESHOLD)
-                          * supply, axis=1)
+        done = _transition_complete(state, vdd[active, np.newaxis],
+                                    table.falling_at(active))
         if on_failure == "quarantine":
             # A non-finite state row can never satisfy the completion
             # thresholds (NaN comparisons are False), so without quarantine
@@ -494,7 +690,7 @@ def simulate_arc_transitions(
         else:
             first = int(active[0])
             raise RuntimeError(
-                f"output of {inverter.cell_name} did not complete its "
+                f"output of {table.cell_name(first)} did not complete its "
                 f"transition (sin={sin[first]:.3g}s, cload={cload[first]:.3g}F, "
                 f"vdd={vdd[first]:.3g}V); the cell is likely non-functional at "
                 f"this operating point ({active.size} of {n_cond} conditions "
@@ -532,10 +728,7 @@ def simulate_arc_transitions(
     # The input ramps, sampled on the same per-condition time axes with the
     # exact expression of RampStimulus.voltage.
     fraction = np.clip(time_matrix / sin[:, np.newaxis], 0.0, 1.0)
-    if falling_output:
-        vin_matrix = vdd[:, np.newaxis] * fraction
-    else:
-        vin_matrix = vdd[:, np.newaxis] * (1.0 - fraction)
+    vin_matrix = vdd[:, np.newaxis] * _input_level(fraction, table.falling)
 
     input_batch = WaveformBatch(time_matrix, vin_matrix, valid_len=lengths)
     output_batch = WaveformBatch(time_matrix, volt_matrix, valid_len=lengths)

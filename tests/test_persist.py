@@ -319,6 +319,88 @@ class TestInjectedFilesystemFaults:
         assert survivors == len(reopened) > 0
 
 
+    def test_lock_hammer_across_processes(self, tmp_path):
+        """Writer processes hammer one store's lock behind an abandoned lock.
+
+        Each process opens its own :class:`DiskStore` over the same
+        directory, waits until every writer is ready, then keeps putting
+        over-budget entries (each put evicts through the maintenance lock)
+        and taking the lock directly; while it holds the lock it claims a
+        marker file with ``O_EXCL``, which a second concurrent holder would
+        find taken.  The abandoned lock is broken exactly once, no two
+        processes ever hold the lock together, no lock is left behind, and
+        every surviving entry reads back bit-identically.
+        """
+        writers = 4
+        root = tmp_path / "s"
+        DiskStore(root)
+        (root / ".lock").write_text("999999999:0.0")
+        script = (
+            "import os, sys, time\n"
+            "import numpy as np\n"
+            "from repro.runtime.persist import DiskStore\n"
+            "root, (tag, writers) = sys.argv[1], map(int, sys.argv[2:])\n"
+            "store = DiskStore(root, max_bytes=3000)\n"
+            "open(os.path.join(root, f'ready-{tag}'), 'w').close()\n"
+            "deadline = time.time() + 60\n"
+            "def ready():\n"
+            "    return sum(name.startswith('ready-')\n"
+            "               for name in os.listdir(root))\n"
+            "while time.time() < deadline and ready() < writers:\n"
+            "    time.sleep(0.001)\n"
+            "overlaps = held = 0\n"
+            "marker = os.path.join(root, 'holder')\n"
+            "for index in range(30):\n"
+            "    store.put((tag, index), np.full(256, float(index)))\n"
+            "    if not store._acquire_lock():\n"
+            "        continue\n"
+            "    held += 1\n"
+            "    try:\n"
+            "        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)\n"
+            "    except FileExistsError:\n"
+            "        overlaps += 1\n"
+            "    else:\n"
+            "        os.close(fd)\n"
+            "        time.sleep(0.001)\n"
+            "        os.unlink(marker)\n"
+            "    finally:\n"
+            "        store._release_lock()\n"
+            "stats = store.stats()\n"
+            "print(stats.stale_locks_broken, stats.evictions, overlaps, held)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep))
+        procs = [subprocess.Popen(
+                     [sys.executable, "-c", script, str(root), str(tag),
+                      str(writers)],
+                     env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                     text=True)
+                 for tag in range(writers)]
+        rows = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            rows.append([int(value) for value in out.split()])
+        broken, evictions, overlaps, held = (sum(column)
+                                             for column in zip(*rows))
+        assert broken == 1
+        assert overlaps == 0
+        assert held > 0 and evictions > 0
+        assert not (root / ".lock").exists()
+        reopened = DiskStore(root, max_bytes=3000)
+        survivors = 0
+        for tag in range(writers):
+            for index in range(30):
+                value = reopened.get((tag, index))
+                if value is not None:
+                    survivors += 1
+                    np.testing.assert_array_equal(
+                        value, np.full(256, float(index)))
+        assert survivors == len(reopened) > 0
+
+
 # ---------------------------------------------------------------------------
 # The write-through tier under LruCache
 # ---------------------------------------------------------------------------

@@ -313,6 +313,44 @@ class TestFusedHistoricalCharacterization:
             "priors:n28_bulk": n, "priors:n45_bulk": n}
         assert counter.total == 2 * n
 
+    def test_configured_transient_engine_drives_historical(
+            self, reference_conditions, inv_cell, nor2_cell):
+        """``runtime.configure(transient_engine=...)`` reaches prior learning.
+
+        The two schemes leave distinct fingerprints in the ledger: fixed-step
+        RK4 costs exactly four RHS evaluations per step and never rejects,
+        while the FSAL RK45 pair costs one initial evaluation per row plus
+        six per step attempt (nominal rows carry one seed).
+        """
+        import repro.runtime as runtime
+        import repro.spice.testbench as testbench
+        from repro import get_technology
+        from repro.runtime.accounting import RunLedger
+
+        def run():
+            testbench.get_simulation_cache().clear()
+            ledger = RunLedger()
+            characterize_historical_library(
+                get_technology("n28_bulk"), [inv_cell, nor2_cell],
+                unit_conditions=reference_conditions, ledger=ledger)
+            testbench.get_simulation_cache().clear()
+            return ledger.metrics()
+
+        fixed = run()
+        assert fixed["transient_steps_rejected"] == 0
+        assert fixed["transient_rhs_evals"] == 4 * fixed["transient_steps"]
+        saved = runtime.runtime_config().transient_engine
+        runtime.configure(transient_engine="adaptive")
+        try:
+            adaptive = run()
+        finally:
+            runtime.configure(transient_engine=saved)
+        attempts = (adaptive["transient_steps"]
+                    + adaptive["transient_steps_rejected"])
+        assert adaptive["transient_rhs_evals"] == (
+            adaptive["priors_rows_simulated"] + 6 * attempts)
+        assert adaptive["transient_steps"] < fixed["transient_steps"]
+
     def test_invalid_engine(self, reference_conditions, inv_cell):
         from repro import get_technology
 
