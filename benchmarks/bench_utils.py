@@ -12,17 +12,22 @@ from pathlib import Path
 NOMINAL_TRAINING_SIZES = (1, 2, 3, 5, 10, 20, 50)
 STATISTICAL_TRAINING_SIZES = (1, 2, 3, 5, 10, 20)
 
-#: Directory where regenerated tables and series are written.
-RESULTS_DIR = Path(__file__).parent / "benchmark_results"
+#: Directory where regenerated tables and series are written: the untracked
+#: ``benchmarks/out/`` unless ``REPRO_BENCH_RESULTS_DIR`` names another one.
+#: The committed tables live in ``benchmarks/benchmark_results/``; refresh
+#: them with ``REPRO_BENCH_RESULTS_DIR=benchmarks/benchmark_results``.
+RESULTS_DIR = Path(os.environ.get("REPRO_BENCH_RESULTS_DIR", "").strip()
+                   or Path(__file__).parent / "out")
 
 #: Environment knobs understood by the benchmark harness (all optional):
 #:
+#: ``REPRO_BENCH_RESULTS_DIR``      results directory (``benchmarks/out``)
 #: ``REPRO_BENCH_SEEDS``            Monte Carlo seeds for statistical runs (120)
 #: ``REPRO_BENCH_VALIDATION``       validation points for error evaluation (50)
 #: ``REPRO_BENCH_STAT_VALIDATION``  validation points for statistical runs (24)
 #: ``REPRO_BENCH_PERF_CONDITIONS``  conditions in the transient perf sweep (50)
 #: ``REPRO_BENCH_PERF_SEEDS``       seeds in the transient perf sweep (200)
-#: ``REPRO_BENCH_PERF_MIN_SPEEDUP`` assertion floor for batched/serial (2.0)
+#: ``REPRO_BENCH_PERF_MIN_SPEEDUP`` assertion floor, batched/per-condition oracle (2.0)
 #: ``REPRO_BENCH_PERF_REPEATS``     best-of-N timing passes per engine (3)
 #: ``REPRO_BENCH_INTEG_CONDITIONS`` conditions in the integrator benchmark (50)
 #: ``REPRO_BENCH_INTEG_SEEDS``      seeds in the integrator benchmark (200)
@@ -37,11 +42,11 @@ RESULTS_DIR = Path(__file__).parent / "benchmark_results"
 #: ``REPRO_BENCH_SSTA_WIDTH``       gates per layer in the SSTA benchmark (100)
 #: ``REPRO_BENCH_SSTA_DEPTH``       layers in the SSTA benchmark netlist (50)
 #: ``REPRO_BENCH_SSTA_SEEDS``       seeds in the SSTA graph benchmark (200)
-#: ``REPRO_BENCH_SSTA_MIN_SPEEDUP`` assertion floor for batched/loop SSTA (5.0)
+#: ``REPRO_BENCH_SSTA_MIN_SPEEDUP`` assertion floor, batched/loop-oracle SSTA (5.0)
 #: ``REPRO_BENCH_LIB_CELLS``        cells in the fused-library benchmark (20)
 #: ``REPRO_BENCH_LIB_SEEDS``        seeds in the fused-library benchmark (200)
 #: ``REPRO_BENCH_LIB_CONDITIONS``   shared fitting conditions per arc (4)
-#: ``REPRO_BENCH_LIB_MIN_SPEEDUP``  assertion floor for fused/per-arc (3.0)
+#: ``REPRO_BENCH_LIB_MIN_SPEEDUP``  assertion floor, fused/per-arc oracle (3.0)
 #: ``REPRO_BENCH_RUNTIME_WIDTH``    gates per layer in the budgeted SSTA run (100)
 #: ``REPRO_BENCH_RUNTIME_DEPTH``    layers in the budgeted SSTA netlist (50)
 #: ``REPRO_BENCH_RUNTIME_SSTA_SEEDS``  seeds in the budgeted SSTA run (1000)
@@ -60,7 +65,7 @@ RESULTS_DIR = Path(__file__).parent / "benchmark_results"
 #: ``REPRO_BENCH_SERVICE_MIN_SPEEDUP`` assertion floor, coalesced/naive (3.0)
 #: ``REPRO_BENCH_PRIORS_NODES``      historical nodes per technology star (8)
 #: ``REPRO_BENCH_PRIORS_CLASSES``    arc classes in the prior-learning fleet (50)
-#: ``REPRO_BENCH_PRIORS_MIN_SPEEDUP`` assertion floor for batched/loop BP (3.0)
+#: ``REPRO_BENCH_PRIORS_MIN_SPEEDUP`` assertion floor, batched/per-graph-oracle BP (3.0)
 #:
 #: Separately, ``REPRO_SIM_CACHE`` / ``REPRO_SIM_CACHE_SIZE`` /
 #: ``REPRO_SIM_CACHE_BYTES`` control the library's global simulation cache

@@ -5,7 +5,14 @@ expensive, shared ingredients -- historical-library characterization, the
 learned priors, the experiment runners and their error-versus-samples curves
 -- are computed once per session here; each benchmark then times a
 representative step of its flow with ``pytest-benchmark`` and writes the
-regenerated table/series to ``benchmark_results/``.
+regenerated table/series to the results directory: the untracked
+``benchmarks/out/`` by default, or the directory named by
+``REPRO_BENCH_RESULTS_DIR`` (``REPRO_BENCH_RESULTS_DIR=benchmarks/benchmark_results``
+refreshes the committed tables).
+
+The speedup benchmarks time the production path against the straight-line
+references in ``tests/oracles/``; ``tests/`` goes on ``sys.path`` here so
+they import them as ``from oracles.<stage> import ...``.
 
 Environment knobs (all optional) scale the experiments up toward paper-scale
 settings:
@@ -23,6 +30,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 
 from bench_utils import (  # noqa: E402  (path setup must precede the import)
     NOMINAL_TRAINING_SIZES,
@@ -43,7 +51,7 @@ from repro.experiments import ExperimentRunner
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     """Directory where regenerated tables and series are written."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
 
 

@@ -1,10 +1,12 @@
-"""Library-scale throughput benchmark: fused versus per-arc pipeline.
+"""Library-scale throughput benchmark: fused pipeline versus per-arc oracle.
 
 The fused pipeline of :func:`repro.core.library_flow.characterize_library`
 is the last big per-Python-loop consolidation of the flow: instead of one
-RK4 pass and two MAP solves *per arc*, the whole library runs one tiled RK4
-pass over a flat row table and exactly two stacked MAP solves.  This
-benchmark measures that consolidation on a realistic workload:
+RK4 pass and two MAP solves *per arc* (the per-arc oracle,
+:func:`oracles.library.characterize_library_per_arc`), the whole library
+runs one tiled RK4 pass over a flat row table and exactly two stacked MAP
+solves.  This benchmark measures that consolidation on a realistic
+workload:
 
 * a synthetic library of ``REPRO_BENCH_LIB_CELLS`` cells (cycling over
   catalog templates and renamed per index, the footprint-twin shape of real
@@ -14,9 +16,9 @@ benchmark measures that consolidation on a realistic workload:
   setup: every arc is characterized on the same slew/load/supply points,
   which is exactly where the fused planner's physical-row dedup pays off --
   footprint twins on a shared grid are the same simulation);
-* both pipelines run on a cold simulation cache (so both genuinely
-  simulate), equivalence asserted at ``rtol <= 1e-9`` together with
-  identical simulation accounting.
+* the pipeline and the oracle run on a cold simulation cache (so both
+  genuinely simulate), equivalence asserted at ``rtol <= 1e-9`` together
+  with identical simulation accounting.
 
 The wall-clock ratio must clear ``REPRO_BENCH_LIB_MIN_SPEEDUP`` and the
 record lands in ``BENCH_library.json`` (full-size numbers on dedicated
@@ -36,6 +38,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bench_utils import env_float, env_int, write_json_result  # noqa: E402
+from oracles.library import characterize_library_per_arc  # noqa: E402
 
 import repro.runtime as runtime
 from repro import RunLedger, SimulationCounter, get_technology, make_cell
@@ -84,22 +87,24 @@ def test_fused_library_throughput(results_dir):
     condition_grid = InputSpace(technology).sample_lhs(
         conditions, np.random.default_rng(23))
 
-    def run(pipeline: str):
+    def run(characterize):
         # Every registered cache (simulation, reduction, ieff, ...) starts
-        # cold for both pipelines, so neither inherits state the other paid
-        # to build.
+        # cold for both runs, so neither inherits state the other paid to
+        # build.
         runtime.clear_all_caches()
         counter = SimulationCounter()
         ledger = RunLedger()
         start = time.perf_counter()
-        result = characterize_library(
+        result = characterize(
             technology, library, delay_prior, slew_prior,
             conditions=condition_grid, n_seeds=n_seeds, rng=17,
-            counter=counter, ledger=ledger, pipeline=pipeline)
+            counter=counter, ledger=ledger)
         return result, counter, ledger, time.perf_counter() - start
 
-    per_arc, per_arc_counter, _, per_arc_seconds = run("per_arc")
-    fused, fused_counter, fused_ledger, fused_seconds = run("fused")
+    per_arc, per_arc_counter, _, per_arc_seconds = run(
+        characterize_library_per_arc)
+    fused, fused_counter, fused_ledger, fused_seconds = run(
+        characterize_library)
 
     # ------------------------------------------------------------------
     # Equivalence and identical accounting.
@@ -122,7 +127,7 @@ def test_fused_library_throughput(results_dir):
 
     print(f"\nLibrary: {n_cells} cells / {n_arcs} arcs x {n_seeds} seeds x "
           f"{conditions} conditions")
-    print(f"per-arc pipeline: {per_arc_seconds:.3f} s")
+    print(f"per-arc oracle  : {per_arc_seconds:.3f} s")
     print(f"fused pipeline  : {fused_seconds:.3f} s  ({speedup:.1f}x, "
           f"{metrics.get('fused_signature_groups', 0)} signature groups)")
     print("\n" + format_ledger(fused_ledger, title="Fused run ledger"))

@@ -1,22 +1,23 @@
-"""Fleet-scale prior-learning benchmark: batched versus loop Gaussian BP.
+"""Fleet-scale prior-learning benchmark: batched Gaussian BP versus the loop.
 
 Cross-node prior learning runs one technology-star belief propagation per
 (response x arc class).  A realistic multi-node library fleet stacks
 hundreds of such graphs -- ``REPRO_BENCH_PRIORS_CLASSES`` arc classes x 2
 responses, each a star over ``REPRO_BENCH_PRIORS_NODES`` historical nodes
--- and this benchmark times the two engines of
-:class:`repro.bayes.factor_graph.BatchedFactorGraph` on exactly that
-workload:
+-- and this benchmark times, on exactly that workload:
 
-* ``engine="loop"``: the scalar message loop once per stacked graph (the
-  pre-batching cost model -- B Python sweeps of small dense solves);
-* ``engine="batched"``: all B graphs advanced together, one batched
-  ``np.linalg.solve`` per message update.
+* the per-graph oracle (:func:`oracles.bp.run_per_graph`): the scalar
+  message loop once per stacked graph (the pre-batching cost model -- B
+  Python sweeps of small dense solves);
+* :class:`repro.bayes.factor_graph.BatchedFactorGraph`: all B graphs
+  advanced together, one batched ``np.linalg.solve`` per message update.
 
-Both engines run the identical message schedule, so their beliefs are
-compared at ``rtol <= 1e-9`` before any timing is trusted.  A second,
-smaller section runs the fused historical-characterization engine on a
-footprint-twin cell set and records the planner's dedup/cache accounting,
+Both run the identical message schedule, so their beliefs are compared at
+``rtol <= 1e-9`` before any timing is trusted.  A second, smaller section
+runs the fused historical characterization on a footprint-twin cell set
+against the per-arc oracle
+(:func:`oracles.historical.characterize_historical_library_per_arc`) and
+records the planner's dedup/cache accounting,
 tying the ``BENCH_priors.json`` record to the same
 :class:`~repro.core.simulation_plan.SimulationPlan` the library pipeline
 uses.  Results land in ``BENCH_priors.json`` and are folded into
@@ -35,6 +36,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bench_utils import env_float, env_int, write_json_result  # noqa: E402
+from oracles.bp import run_per_graph  # noqa: E402
+from oracles.historical import (  # noqa: E402
+    characterize_historical_library_per_arc,
+)
 
 from repro import get_technology, make_cell
 from repro.bayes import BatchedFactorGraph, GaussianDensity
@@ -82,14 +87,14 @@ def test_batched_prior_bp_throughput(results_dir):
     rng = np.random.default_rng(77)
     graph = fleet_star(n_nodes, n_graphs, rng)
 
-    # Warm-up both engines outside the timed regions (first-call numpy
+    # Warm-up both paths outside the timed regions (first-call numpy
     # overheads, BLAS thread spin-up).
     warm = fleet_star(n_nodes, 4, np.random.default_rng(5))
     warm.run_belief_propagation()
-    warm.run_belief_propagation(engine="loop")
+    run_per_graph(warm)
 
     start = time.perf_counter()
-    loop_beliefs = graph.run_belief_propagation(engine="loop")
+    loop_beliefs = run_per_graph(graph)
     loop_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -116,9 +121,9 @@ def test_batched_prior_bp_throughput(results_dir):
 
     get_simulation_cache().clear()
     start = time.perf_counter()
-    legacy = characterize_historical_library(
+    legacy = characterize_historical_library_per_arc(
         technology, twins, unit_conditions=conditions,
-        transitions=(Transition.FALL,), engine="batched")
+        transitions=(Transition.FALL,))
     legacy_seconds = time.perf_counter() - start
 
     get_simulation_cache().clear()
@@ -126,7 +131,7 @@ def test_batched_prior_bp_throughput(results_dir):
     start = time.perf_counter()
     fused = characterize_historical_library(
         technology, twins, unit_conditions=conditions,
-        transitions=(Transition.FALL,), engine="fused", ledger=ledger)
+        transitions=(Transition.FALL,), ledger=ledger)
     fused_seconds = time.perf_counter() - start
     get_simulation_cache().clear()
 

@@ -1,4 +1,4 @@
-"""Throughput microbenchmark: loop versus level-batched SSTA graph engines.
+"""Throughput microbenchmark: loop oracle versus level-batched SSTA.
 
 After the batched transient engine (``BENCH_transient.json``) and the
 batched MAP solver (``BENCH_map.json``) removed the characterization
@@ -8,9 +8,9 @@ benchmark isolates the timing-graph traversal on a seeded random layered DAG
 of ``REPRO_BENCH_SSTA_WIDTH x REPRO_BENCH_SSTA_DEPTH`` gates with
 ``REPRO_BENCH_SSTA_SEEDS`` Monte Carlo seeds and times
 
-* the loop engine: one Python iteration, one fanout walk, and one per-seed
-  timing query per gate (``MonteCarloSsta(..., engine="loop")``);
-* the batched engine: compiled netlist, per-level segmented
+* the loop oracle: one Python iteration and one per-seed timing query per
+  gate (:func:`oracles.sta.ssta_loop`);
+* :class:`~repro.sta.MonteCarloSsta`: compiled netlist, per-level segmented
   ``np.maximum.reduceat`` reductions, one ``(gates x seeds)`` vectorized
   compact-model query per (level, cell type) group.
 
@@ -18,7 +18,7 @@ The timing view is backed by real per-seed
 :class:`~repro.core.statistical_flow.StatisticalCharacterization` objects
 (seed-vectorized equivalent inverters of the 28 nm node with synthetic
 parameter ensembles -- no simulations, so the benchmark measures graph
-traversal, not characterization).  Engine equivalence is asserted at
+traversal, not characterization).  Equivalence is asserted at
 ``rtol <= 1e-9`` and the result lands in ``BENCH_ssta.json`` next to the
 other two stage benchmarks, so all three layers of the flow are tracked
 across PRs.
@@ -36,6 +36,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bench_utils import env_float, env_int, write_json_result  # noqa: E402
+from oracles.sta import ssta_loop  # noqa: E402
 
 from repro import get_technology, make_cell
 from repro.cells import reduce_cell_cached
@@ -86,28 +87,28 @@ def test_batched_ssta_graph_throughput(results_dir):
     netlist = random_layered_dag(width=width, depth=depth, window=2, rng=17)
     n_gates = len(netlist.gates)
 
-    # Warm-up: compile cache, numpy first-call overheads, both engines.
+    # Warm-up: compile cache, numpy first-call overheads, both paths.
     small = random_layered_dag(width=8, depth=4, rng=1)
-    MonteCarloSsta(small, view, engine="loop").run()
-    MonteCarloSsta(small, view, engine="batched").run()
+    ssta_loop(small, view)
+    MonteCarloSsta(small, view).run()
     netlist.compile()
 
-    # Best-of-N wall clock per engine (min filters scheduler noise; the
-    # loop engine gets fewer repetitions because each one is long).
+    # Best-of-N wall clock per path (min filters scheduler noise; the loop
+    # oracle gets fewer repetitions because each one is long).
     loop_seconds = float("inf")
     for _ in range(2):
         start = time.perf_counter()
-        loop_report = MonteCarloSsta(netlist, view, engine="loop").run()
+        loop_report = ssta_loop(netlist, view)
         loop_seconds = min(loop_seconds, time.perf_counter() - start)
 
     batched_seconds = float("inf")
     for _ in range(5):
         start = time.perf_counter()
-        batched_report = MonteCarloSsta(netlist, view, engine="batched").run()
+        batched_report = MonteCarloSsta(netlist, view).run()
         batched_seconds = min(batched_seconds, time.perf_counter() - start)
 
-    # Both engines must produce the same distribution, path ranking and
-    # criticality (the tight grid lives in tests/test_batch_sta.py).
+    # Both must produce the same distribution, path ranking and criticality
+    # (the tight grid lives in tests/test_batch_sta.py).
     assert batched_report.critical_output == loop_report.critical_output
     np.testing.assert_allclose(batched_report.delay_samples,
                                loop_report.delay_samples, rtol=1e-9)
@@ -141,5 +142,5 @@ def test_batched_ssta_graph_throughput(results_dir):
 
     assert speedup >= min_speedup, (
         f"batched SSTA graph engine only {speedup:.2f}x faster than the loop "
-        f"engine (floor {min_speedup}x)"
+        f"oracle (floor {min_speedup}x)"
     )

@@ -1,8 +1,9 @@
-"""Throughput microbenchmark: serial versus batched transient sweeps.
+"""Throughput microbenchmark: per-condition versus batched transient sweeps.
 
 Times the same statistical sweep -- ``REPRO_BENCH_PERF_CONDITIONS`` operating
 points x ``REPRO_BENCH_PERF_SEEDS`` Monte Carlo seeds of one NAND2 arc --
-through the serial per-condition engine and the batched
+through the per-condition oracle (:func:`oracles.transient.serial_transitions`,
+one :func:`simulate_arc_transition` per condition) and the batched
 ``(conditions x seeds)`` engine, verifies the two agree to ``rtol <= 1e-9``,
 and writes ``BENCH_transient.json`` (wall-clock seconds, conditions/sec,
 seeds*steps/sec, speedup) so the performance trajectory is tracked across
@@ -26,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from bench_utils import RESULTS_DIR, env_float, env_int  # noqa: E402
 from bench_utils import write_json_result  # noqa: E402
+from oracles.transient import serial_transitions  # noqa: E402
 
 from repro import get_technology, make_cell
 from repro.cells import reduce_cell_cached
@@ -76,14 +78,8 @@ def test_batched_sweep_throughput(results_dir):
     serial_seconds = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        serial_delay = np.empty_like(batched_delay)
-        serial_slew = np.empty_like(batched_slew)
-        for index in range(n_conditions):
-            result = simulate_arc_transition(inverter, sin=float(sin[index]),
-                                             cload=float(cload[index]),
-                                             vdd=float(vdd[index]))
-            serial_delay[index] = result.delay()
-            serial_slew[index] = result.output_slew()
+        serial_delay, serial_slew = serial_transitions(
+            inverter, [c.as_tuple() for c in conditions])
         serial_seconds = min(serial_seconds, time.perf_counter() - start)
 
     np.testing.assert_allclose(batched_delay, serial_delay, rtol=1e-9, atol=0.0)
@@ -115,6 +111,6 @@ def test_batched_sweep_throughput(results_dir):
     write_json_result(results_dir / "BENCH_transient.json", payload)
 
     assert speedup >= min_speedup, (
-        f"batched engine only {speedup:.2f}x faster than serial "
-        f"(floor {min_speedup}x)"
+        f"batched engine only {speedup:.2f}x faster than the per-condition "
+        f"oracle (floor {min_speedup}x)"
     )

@@ -8,7 +8,10 @@ and an asymptotic cost of ``O(k * Nsample)`` versus ``O(N_LUT * Nsample)``.
 This benchmark assembles the speedup summary from the Fig. 6 and Fig. 7/8
 curves (shared fixtures -- no additional simulation) and asserts the ordering
 and rough magnitudes.  It also folds every machine-readable ``BENCH_*.json``
-record found in the results directory -- the transient, MAP, SSTA, runtime,
+record found in the results directory (the ``results_dir`` fixture: the
+untracked ``benchmarks/out/`` unless ``REPRO_BENCH_RESULTS_DIR`` names
+another one, the same directory the other benchmarks write to and CI
+uploads) -- the transient, MAP, SSTA, runtime,
 library-pipeline, durable-store and serving-front-door wall-clock
 benchmarks -- into one aggregate table, so a
 single artifact summarizes both axes of the reproduction's performance

@@ -3,8 +3,8 @@
 The library-scale view of the paper's flow: learn the cross-technology
 priors once, then characterize *every* arc of a standard-cell library --
 cells x input pins x output transitions -- through
-:func:`repro.core.library_flow.characterize_library`.  The default *fused*
-pipeline flattens the whole library into one simulation plan (deduplicated
+:func:`repro.core.library_flow.characterize_library`.  Its fused pipeline
+flattens the whole library into one simulation plan (deduplicated
 per equivalent-inverter signature and operating point, integrated as one
 flat row table) and one stacked MAP solve per response; the unified ledger
 shows exactly where the library's time goes (plan / simulate / extract /
@@ -15,12 +15,11 @@ solve stages, distinct rows per signature).  The resulting
 2. a per-seed statistical timing view driving deterministic STA and Monte
    Carlo SSTA on the ISCAS-85 C17 benchmark;
 3. identical results (and identical simulation-run accounting) whether the
-   library runs fused or arc by arc, serially or fanned out over a process
-   pool.
+   library runs serially or fanned out over a process pool.
 
 Run with::
 
-    python examples/library_characterization.py [--engine batched|serial|adaptive]
+    python examples/library_characterization.py [--engine batched|adaptive]
 
 ``--engine`` selects the transient integration engine of the simulate
 phase (default: the runtime-configured engine, i.e. the fixed-step batched
@@ -97,7 +96,7 @@ def main() -> None:
           f"{len(result.cell_names())} cells x {result.n_seeds} seeds in "
           f"{fused_seconds:.1f} s "
           f"({result.simulation_runs} simulation runs, "
-          f"pipeline={result.pipeline!r}, solver={result.solver!r})")
+          f"solver={result.solver!r})")
     print(f"  simulation plan: {metrics.get('fused_rows_simulated', 0)} rows "
           f"over {metrics.get('fused_signature_groups', 0)} signatures "
           f"({metrics.get('fused_rows_deduplicated', 0)} deduplicated, "
@@ -109,23 +108,6 @@ def main() -> None:
           f"{metrics.get('transient_rhs_evals', 0)} RHS evaluations")
     if result.unconverged_arcs():
         print(f"  WARNING: unconverged extractions on {result.unconverged_arcs()}")
-
-    # The pre-fusion pipeline (one simulate-and-extract job per arc) on
-    # cold caches: same results, one Python-level pass per arc.
-    runtime.clear_all_caches()
-    t_per_arc = time.time()
-    per_arc = characterize_library(
-        target, library, delay_prior, slew_prior,
-        conditions=4, n_seeds=n_seeds, rng=17, pipeline="per_arc",
-        transient_engine=args.engine)
-    per_arc_seconds = time.time() - t_per_arc
-    agree = all(
-        np.allclose(a.statistical.delay_parameters,
-                    b.statistical.delay_parameters, rtol=1e-12)
-        for a, b in zip(result.entries, per_arc.entries))
-    print(f"Per-arc pipeline finished in {per_arc_seconds:.1f} s "
-          f"(fused ran {per_arc_seconds / max(fused_seconds, 1e-9):.1f}x "
-          f"faster); results match: {agree}")
 
     # Same fused job fanned out across processes, split on the flat
     # simulation axis: bit-identical results.

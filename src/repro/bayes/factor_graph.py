@@ -18,11 +18,11 @@ graphs (the star and chain topologies used by
 :mod:`repro.core.prior_learning`) the algorithm is exact, and on loopy graphs
 it runs damped iterations until the beliefs stop changing.
 
-Two engines share the message mathematics:
+Two classes share the message mathematics:
 
 * :class:`GaussianFactorGraph` runs one graph with a scalar Python loop over
-  factors (one small ``np.linalg.solve`` per message) -- simple, and the
-  reference for equivalence testing.
+  factors (one small ``np.linalg.solve`` per message) -- the scalar BP
+  behind :func:`repro.core.prior_learning.learn_prior`.
 * :class:`BatchedFactorGraph` stacks B *independent* graphs that share one
   topology into ``(B, d, d)`` precision / ``(B, d)`` shift arrays and updates
   each message for all B graphs in one batched ``np.linalg.solve``.  The
@@ -375,9 +375,6 @@ class BeliefPropagationInfo:
         return int(np.count_nonzero(~self.converged))
 
 
-#: Engines of :meth:`BatchedFactorGraph.run_belief_propagation`.
-BP_ENGINES = ("batched", "loop")
-
 _Densities = Union[GaussianDensity, Sequence[GaussianDensity]]
 
 
@@ -495,8 +492,8 @@ class BatchedFactorGraph:
         if noise_covariance.ndim == 2:
             if noise_covariance.shape != (dim_a, dim_a):
                 raise ValueError("noise covariance has the wrong shape")
-            # Shared covariance: invert once, broadcast to the batch, so the
-            # loop engine's scalar graphs see bit-identical precisions.
+            # Shared covariance: invert once, broadcast to the batch, so
+            # every stacked graph sees bit-identical precisions.
             precision = np.broadcast_to(
                 _noise_precision_from_covariance(noise_covariance, dim_a),
                 (self._batch, dim_a, dim_a))
@@ -524,7 +521,6 @@ class BatchedFactorGraph:
         max_iterations: int = 100,
         tolerance: float = 1e-10,
         damping: Union[float, np.ndarray] = 0.0,
-        engine: str = "batched",
         return_info: bool = False,
         on_divergence: str = "raise",
     ) -> Union[Dict[str, GaussianBatch],
@@ -539,21 +535,16 @@ class BatchedFactorGraph:
         damping:
             Scalar shared by all graphs, or a ``(B,)`` array with one
             damping factor per graph; each entry must lie in ``[0, 1)``.
-        engine:
-            ``"batched"`` (default) runs the vectorized sweeps;
-            ``"loop"`` runs the scalar engine once per stacked graph
-            (the equivalence reference -- same message schedule, same
-            numbers, B times the Python overhead).
         return_info:
-            When true (batched engine only), also return a
-            :class:`BeliefPropagationInfo` with per-graph sweep counts.
+            When true, also return a :class:`BeliefPropagationInfo` with
+            per-graph sweep counts.
         on_divergence:
             ``"raise"`` (default) aborts when any graph exhausts
             ``max_iterations`` -- the historical fail-fast semantics.
-            ``"retire"`` (batched engine only) instead returns beliefs
-            built from every graph's last message iterate, flagging the
-            diverged graphs ``False`` in ``BeliefPropagationInfo.converged``
-            (pass ``return_info=True`` to see them); converged graphs are
+            ``"retire"`` instead returns beliefs built from every graph's
+            last message iterate, flagging the diverged graphs ``False`` in
+            ``BeliefPropagationInfo.converged`` (pass ``return_info=True``
+            to see them); converged graphs are
             bit-identical to a fail-fast run.
 
         Returns
@@ -567,15 +558,9 @@ class BatchedFactorGraph:
             If any graph fails to converge (unless retiring), or a
             variable has no information.
         """
-        if engine not in BP_ENGINES:
-            raise ValueError(f"engine must be one of {BP_ENGINES}, got {engine!r}")
         if on_divergence not in ("raise", "retire"):
             raise ValueError(f"on_divergence must be 'raise' or 'retire', "
                              f"got {on_divergence!r}")
-        if on_divergence == "retire" and engine == "loop":
-            raise ValueError("on_divergence='retire' requires engine='batched' "
-                             "(the loop engine is the fail-fast parity "
-                             "reference)")
         damping = np.asarray(damping, dtype=float)
         if damping.ndim == 0:
             damping = np.full(self._batch, float(damping))
@@ -585,36 +570,8 @@ class BatchedFactorGraph:
                 f"got {damping.shape}")
         if np.any((damping < 0.0) | (damping >= 1.0)):
             raise ValueError("damping must be in [0, 1)")
-        if engine == "loop":
-            if return_info:
-                raise ValueError("return_info requires engine='batched'")
-            return self._run_loop(max_iterations, tolerance, damping)
         return self._run_batched(max_iterations, tolerance, damping,
                                  return_info, on_divergence)
-
-    def _run_loop(self, max_iterations: int, tolerance: float,
-                  damping: np.ndarray) -> Dict[str, GaussianBatch]:
-        """The scalar engine, once per stacked graph (parity reference)."""
-        per_graph: List[Dict[str, GaussianDensity]] = []
-        for index in range(self._batch):
-            graph = GaussianFactorGraph()
-            for name, dim in self._dims.items():
-                graph.add_variable(name, dim)
-            for variable, precision, shift in self._evidence:
-                graph._evidence.append(
-                    _Evidence(variable, precision[index], shift[index]))
-            for factor in self._factors:
-                graph._register_smoothness(_Smoothness(
-                    factor.name, factor.variable_a, factor.variable_b,
-                    factor.noise_precision[index]))
-            per_graph.append(graph.run_belief_propagation(
-                max_iterations=max_iterations, tolerance=tolerance,
-                damping=float(damping[index])))
-        return {
-            name: GaussianBatch.from_densities(
-                [beliefs[name] for beliefs in per_graph])
-            for name in self._dims
-        }
 
     def _run_batched(self, max_iterations: int, tolerance: float,
                      damping: np.ndarray, return_info: bool,

@@ -14,32 +14,28 @@ orchestrates that workload:
   :class:`~repro.spice.testbench.SimulationCache` are shared across arcs;
 * execution through the pluggable runtime executor
   (:mod:`repro.runtime.executor`): ``concurrency="serial"`` shares the
-  in-process caches, ``"chunked"`` walks deterministic job chunks, and
-  ``"process"`` fans the work out over a process pool;
+  in-process caches and ``"process"`` fans the simulation tiles out over a
+  process pool;
 * simulation-run accounting identical to running the per-arc flows by hand:
   each arc charges ``k * n_seeds`` runs under a ``library:<cell>:<arc>``
-  label, whichever execution mode or pipeline ran it, and
+  label, whichever execution mode ran it, and
   :class:`~repro.runtime.accounting.RunLedger` records merge into one
   library-level ledger in deterministic order.
 
-Two pipelines produce identical results:
-
-* ``pipeline="fused"`` (default) flattens every ``(cell, arc, condition)``
-  of the library into one global simulation plan.  Rows first consult the
-  simulation cache; rows that are physically identical (same
-  *equivalent-inverter simulation signature*, see
-  :meth:`repro.cells.equivalent_inverter.EquivalentInverter.simulation_signature`,
-  and same operating point, e.g. footprint twins on a shared condition
-  grid) are integrated exactly once and scattered to every arc that needs
-  them.  What remains is one flat row table integrated in one pass,
-  whatever the cells and polarities, tiled on the row axis only by the
-  memory budget and the executor's shard hint (better process-pool load
-  balance than whole-arc fan-out) -- and all extractions land in a single
-  stacked, block-diagonal MAP solve
-  (:func:`repro.core.batch_map.map_estimate_stacked`).
-* ``pipeline="per_arc"`` runs one simulate-and-extract job per arc (the
-  pre-fusion flow), kept for parity testing; its results, counter charges
-  and ledger run counts are identical to the fused pipeline's.
+The pipeline flattens every ``(cell, arc, condition)`` of the library into
+one global simulation plan.  Rows first consult the simulation cache; rows
+that are physically identical (same *equivalent-inverter simulation
+signature*, see
+:meth:`repro.cells.equivalent_inverter.EquivalentInverter.simulation_signature`,
+and same operating point, e.g. footprint twins on a shared condition grid)
+are integrated exactly once and scattered to every arc that needs them.
+What remains is one flat row table integrated in one pass, whatever the
+cells and polarities, tiled on the row axis only by the memory budget and
+the executor's shard hint (better process-pool load balance than whole-arc
+fan-out) -- and all extractions land in a single stacked, block-diagonal MAP
+solve (:func:`repro.core.batch_map.map_estimate_stacked`).  Its results,
+counter charges and ledger run counts are those of characterizing each arc
+on its own with :class:`~repro.core.statistical_flow.StatisticalCharacterizer`.
 
 The resulting :class:`LibraryCharacterization` feeds the downstream
 consumers directly: :meth:`LibraryCharacterization.liberty_writer` emits a
@@ -74,17 +70,12 @@ from repro.core.statistical_flow import (
 )
 from repro.liberty.tables import NldmTable
 from repro.liberty.writer import CellTimingData, LibertyWriter, TimingTableSet
-from repro.runtime import faultinject, resolve_transient_engine
+from repro.runtime import resolve_transient_engine
 from repro.runtime.accounting import RunLedger
 from repro.runtime.checkpoint import Checkpointer
 from repro.runtime.executor import EXECUTOR_MODES, get_executor
 from repro.runtime.persist import stable_key_digest
-from repro.runtime.resilience import (
-    FailureReport,
-    RetryPolicy,
-    resolve_strict,
-    run_with_retry,
-)
+from repro.runtime.resilience import FailureReport, RetryPolicy, resolve_strict
 from repro.spice.stepper import StepperSpec, resolve_stepper
 from repro.spice.testbench import SimulationCounter, get_simulation_cache
 from repro.technology.node import TechnologyNode
@@ -92,15 +83,8 @@ from repro.technology.variation import VariationSample
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.units import NANO, PICO
 
-SITE_ARC_JOB = faultinject.register_fault_site(
-    "library.arc_job",
-    "one per-arc characterization job of the library orchestrator")
-
 #: Execution modes of :func:`characterize_library` (the runtime executor's).
 CONCURRENCY_MODES = EXECUTOR_MODES
-
-#: Characterization pipelines of :func:`characterize_library`.
-PIPELINES = ("fused", "per_arc")
 
 
 @dataclass(frozen=True)
@@ -152,9 +136,6 @@ class LibraryCharacterization:
     entries:
         One :class:`LibraryArcCharacterization` per characterized arc, in
         deterministic (cell, arc) order.
-    pipeline:
-        Which characterization pipeline ran (``"fused"`` or ``"per_arc"``;
-        both produce identical entries).
     ledger:
         Unified :class:`~repro.runtime.accounting.RunLedger` of the run:
         per-arc ledgers merged in job order plus the orchestrator's own
@@ -176,7 +157,6 @@ class LibraryCharacterization:
     concurrency: str
     simulation_runs: int
     entries: Tuple[LibraryArcCharacterization, ...]
-    pipeline: str = "fused"
     ledger: Optional[RunLedger] = field(default=None, compare=False)
     failures: Tuple[FailureReport, ...] = ()
 
@@ -319,46 +299,6 @@ def _arc_jobs(cells: Sequence[Cell], transitions: Sequence[Transition],
     return jobs
 
 
-def _characterize_arc_job(payload: tuple):
-    """One (cell, arc) characterization; module-level for process pickling.
-
-    Runs with a local counter (``None``): ``sweep_conditions`` charges
-    deterministically per condition x seed, so the parent can account runs
-    identically for serial and process execution.  Returns the
-    characterization together with the job's own :class:`RunLedger`
-    (filled in whatever process ran the job; the executor merges ledgers
-    back in payload order).
-
-    Resilience lives inside the job (rather than at the executor) so one
-    retry layer covers the whole attempt: the optional
-    :class:`~repro.runtime.resilience.RetryPolicy` re-runs a failing arc,
-    and under ``strict=False`` an arc that still fails returns a
-    :class:`~repro.runtime.resilience.FailureReport` in place of its
-    characterization instead of aborting the library run.
-    """
-    (technology, cell, arc, delay_prior, slew_prior, variation, conditions,
-     solver, transient_engine, max_bytes, strict, retry_policy) = payload
-    ledger = RunLedger()
-
-    def attempt():
-        faultinject.fire(SITE_ARC_JOB)
-        characterizer = StatisticalCharacterizer(
-            technology, cell, delay_prior, slew_prior, arc=arc,
-            n_seeds=variation.n_seeds, solver=solver, ledger=ledger,
-            max_bytes=max_bytes, transient_engine=transient_engine)
-        characterizer.use_variation(variation)
-        return characterizer.characterize(list(conditions))
-
-    unit = f"{cell.name}:{arc.name}"
-    try:
-        return run_with_retry(attempt, retry_policy, site=f"arc:{unit}",
-                              ledger=ledger), ledger
-    except Exception as error:
-        if strict:
-            raise
-        return FailureReport.from_exception(unit, "characterize", error), ledger
-
-
 def characterize_fused_jobs(
     technology: TechnologyNode,
     jobs: List[Tuple[Cell, TimingArc]],
@@ -376,8 +316,9 @@ def characterize_fused_jobs(
 ) -> "Tuple[List[Optional[StatisticalCharacterization]], List[FailureReport]]":
     """The fused library pipeline: plan -> one tiled pass -> stacked solve.
 
-    Produces exactly the per-arc pipeline's characterizations (same values,
-    same per-arc ledger run counts); the planning/integration half is the
+    Produces exactly the characterizations (same values, same per-arc
+    ledger run counts) of one :class:`StatisticalCharacterizer` per arc on
+    the same seeds and conditions; the planning/integration half is the
     shared :class:`~repro.core.simulation_plan.SimulationPlan` (also driving
     historical characterization for prior learning); see the module
     docstring for the design.  Public since PR 10: the characterization
@@ -409,7 +350,7 @@ def characterize_fused_jobs(
     # dedup the rows that still need integrating by inverter signature.
     # The plan consults the reduction cache and the simulation cache per
     # row; recording its cache deltas keeps the fused ledger as observable
-    # as the per-arc pipeline's (which wraps its sweeps in ledger.caches()).
+    # as a per-arc characterizer's (which wraps its sweeps in ledger.caches()).
     # ------------------------------------------------------------------
     plan = SimulationPlan(technology, variation=variation,
                           integrate_stage="fused:integrate",
@@ -772,7 +713,6 @@ def characterize_library(
     counter: Optional[SimulationCounter] = None,
     solver: str = "batched",
     concurrency: str = "serial",
-    pipeline: str = "fused",
     max_workers: Optional[int] = None,
     ledger: Optional[RunLedger] = None,
     max_bytes: Optional[int] = None,
@@ -816,20 +756,12 @@ def characterize_library(
         :class:`~repro.core.statistical_flow.StatisticalCharacterizer`).
     concurrency:
         Runtime executor mode: ``"serial"`` (default; shares the in-process
-        simulation cache), ``"chunked"`` (serial semantics over
-        deterministic job chunks) or ``"process"`` (process-pool fan-out).
-        Results are deterministic and identical across modes: the seed
-        batch and every arc's fitting conditions are fixed in the parent
-        before dispatch.
-    pipeline:
-        ``"fused"`` (default) runs the library-wide fused pipeline -- one
-        global simulation plan grouped by equivalent-inverter signature,
-        one stacked MAP solve per response; under ``concurrency="process"``
-        it fans out chunks of the *flat simulation axis* (better load
-        balance than whole-arc jobs, since arcs of very different cost
-        split evenly).  ``"per_arc"`` runs the pre-fusion one-job-per-arc
-        flow (kept for parity testing); both pipelines produce identical
-        results, counter charges and ledger run counts.
+        simulation cache) or ``"process"`` (fans tiles of the *flat
+        simulation axis* out over a process pool -- better load balance
+        than whole-arc jobs, since arcs of very different cost split
+        evenly).  Results are deterministic and identical across modes: the
+        seed batch and every arc's fitting conditions are fixed in the
+        parent before dispatch.
     max_workers:
         Process-pool size for ``concurrency="process"``.
     ledger:
@@ -853,14 +785,13 @@ def characterize_library(
         between the two modes.
     retry_policy:
         Optional :class:`~repro.runtime.resilience.RetryPolicy` re-running
-        failed work before it counts as broken (per simulation chunk in the
-        fused pipeline, per arc job in the per-arc pipeline); ``None``
-        disables retries.
+        a failed simulation tile at the executor before it counts as
+        broken; ``None`` disables retries.
     checkpoint_dir:
-        Optional checkpoint directory (fused pipeline only).  The run
-        journals completed work units there and commits simulated rows and
-        solved models to crash-safe on-disk stores
-        (:mod:`repro.runtime.checkpoint`), so a killed run can be resumed.
+        Optional checkpoint directory.  The run journals completed work
+        units there and commits simulated rows and solved models to
+        crash-safe on-disk stores (:mod:`repro.runtime.checkpoint`), so a
+        killed run can be resumed.
     resume:
         With ``checkpoint_dir``: replay the directory's journal -- arcs
         solved by the previous (killed) run load from the solved-model
@@ -873,12 +804,9 @@ def characterize_library(
         :class:`~repro.runtime.checkpoint.CheckpointMismatch`.
     transient_engine:
         Transient integration engine of the simulate phase: ``"batched"``
-        (fixed-step lockstep RK4), ``"adaptive"`` (error-controlled RK45;
-        typically 3x+ fewer RHS evaluations at equal accuracy), or
-        ``"serial"`` (equivalence-testing engine; the fused pipeline has no
-        serial path, so it falls back to the numerically identical batched
-        engine there).  ``None`` defers to
-        ``runtime.configure(transient_engine=...)`` /
+        (fixed-step lockstep RK4) or ``"adaptive"`` (error-controlled RK45;
+        typically 3x+ fewer RHS evaluations at equal accuracy).  ``None``
+        defers to ``runtime.configure(transient_engine=...)`` /
         ``REPRO_TRANSIENT_ENGINE``.  The engine's stepper signature is part
         of every simulation-cache key and of the checkpoint run signature.
 
@@ -890,9 +818,6 @@ def characterize_library(
     if concurrency not in CONCURRENCY_MODES:
         raise ValueError(
             f"concurrency must be one of {CONCURRENCY_MODES}, got {concurrency!r}")
-    if pipeline not in PIPELINES:
-        raise ValueError(
-            f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if input_pins not in ("first", "all"):
@@ -923,15 +848,7 @@ def characterize_library(
 
     strict_mode = resolve_strict(strict)
     run_ledger = ledger if ledger is not None else RunLedger()
-    failures: List[FailureReport] = []
-
-    # The fused pipeline has no serial path (serial is the equivalence twin
-    # of the batched fixed-step engine, numerically identical to it), so a
-    # resolved "serial" runs the batched engine there; the per-arc pipeline
-    # honors it as-is through each arc's sweep.
-    resolved_engine = resolve_transient_engine(transient_engine)
-    fused_engine = "adaptive" if resolved_engine == "adaptive" else "batched"
-    stepper = resolve_stepper(fused_engine)
+    stepper = resolve_stepper(resolve_transient_engine(transient_engine))
 
     checkpointer: Optional[Checkpointer] = None
     preloaded: Dict[int, StatisticalCharacterization] = {}
@@ -939,8 +856,6 @@ def characterize_library(
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
     if checkpoint_dir is not None:
-        if pipeline != "fused":
-            raise ValueError("checkpoint_dir requires pipeline='fused'")
         signature = _checkpoint_signature(
             technology, library_name, jobs, job_conditions, variation,
             delay_prior, slew_prior, solver, stepper)
@@ -956,40 +871,23 @@ def characterize_library(
                 cell, arc = jobs[job]
                 preloaded[job] = _restore_solved(payload, cell, arc,
                                                  technology, variation)
-    # The per-arc pipeline retries inside the job (one layer around the
-    # whole attempt); the fused pipeline retries at the executor, around
-    # each simulation chunk.
-    executor = get_executor(
-        concurrency, max_workers=max_workers,
-        retry_policy=retry_policy if pipeline == "fused" else None)
+    executor = get_executor(concurrency, max_workers=max_workers,
+                            retry_policy=retry_policy)
     with run_ledger.stage("characterize_library"):
-        if pipeline == "fused":
-            if checkpointer is not None:
-                results, failures = _characterize_fused_checkpointed(
-                    technology, jobs, job_conditions, delay_prior, slew_prior,
-                    variation, solver, executor, run_ledger, max_bytes,
-                    strict_mode, checkpointer, preloaded, stepper=stepper)
-            else:
-                results, failures = characterize_fused_jobs(
-                    technology, jobs, job_conditions, delay_prior, slew_prior,
-                    variation, solver, executor, run_ledger, max_bytes,
-                    strict=strict_mode, stepper=stepper)
+        if checkpointer is not None:
+            results, failures = _characterize_fused_checkpointed(
+                technology, jobs, job_conditions, delay_prior, slew_prior,
+                variation, solver, executor, run_ledger, max_bytes,
+                strict_mode, checkpointer, preloaded, stepper=stepper)
         else:
-            payloads = [
-                (technology, cell, arc, delay_prior, slew_prior, variation,
-                 job_conditions[index], solver, resolved_engine, max_bytes,
-                 strict_mode, retry_policy)
-                for index, (cell, arc) in enumerate(jobs)
-            ]
-            results = executor.map_accounted(_characterize_arc_job, payloads,
-                                             ledger=run_ledger)
+            results, failures = characterize_fused_jobs(
+                technology, jobs, job_conditions, delay_prior, slew_prior,
+                variation, solver, executor, run_ledger, max_bytes,
+                strict=strict_mode, stepper=stepper)
 
     entries: List[LibraryArcCharacterization] = []
     total_runs = 0
     for (cell, arc), result in zip(jobs, results):
-        if isinstance(result, FailureReport):
-            failures.append(result)
-            continue
         if result is None:
             continue
         if counter is not None:
@@ -1008,8 +906,8 @@ def characterize_library(
     for report in failures:
         run_ledger.add_failure(report)
     if strict_mode and failures:
-        # characterize_fused_jobs and the arc jobs fail fast under strict mode;
-        # this is a defensive backstop, not a reachable path.
+        # characterize_fused_jobs fails fast under strict mode; this is a
+        # defensive backstop, not a reachable path.
         raise RuntimeError(f"strict run recorded failures: "
                            f"{[f.describe() for f in failures]}")
     if prior_failures:
@@ -1035,7 +933,6 @@ def characterize_library(
         concurrency=concurrency,
         simulation_runs=total_runs,
         entries=tuple(entries),
-        pipeline=pipeline,
         ledger=run_ledger,
         failures=tuple(failures),
     )

@@ -28,11 +28,11 @@ Two fusion methods are provided:
 
 Both halves of the phase run fleet-scale batched:
 
-* :func:`characterize_historical_library` (default ``engine="fused"``)
-  pushes every (cell, arc, condition) row of a historical node through the
-  shared :class:`~repro.core.simulation_plan.SimulationPlan` -- one
-  transient pass over every arc of the node on the configured engine, with
-  cross-arc dedup -- and fits all arcs in one stacked least-squares solve
+* :func:`characterize_historical_library` pushes every (cell, arc,
+  condition) row of a historical node through the shared
+  :class:`~repro.core.simulation_plan.SimulationPlan` -- one transient
+  pass over every arc of the node on the configured engine, with cross-arc
+  dedup -- and fits all arcs in one stacked least-squares solve
   (:func:`repro.core.batch_map.fit_least_squares_stacked`);
 * :func:`learn_priors` and :func:`learn_class_priors` stack every
   (response x arc-class) star graph into one
@@ -51,27 +51,15 @@ import numpy as np
 from repro.bayes.factor_graph import BatchedFactorGraph, GaussianFactorGraph
 from repro.bayes.gaussian import GaussianDensity
 from repro.bayes.precision import PrecisionModel
-from repro.cells.equivalent_inverter import reduce_cell_cached
 from repro.cells.library import Cell, Transition
 from repro.characterization.input_space import InputSpace
 from repro.core.simulation_plan import SimulationPlan
-from repro.core.timing_model import (
-    CompactTimingModel,
-    FitResult,
-    N_PARAMETERS,
-    fit_least_squares,
-)
+from repro.core.timing_model import CompactTimingModel, FitResult, N_PARAMETERS
 from repro.runtime import resolve_transient_engine
 from repro.runtime.accounting import RunLedger
 from repro.runtime.executor import get_executor
-from repro.runtime.resilience import (
-    FailureReport,
-    RetryPolicy,
-    resolve_strict,
-    run_with_retry,
-)
+from repro.runtime.resilience import FailureReport, RetryPolicy, resolve_strict
 from repro.spice.stepper import resolve_stepper
-from repro.spice.sweep import sweep_conditions
 from repro.spice.testbench import SimulationCounter
 from repro.technology.node import TechnologyNode
 from repro.technology.sampling import latin_hypercube
@@ -84,14 +72,6 @@ RESPONSES = ("delay", "slew")
 #: historical library (the paper uses the full LUT grid; a moderate
 #: space-filling set gives the same parameter estimates far cheaper).
 DEFAULT_REFERENCE_CONDITIONS = 24
-
-#: Engines of :func:`characterize_historical_library`.
-HISTORICAL_ENGINES = ("fused", "batched", "serial")
-
-#: Belief-propagation engines of :func:`learn_priors` /
-#: :func:`learn_class_priors` (forwarded to
-#: :meth:`repro.bayes.factor_graph.BatchedFactorGraph.run_belief_propagation`).
-PRIOR_ENGINES = ("batched", "loop")
 
 
 @dataclass(frozen=True)
@@ -245,7 +225,7 @@ def _characterize_fused_historical(
     retry_policy: Optional[RetryPolicy] = None,
 ) -> Tuple[List[Optional[ArcFit]], List[Optional[np.ndarray]],
            List[Optional[np.ndarray]], List[FailureReport]]:
-    """Fused engine: one global simulation plan + one stacked model fit.
+    """One global simulation plan + one stacked model fit.
 
     Every (cell, arc, condition) row of the historical node flows through
     the shared :class:`SimulationPlan` (one transient pass; signature
@@ -266,8 +246,7 @@ def _characterize_fused_historical(
         fit_least_squares_stacked,
     )
 
-    # The configured transient engine drives this phase like every other
-    # flow ("serial" integrates on the fixed-step batched engine here).
+    # The configured transient engine drives this phase like every other flow.
     stepper = resolve_stepper(resolve_transient_engine(None))
     plan = SimulationPlan(technology, variation=None,
                           integrate_stage="priors:integrate",
@@ -393,7 +372,6 @@ def characterize_historical_library(
     unit_conditions: Optional[np.ndarray] = None,
     transitions: Sequence[Transition] = (Transition.FALL, Transition.RISE),
     counter: Optional[SimulationCounter] = None,
-    engine: str = "fused",
     ledger: Optional[RunLedger] = None,
     max_bytes: Optional[int] = None,
     strict: Optional[bool] = None,
@@ -404,7 +382,10 @@ def characterize_historical_library(
     For every cell and requested output transition (using the first input pin
     of each cell, as the paper models one timing arc at a time), the shared
     normalized reference conditions are mapped into the technology's ranges,
-    simulated nominally, and fitted with plain least squares.
+    simulated nominally, and fitted with plain least squares.  Every
+    (cell, arc, condition) row goes into one :class:`SimulationPlan` -- one
+    transient pass on the configured engine, with cross-arc dedup and cache
+    reuse -- and all arcs are fitted in one stacked least-squares solve.
 
     Parameters
     ----------
@@ -419,13 +400,6 @@ def characterize_historical_library(
         Output transitions to cover.
     counter:
         Optional simulation-run accounting.
-    engine:
-        ``"fused"`` (default) flattens every (cell, arc, condition) row into
-        one :class:`SimulationPlan` -- one transient pass on the configured
-        engine, with cross-arc dedup and cache reuse -- and fits all arcs
-        in one stacked least-squares solve; ``"batched"`` integrates each
-        arc's reference-condition set in its own 2-D RK4 pass; ``"serial"``
-        keeps the per-condition reference integrator for equivalence runs.
     ledger:
         Optional :class:`RunLedger`; stages ``priors:plan``,
         ``priors:simulate``/``priors:integrate`` and ``priors:fit`` plus
@@ -442,12 +416,8 @@ def characterize_historical_library(
         ``failures`` and the ledger.
     retry_policy:
         Optional :class:`~repro.runtime.resilience.RetryPolicy` re-running
-        failed work (per simulation chunk under the fused engine, per arc
-        otherwise) before it counts as broken.
+        a failed simulation tile before it counts as broken.
     """
-    if engine not in HISTORICAL_ENGINES:
-        raise ValueError(
-            f"engine must be one of {HISTORICAL_ENGINES}, got {engine!r}")
     if unit_conditions is None:
         unit_conditions = shared_reference_conditions()
     unit_conditions = np.atleast_2d(np.asarray(unit_conditions, dtype=float))
@@ -461,69 +431,20 @@ def characterize_historical_library(
     local_counter = counter if counter is not None else SimulationCounter()
     run_ledger = ledger if ledger is not None else RunLedger()
     runs_before = local_counter.total
-    failures: List[FailureReport] = []
 
     arcs = [(cell, cell.arc(cell.input_pins[0], Transition(transition)))
             for cell in cells for transition in transitions]
 
-    if engine == "fused":
-        arc_fits, delay_residual_rows, slew_residual_rows, failures = (
-            _characterize_fused_historical(technology, arcs, physical,
-                                           conditions, local_counter,
-                                           run_ledger, max_bytes,
-                                           strict=strict_mode,
-                                           retry_policy=retry_policy))
-        arc_fits = [fit for fit in arc_fits if fit is not None]
-        delay_residual_rows = [row for row in delay_residual_rows
-                               if row is not None]
-        slew_residual_rows = [row for row in slew_residual_rows
-                              if row is not None]
-    else:
-        arc_fits = []
-        delay_residual_rows = []
-        slew_residual_rows = []
-        sin = physical[:, 0]
-        cload = physical[:, 1]
-        vdd = physical[:, 2]
-        for cell, arc in arcs:
-
-            def attempt(cell=cell, arc=arc):
-                with run_ledger.stage("priors:simulate"):
-                    measurements = sweep_conditions(
-                        cell, technology, conditions, arc=arc,
-                        counter=local_counter,
-                        counter_label=(
-                            f"historical:{technology.name}:{cell.name}"),
-                        engine=engine,
-                    )
-                with run_ledger.stage("priors:fit"):
-                    inverter = reduce_cell_cached(cell, technology, arc=arc)
-                    ieff = np.asarray(inverter.effective_current(vdd),
-                                      dtype=float).reshape(-1)
-                    delays = np.array([m.nominal_delay()
-                                       for m in measurements])
-                    slews = np.array([m.nominal_slew() for m in measurements])
-
-                    delay_fit = fit_least_squares(sin, cload, vdd, ieff,
-                                                  delays)
-                    slew_fit = fit_least_squares(sin, cload, vdd, ieff, slews)
-                return delay_fit, slew_fit
-
-            unit = f"{technology.name}:{cell.name}:{arc.name}"
-            try:
-                delay_fit, slew_fit = run_with_retry(
-                    attempt, retry_policy, site=f"historical:{unit}",
-                    ledger=run_ledger)
-            except Exception as error:
-                if strict_mode:
-                    raise
-                failures.append(FailureReport.from_exception(
-                    unit, "characterize", error))
-                continue
-            arc_fits.append(ArcFit(cell_name=cell.name, arc_name=arc.name,
-                                   delay_fit=delay_fit, slew_fit=slew_fit))
-            delay_residual_rows.append(delay_fit.residuals)
-            slew_residual_rows.append(slew_fit.residuals)
+    arc_fits, delay_residual_rows, slew_residual_rows, failures = (
+        _characterize_fused_historical(technology, arcs, physical, conditions,
+                                       local_counter, run_ledger, max_bytes,
+                                       strict=strict_mode,
+                                       retry_policy=retry_policy))
+    arc_fits = [fit for fit in arc_fits if fit is not None]
+    delay_residual_rows = [row for row in delay_residual_rows
+                           if row is not None]
+    slew_residual_rows = [row for row in slew_residual_rows
+                          if row is not None]
 
     for report in failures:
         run_ledger.add_failure(report)
@@ -569,7 +490,6 @@ def characterize_historical_libraries(
     unit_conditions: Optional[np.ndarray] = None,
     transitions: Sequence[Transition] = (Transition.FALL, Transition.RISE),
     counter: Optional[SimulationCounter] = None,
-    engine: str = "fused",
     ledger: Optional[RunLedger] = None,
     max_bytes: Optional[int] = None,
     strict: Optional[bool] = None,
@@ -586,7 +506,7 @@ def characterize_historical_libraries(
         unit_conditions = shared_reference_conditions()
     return [characterize_historical_library(
                 technology, cells, unit_conditions=unit_conditions,
-                transitions=transitions, counter=counter, engine=engine,
+                transitions=transitions, counter=counter,
                 ledger=ledger, max_bytes=max_bytes, strict=strict,
                 retry_policy=retry_policy)
             for technology in technologies]
@@ -709,22 +629,18 @@ def learn_prior(
 
 
 def learn_priors(historical: Sequence[HistoricalLibraryData], method: str = "bp",
-                 shrinkage: float = 0.1, engine: str = "batched",
+                 shrinkage: float = 0.1,
                  ledger: Optional[RunLedger] = None) -> Dict[str, TimingPrior]:
     """Learn both the delay and the slew prior from the same historical data.
 
-    With the default ``engine="batched"`` (and BP applicable), the delay and
-    slew star graphs are stacked into one
+    When BP applies, the delay and slew star graphs are stacked into one
     :class:`~repro.bayes.factor_graph.BatchedFactorGraph` and solved in a
-    single batched belief-propagation call; ``engine="loop"`` runs the
-    scalar graph per response (the equivalence reference).  The BP wall time
-    lands on ``ledger`` under the ``priors:bp`` stage.
+    single batched belief-propagation call (the same numbers as
+    :func:`learn_prior` per response).  The BP wall time lands on
+    ``ledger`` under the ``priors:bp`` stage.
     """
-    if engine not in PRIOR_ENGINES:
-        raise ValueError(
-            f"engine must be one of {PRIOR_ENGINES}, got {engine!r}")
     run_ledger = ledger if ledger is not None else RunLedger()
-    if engine == "loop" or method != "bp" or len(historical) <= 1:
+    if method != "bp" or len(historical) <= 1:
         with run_ledger.stage("priors:bp"):
             return {response: learn_prior(historical, response=response,
                                           method=method, shrinkage=shrinkage)
@@ -757,7 +673,6 @@ def learn_class_priors(
     method: str = "bp",
     shrinkage: float = 0.1,
     prior_widening: float = 1.0,
-    engine: str = "batched",
     class_of: Optional[Callable[[ArcFit], str]] = None,
     ledger: Optional[RunLedger] = None,
 ) -> Dict[Tuple[str, str], TimingPrior]:
@@ -768,8 +683,7 @@ def learn_class_priors(
     Only classes present in *every* historical library are learned; each
     (response, class) pair gets its own technology-star graph built from the
     class's per-library parameter matrices, and all stars are solved
-    together in one :class:`BatchedFactorGraph` run (``engine="loop"``
-    keeps the per-graph scalar reference path).
+    together in one :class:`BatchedFactorGraph` run.
 
     Returns a dict keyed by ``(response, class_name)``.
     """
@@ -779,9 +693,6 @@ def learn_class_priors(
         raise ValueError(f"method must be 'bp' or 'empirical', got {method!r}")
     if prior_widening <= 0.0:
         raise ValueError("prior_widening must be positive")
-    if engine not in PRIOR_ENGINES:
-        raise ValueError(
-            f"engine must be one of {PRIOR_ENGINES}, got {engine!r}")
 
     key_of = class_of if class_of is not None else (lambda fit: fit.cell_name)
     per_library: List[Dict[str, List[ArcFit]]] = []
@@ -830,7 +741,7 @@ def learn_class_priors(
     drift_stack = np.stack([drift for _leaves, drift in stars])
     graph = BatchedFactorGraph.star("global", leaves, drift_stack)
     with run_ledger.stage("priors:bp"):
-        beliefs = graph.run_belief_propagation(engine=engine)
+        beliefs = graph.run_belief_propagation()
     global_batch = beliefs["global"]
     for index, (response, name) in enumerate(pairs):
         density = GaussianDensity(global_batch.mean[index],

@@ -7,9 +7,8 @@ extraction, timing graph):
   LRU plus a process-wide registry (:func:`cache_stats`);
 * :mod:`repro.runtime.chunking` -- deterministic, memory-budgeted chunk
   planning over the engines' work axes;
-* :mod:`repro.runtime.executor` -- pluggable ``serial`` / ``chunked`` /
-  ``process`` job execution with order-preserving results and merged
-  accounting;
+* :mod:`repro.runtime.executor` -- pluggable ``serial`` / ``process`` job
+  execution with order-preserving results and merged accounting;
 * :mod:`repro.runtime.accounting` -- the unified :class:`RunLedger`;
 * :mod:`repro.runtime.resilience` -- retry policies, structured failure
   reports, and the ``strict=`` resolution of the library flows;
@@ -36,7 +35,7 @@ start from defaults, so flows that must honor a budget everywhere thread
 tier can also be enabled from the environment: ``REPRO_DISK_CACHE=<dir>``
 attaches a :class:`~repro.runtime.persist.DiskStore` under ``<dir>`` to
 every durable registered cache, and ``REPRO_DISK_CACHE_BYTES`` budgets it.
-``REPRO_TRANSIENT_ENGINE=<batched|serial|adaptive>`` selects the default
+``REPRO_TRANSIENT_ENGINE=<batched|adaptive>`` selects the default
 transient integration engine (unknown values are ignored), and
 ``REPRO_TRANSIENT_RTOL`` / ``REPRO_TRANSIENT_ATOL`` override the adaptive
 engine's default tolerances (relative, and absolute as a fraction of the
@@ -63,7 +62,6 @@ from repro.runtime.cache import (
 from repro.runtime.chunking import chunk_count, plan_chunks
 from repro.runtime.executor import (
     EXECUTOR_MODES,
-    ChunkedExecutor,
     ProcessExecutor,
     SerialExecutor,
     get_executor,
@@ -99,9 +97,8 @@ _KEEP = object()
 #: Transient integration engines selectable process-wide.  The names are
 #: owned here (not in ``repro.spice``) so the runtime layer never imports
 #: the engines it configures: ``batched`` is the fixed-step lockstep RK4
-#: engine, ``serial`` its one-condition-at-a-time equivalence twin, and
-#: ``adaptive`` the error-controlled Dormand-Prince RK45 engine.
-TRANSIENT_ENGINES = ("batched", "serial", "adaptive")
+#: engine and ``adaptive`` the error-controlled Dormand-Prince RK45 engine.
+TRANSIENT_ENGINES = ("batched", "adaptive")
 
 
 @dataclass
@@ -332,7 +329,6 @@ __all__ = [
     "CacheStats",
     "CheckpointMismatch",
     "Checkpointer",
-    "ChunkedExecutor",
     "CircuitBreaker",
     "DeadlineExceeded",
     "DiskStore",

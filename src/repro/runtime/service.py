@@ -83,7 +83,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime import faultinject
+from repro.runtime import faultinject, resolve_transient_engine
 from repro.runtime.accounting import RunLedger
 from repro.runtime.cache import LruCache, registered_caches
 from repro.runtime.executor import get_executor
@@ -281,8 +281,11 @@ class CharacterizationService:
         A runtime executor instance, or ``None`` for the serial executor
         (the scheduler thread is already the concurrency boundary).
     stepper:
-        Optional :class:`~repro.spice.stepper.StepperSpec`; ``None`` keeps
-        the fused pipeline's fixed-step default.
+        Optional :class:`~repro.spice.stepper.StepperSpec`; ``None``
+        resolves the configured transient engine's default stepper
+        (``runtime.configure(transient_engine=...)``) once, here, so a later
+        reconfiguration never changes what this service serves.  The
+        ``stepper`` attribute keeps the value as passed.
     queue_depth, batch_window_s, shed_policy:
         Admission bound, coalescing window, and shedding policy
         (``None`` defers to the ``REPRO_SERVICE_*`` environment knobs).
@@ -314,6 +317,11 @@ class CharacterizationService:
         self.variation = variation
         self.solver = solver
         self.stepper = stepper
+        # Imported here: the runtime package never imports the engines.
+        from repro.spice.stepper import resolve_stepper
+        #: The stepper of every fused pass and of the context fingerprint.
+        self._stepper = (stepper if stepper is not None else
+                         resolve_stepper(resolve_transient_engine(None)))
         self.executor = executor if executor is not None else get_executor("serial")
         self.max_bytes = max_bytes
         self.queue_depth = (queue_depth if queue_depth is not None
@@ -344,8 +352,7 @@ class CharacterizationService:
                             delay_prior.fingerprint(),
                             slew_prior.fingerprint(),
                             solver,
-                            stepper.signature() if stepper is not None
-                            else "default")
+                            self._stepper.signature())
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._queue: List[_Request] = []
@@ -692,7 +699,7 @@ class CharacterizationService:
         return characterize_fused_jobs(
             self.technology, jobs, job_conditions, self.delay_prior,
             self.slew_prior, self.variation, self.solver, self.executor,
-            ledger, self.max_bytes, strict=False, stepper=self.stepper)
+            ledger, self.max_bytes, strict=False, stepper=self._stepper)
 
     # ------------------------------------------------------------------
     # Disk circuit breaker

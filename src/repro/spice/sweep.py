@@ -35,7 +35,7 @@ from repro.spice.testbench import (
     TimingMeasurement,
     get_simulation_cache,
 )
-from repro.spice.transient import DEFAULT_STEPS, simulate_arc_transition
+from repro.spice.transient import DEFAULT_STEPS
 from repro.technology.node import TechnologyNode
 from repro.technology.variation import VariationSample
 
@@ -92,17 +92,12 @@ def sweep_conditions(
         wall-clock time.
     engine:
         ``"batched"`` integrates every condition in one 2-D fixed-step RK4
-        pass; ``"serial"`` integrates condition by condition through the
-        original engine (kept for equivalence testing; it never touches
-        the simulation cache -- a serial sweep must actually run the
-        serial integrator, not replay memoized batched results);
-        ``"adaptive"`` integrates every condition in one batched
+        pass; ``"adaptive"`` integrates every condition in one batched
         error-controlled RK45 pass (:mod:`repro.spice.adaptive`).  ``None``
         (default) defers to ``runtime.configure(transient_engine=...)`` /
         ``REPRO_TRANSIENT_ENGINE``, falling back to ``"batched"``.
     cache:
-        Whether to consult/fill the global simulation cache (batched and
-        adaptive engines; ignored for ``engine="serial"``).  Keys embed
+        Whether to consult/fill the global simulation cache.  Keys embed
         the full stepper signature, so fixed-step and adaptive results
         never collide.  A sweep whose conditions all hit short-circuits
         straight to measurement assembly -- no equivalent-inverter
@@ -149,8 +144,7 @@ def sweep_conditions(
     label = counter_label or f"sweep:{cell.name}"
     resolved_arc = arc if arc is not None else default_arc(cell)
 
-    simulation_cache = (get_simulation_cache()
-                        if cache and engine != "serial" else None)
+    simulation_cache = get_simulation_cache() if cache else None
     variation_fp = (variation.fingerprint() if variation is not None
                     else "nominal")
 
@@ -182,37 +176,28 @@ def sweep_conditions(
         # least one condition actually needs integrating.
         inverter = reduce_cell_cached(cell, technology, arc=resolved_arc,
                                       variation=variation)
-        if engine in ("batched", "adaptive"):
-            triples = np.array([conditions[i] for i in missing], dtype=float)
-            n_seeds = variation.n_seeds if variation is not None else 1
-            item_bytes = transient_item_bytes(n_seeds, stepper.n_steps)
-            # Chunks integrate one after the other and scatter their results
-            # immediately, so each chunk's waveform matrices are freed before
-            # the next one allocates (the point of the budget).
-            for rows in plan_chunks(len(missing), item_bytes,
-                                    resolve_max_bytes(max_bytes)):
-                if engine == "adaptive":
-                    result = simulate_arc_transitions_adaptive(
-                        inverter, triples[rows, 0], triples[rows, 1],
-                        triples[rows, 2], stepper=stepper)
-                else:
-                    result = simulate_arc_transitions(
-                        inverter, triples[rows, 0], triples[rows, 1],
-                        triples[rows, 2], n_steps=stepper.n_steps)
-                record_integration_stats(ledger, result.stats)
-                batch_delay = result.delay()
-                batch_slew = result.output_slew()
-                for row, index in enumerate(missing[rows]):
-                    delays[index] = np.asarray(batch_delay[row], dtype=float)
-                    slews[index] = np.asarray(batch_slew[row], dtype=float)
-        else:
-            for index in missing:
-                sin, cload, vdd = conditions[index]
-                result = simulate_arc_transition(inverter, sin=sin,
-                                                 cload=cload, vdd=vdd,
-                                                 n_steps=stepper.n_steps)
-                delays[index] = np.asarray(result.delay(), dtype=float)
-                slews[index] = np.asarray(result.output_slew(), dtype=float)
+        triples = np.array([conditions[i] for i in missing], dtype=float)
+        n_seeds = variation.n_seeds if variation is not None else 1
+        item_bytes = transient_item_bytes(n_seeds, stepper.n_steps)
+        # Chunks integrate one after the other and scatter their results
+        # immediately, so each chunk's waveform matrices are freed before
+        # the next one allocates (the point of the budget).
+        for rows in plan_chunks(len(missing), item_bytes,
+                                resolve_max_bytes(max_bytes)):
+            if engine == "adaptive":
+                result = simulate_arc_transitions_adaptive(
+                    inverter, triples[rows, 0], triples[rows, 1],
+                    triples[rows, 2], stepper=stepper)
+            else:
+                result = simulate_arc_transitions(
+                    inverter, triples[rows, 0], triples[rows, 1],
+                    triples[rows, 2], n_steps=stepper.n_steps)
+            record_integration_stats(ledger, result.stats)
+            batch_delay = result.delay()
+            batch_slew = result.output_slew()
+            for row, index in enumerate(missing[rows]):
+                delays[index] = np.asarray(batch_delay[row], dtype=float)
+                slews[index] = np.asarray(batch_slew[row], dtype=float)
         if simulation_cache is not None:
             for index in missing:
                 simulation_cache.put(keys[index], delays[index], slews[index])

@@ -6,9 +6,8 @@ full use case.  It provides gate-level netlists (and their compiled,
 levelized array form), a topological STA engine with slew propagation and
 capacitive loading derived from the characterized cells, and a Monte Carlo
 SSTA variant that consumes the per-seed delay ensembles of the statistical
-flow.  Both analyzers run a level-batched engine by default (one vectorized
-timing query per topological level and cell type) with a per-gate loop
-engine retained for equivalence testing, and :mod:`repro.sta.synthetic`
+flow.  Both analyzers run a level-batched engine (one vectorized timing
+query per topological level and cell type), and :mod:`repro.sta.synthetic`
 generates seeded netlists of arbitrary scale to exercise them.
 """
 
@@ -29,13 +28,12 @@ from repro.sta.timing_view import (
     timing_view_from_characterizers,
     timing_view_from_statistical,
 )
-from repro.sta.analysis import ENGINES, PathReport, StaticTimingAnalyzer
+from repro.sta.analysis import PathReport, StaticTimingAnalyzer
 from repro.sta.ssta import MonteCarloSsta, SstaReport
 
 __all__ = [
     "CellTiming",
     "CompiledNetlist",
-    "ENGINES",
     "Gate",
     "MonteCarloSsta",
     "Netlist",

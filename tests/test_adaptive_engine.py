@@ -267,7 +267,7 @@ class TestLibraryConcurrency:
         library = StandardCellLibrary(
             "adaptive_equiv", [make_cell("INV_X1"), make_cell("NAND2_X1")])
         results = []
-        for concurrency in ("serial", "chunked", "process"):
+        for concurrency in ("serial", "process"):
             get_simulation_cache().clear()
             results.append(characterize_library(
                 tech28, library, adaptive_priors[0], adaptive_priors[1],
@@ -287,7 +287,8 @@ class TestLibraryConcurrency:
 
 class TestRuntimeKnobs:
     def test_engine_resolution_order(self):
-        assert runtime.resolve_transient_engine("serial") == "serial"
+        assert runtime.TRANSIENT_ENGINES == ("batched", "adaptive")
+        assert runtime.resolve_transient_engine("adaptive") == "adaptive"
         runtime.configure(transient_engine="adaptive")
         assert runtime.resolve_transient_engine(None) == "adaptive"
         assert runtime.resolve_transient_engine("batched") == "batched"
@@ -295,6 +296,9 @@ class TestRuntimeKnobs:
         assert runtime.resolve_transient_engine(None) == "batched"
         with pytest.raises(ValueError, match="engine"):
             runtime.resolve_transient_engine("rk4")
+        # The retired one-condition-at-a-time twin is no engine name.
+        with pytest.raises(ValueError, match="engine"):
+            runtime.resolve_transient_engine("serial")
         with pytest.raises(ValueError, match="transient_engine"):
             runtime.configure(transient_engine="euler")
 

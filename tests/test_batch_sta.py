@@ -1,10 +1,11 @@
-"""Batched-versus-loop equivalence suite for the STA/SSTA engines.
+"""Batched-versus-loop equivalence suite for the STA/SSTA analyzers.
 
 Property-style grid: every seeded synthetic topology (chain, balanced tree,
-random layered DAGs across fanin windows) is analyzed by both engines of
+random layered DAGs across fanin windows) is analyzed by the level-batched
 :class:`~repro.sta.analysis.StaticTimingAnalyzer` and
-:class:`~repro.sta.ssta.MonteCarloSsta`, and the full reports -- arrivals,
-slews, critical path, criticality, per-seed distributions -- must agree to
+:class:`~repro.sta.ssta.MonteCarloSsta` and by the per-gate loop oracles
+(:mod:`oracles.sta`), and the full reports -- arrivals, slews, critical
+path, criticality, per-seed distributions -- must agree to
 ``rtol <= 1e-12``.  Also covers levelization correctness of
 :class:`~repro.sta.netlist.CompiledNetlist`, the shared net-load vector, the
 batched timing-view query paths, and the vectorized per-seed prediction of
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.sta import ssta_loop, sta_loop
 
 from repro.characterization.input_space import InputCondition
 from repro.cells import reduce_cell_cached
@@ -155,13 +157,21 @@ class TestCompiledNetlist:
 # ----------------------------------------------------------------------
 # Engine equivalence
 # ----------------------------------------------------------------------
+def run_sta(netlist, view, **kwargs):
+    return StaticTimingAnalyzer(netlist, view, **kwargs).run()
+
+
+def run_ssta(netlist, view, **kwargs):
+    return MonteCarloSsta(netlist, view, **kwargs).run()
+
+
 class TestStaEquivalence:
     @pytest.mark.parametrize("netlist", equivalence_netlists(),
                              ids=lambda n: n.name)
     def test_reports_agree(self, netlist):
         view = make_nominal_view()
-        loop = StaticTimingAnalyzer(netlist, view, engine="loop").run()
-        batched = StaticTimingAnalyzer(netlist, view, engine="batched").run()
+        loop = sta_loop(netlist, view)
+        batched = StaticTimingAnalyzer(netlist, view).run()
         assert batched.critical_output == loop.critical_output
         assert batched.critical_path == loop.critical_path
         assert batched.critical_delay == pytest.approx(loop.critical_delay,
@@ -175,28 +185,32 @@ class TestStaEquivalence:
     def test_primary_input_arrival_shifts_all_outputs(self):
         netlist = nand_nor_tree(8)
         view = make_nominal_view()
-        for engine in ("loop", "batched"):
-            base = StaticTimingAnalyzer(netlist, view, engine=engine).run()
-            shifted = StaticTimingAnalyzer(netlist, view, engine=engine,
-                                           primary_input_arrival=7e-12).run()
+        for analyze in (sta_loop, run_sta):
+            base = analyze(netlist, view)
+            shifted = analyze(netlist, view, primary_input_arrival=7e-12)
             assert shifted.critical_delay == pytest.approx(
                 base.critical_delay + 7e-12, rel=1e-12)
             assert shifted.critical_path == base.critical_path
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
+        # One propagation path: the retired engine switch is not accepted.
+        with pytest.raises(TypeError, match="engine"):
             StaticTimingAnalyzer(inverter_chain(2), make_nominal_view(),
-                                 engine="gpu")
+                                 engine="loop")
+        with pytest.raises(TypeError, match="engine"):
+            MonteCarloSsta(inverter_chain(2), make_statistical_view(4),
+                           engine="loop")
 
-    @pytest.mark.parametrize("engine", ("loop", "batched"))
-    def test_netlist_mutation_after_construction_is_seen(self, engine):
+    def test_netlist_mutation_after_construction_is_seen(self):
         netlist = inverter_chain(3)
         view = make_nominal_view()
-        analyzer = StaticTimingAnalyzer(netlist, view, engine=engine)
+        analyzer = StaticTimingAnalyzer(netlist, view)
         before = analyzer.run().critical_delay
         netlist.set_output_load("out", 9e-15)
         after = analyzer.run().critical_delay
-        fresh = StaticTimingAnalyzer(netlist, view, engine=engine).run()
+        fresh = StaticTimingAnalyzer(netlist, view).run()
+        assert fresh.critical_delay == pytest.approx(
+            sta_loop(netlist, view).critical_delay, rel=RTOL)
         assert after == fresh.critical_delay
         assert after > before
         assert analyzer.net_load("out") == pytest.approx(9e-15)
@@ -211,8 +225,8 @@ class TestStaEquivalence:
     def test_batched_on_statistical_view_matches_loop(self):
         netlist = c17_benchmark()
         view = make_statistical_view(n_seeds=32)
-        loop = StaticTimingAnalyzer(netlist, view, engine="loop").run()
-        batched = StaticTimingAnalyzer(netlist, view, engine="batched").run()
+        loop = sta_loop(netlist, view)
+        batched = StaticTimingAnalyzer(netlist, view).run()
         assert batched.critical_delay == pytest.approx(loop.critical_delay,
                                                        rel=RTOL)
         assert batched.critical_path == loop.critical_path
@@ -224,8 +238,8 @@ class TestSstaEquivalence:
     @pytest.mark.parametrize("n_seeds", (4, 32))
     def test_reports_agree(self, netlist, n_seeds):
         view = make_statistical_view(n_seeds=n_seeds)
-        loop = MonteCarloSsta(netlist, view, engine="loop").run()
-        batched = MonteCarloSsta(netlist, view, engine="batched").run()
+        loop = ssta_loop(netlist, view)
+        batched = MonteCarloSsta(netlist, view).run()
         assert batched.critical_output == loop.critical_output
         np.testing.assert_allclose(batched.delay_samples, loop.delay_samples,
                                    rtol=RTOL)
@@ -240,12 +254,12 @@ class TestSstaEquivalence:
         assert sum(loop.criticality.values()) == pytest.approx(1.0)
 
     def test_primary_input_arrival_threads_through_both_engines(self):
+        # Both engines: the level-batched analyzer and the loop oracle.
         netlist = c17_benchmark()
         view = make_statistical_view(n_seeds=16)
-        for engine in ("loop", "batched"):
-            base = MonteCarloSsta(netlist, view, engine=engine).run()
-            shifted = MonteCarloSsta(netlist, view, engine=engine,
-                                     primary_input_arrival=11e-12).run()
+        for analyze in (ssta_loop, run_ssta):
+            base = analyze(netlist, view)
+            shifted = analyze(netlist, view, primary_input_arrival=11e-12)
             np.testing.assert_allclose(shifted.delay_samples,
                                        base.delay_samples + 11e-12, rtol=1e-12)
 
@@ -285,14 +299,14 @@ class TestSstaEquivalence:
                                      callback=callback)
         view = StatisticalTimingView(vdd=0.9, cells=cells, n_seeds=n_seeds)
 
-        loop = MonteCarloSsta(netlist, view, engine="loop").run()
-        batched = MonteCarloSsta(netlist, view, engine="batched").run()
+        loop = ssta_loop(netlist, view)
+        batched = MonteCarloSsta(netlist, view).run()
         np.testing.assert_allclose(batched.delay_samples, loop.delay_samples,
                                    rtol=RTOL)
 
         # Reconstruct the legacy single-global-index behaviour by hand and
-        # check the engines deliberately deviate from it.
-        analyzer = MonteCarloSsta(netlist, view, engine="loop")
+        # check the analyzer and the oracle deliberately deviate from it.
+        analyzer = MonteCarloSsta(netlist, view)
         arrivals = {"a": np.zeros(n_seeds), "b": np.zeros(n_seeds)}
         slews = {"a": np.full(n_seeds, 5e-12), "b": np.full(n_seeds, 5e-12)}
         for gate_name in ("u1", "u2"):
@@ -435,8 +449,8 @@ class TestSamplesMany:
             {name: char for name in CELL_NAMES},
             {name: 1.5e-15 for name in CELL_NAMES}, vdd=0.9)
         netlist = random_layered_dag(width=5, depth=4, rng=13)
-        loop = MonteCarloSsta(netlist, view, engine="loop").run()
-        batched = MonteCarloSsta(netlist, view, engine="batched").run()
+        loop = ssta_loop(netlist, view)
+        batched = MonteCarloSsta(netlist, view).run()
         np.testing.assert_allclose(batched.delay_samples, loop.delay_samples,
                                    rtol=1e-9)
         assert batched.criticality == loop.criticality

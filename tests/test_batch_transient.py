@@ -1,7 +1,9 @@
 """Tests for the batched multi-condition transient engine.
 
-Covers batched-vs-serial equivalence over a grid of conditions, seeds and
-both transition polarities, the window-extension path, the non-functional
+Covers equivalence with the condition-by-condition oracle
+(:mod:`oracles.transient`, built on :func:`simulate_arc_transition`) over a
+grid of conditions, seeds and both transition polarities, the
+window-extension path, the non-functional
 ``RuntimeError`` branch, ``WaveformBatch`` measurements, and the simulation /
 reduction caches.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.transient import serial_sweep, serial_transitions
 
 from repro.cells import Transition, clear_reduction_cache, reduce_cell, reduce_cell_cached
 from repro.spice import (
@@ -35,16 +38,6 @@ GRID = [
 ]
 
 
-def _serial_reference(inverter, conditions, n_steps=serial_engine.DEFAULT_STEPS):
-    delays, slews = [], []
-    for sin, cload, vdd in conditions:
-        result = simulate_arc_transition(inverter, sin=sin, cload=cload,
-                                         vdd=vdd, n_steps=n_steps)
-        delays.append(result.delay())
-        slews.append(result.output_slew())
-    return np.stack(delays), np.stack(slews)
-
-
 class TestBatchedSerialEquivalence:
     @pytest.mark.parametrize("transition", [Transition.FALL, Transition.RISE])
     @pytest.mark.parametrize("n_seeds", [1, 7])
@@ -56,7 +49,7 @@ class TestBatchedSerialEquivalence:
         sin, cload, vdd = (np.array(axis) for axis in zip(*GRID))
 
         batch = simulate_arc_transitions(inverter, sin, cload, vdd)
-        ref_delay, ref_slew = _serial_reference(inverter, GRID)
+        ref_delay, ref_slew = serial_transitions(inverter, GRID)
 
         np.testing.assert_allclose(batch.delay(), ref_delay, rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(batch.output_slew(), ref_slew, rtol=1e-9,
@@ -65,15 +58,16 @@ class TestBatchedSerialEquivalence:
     def test_sweep_engines_agree(self, tech14, inv_cell):
         batched = sweep_conditions(inv_cell, tech14, GRID, engine="batched",
                                    cache=False)
-        serial = sweep_conditions(inv_cell, tech14, GRID, engine="serial",
-                                  cache=False)
-        for b, s in zip(batched, serial):
-            np.testing.assert_allclose(b.delay, s.delay, rtol=1e-9)
-            np.testing.assert_allclose(b.output_slew, s.output_slew, rtol=1e-9)
+        delays, slews = serial_sweep(inv_cell, tech14, GRID)
+        for b, delay, slew in zip(batched, delays, slews):
+            np.testing.assert_allclose(b.delay, delay, rtol=1e-9)
+            np.testing.assert_allclose(b.output_slew, slew, rtol=1e-9)
 
     def test_sweep_rejects_unknown_engine(self, tech14, inv_cell):
-        with pytest.raises(ValueError):
-            sweep_conditions(inv_cell, tech14, GRID[:1], engine="magic")
+        # "serial" is the retired twin; its reference lives in the oracle.
+        for engine in ("magic", "serial"):
+            with pytest.raises(ValueError):
+                sweep_conditions(inv_cell, tech14, GRID[:1], engine=engine)
 
     def test_per_condition_extraction_matches_serial_result(self, tech14,
                                                             inv_cell):
@@ -111,7 +105,7 @@ class TestWindowExtension:
         inverter = reduce_cell(inv_cell, tech28)
         sin, cload, vdd = (np.array(axis) for axis in zip(*GRID))
         batch = simulate_arc_transitions(inverter, sin, cload, vdd)
-        ref_delay, ref_slew = _serial_reference(inverter, GRID)
+        ref_delay, ref_slew = serial_transitions(inverter, GRID)
         np.testing.assert_allclose(batch.delay(), ref_delay, rtol=1e-9)
         np.testing.assert_allclose(batch.output_slew(), ref_slew, rtol=1e-9)
 

@@ -4,7 +4,8 @@ The batched engine stacks B independent same-topology factor graphs and
 advances all of them through the scalar engine's exact message schedule with
 one batched linear solve per update.  The contract under test: for every
 topology (chain, star, loopy with damping) the batched sweeps reproduce the
-scalar per-graph results at ``rtol <= 1e-12``, converged graphs retire
+scalar per-graph oracle (:func:`oracles.bp.run_per_graph`) at
+``rtol <= 1e-12``, converged graphs retire
 independently, and the tree cases match the closed-form joint-precision
 marginals.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.bp import run_per_graph
 
 from repro.bayes import (
     BatchedFactorGraph,
@@ -92,7 +94,7 @@ class TestBatchedMatchesLoop:
         link = random_spd(rng)
         graph = BatchedFactorGraph.star("center", leaves, link)
         batched = graph.run_belief_propagation()
-        loop = graph.run_belief_propagation(engine="loop")
+        loop = run_per_graph(graph)
         assert_batches_close(batched, loop)
 
     def test_chain_matches_loop(self):
@@ -103,7 +105,7 @@ class TestBatchedMatchesLoop:
                     for name in ("n45", "n14")}
         graph = BatchedFactorGraph.chain(names, evidence, random_spd(rng))
         assert_batches_close(graph.run_belief_propagation(),
-                             graph.run_belief_propagation(engine="loop"))
+                             run_per_graph(graph))
 
     def test_loopy_damped_matches_loop_per_graph_damping(self):
         rng = np.random.default_rng(13)
@@ -118,8 +120,7 @@ class TestBatchedMatchesLoop:
         damping = np.array([0.1, 0.3, 0.5, 0.7])
         batched = graph.run_belief_propagation(max_iterations=500,
                                                damping=damping)
-        loop = graph.run_belief_propagation(max_iterations=500,
-                                            damping=damping, engine="loop")
+        loop = run_per_graph(graph, max_iterations=500, damping=damping)
         assert_batches_close(batched, loop)
 
     def test_per_graph_link_covariances(self):
@@ -130,7 +131,7 @@ class TestBatchedMatchesLoop:
                   for i in range(2)}
         graph = BatchedFactorGraph.star("center", leaves, links)
         assert_batches_close(graph.run_belief_propagation(),
-                             graph.run_belief_propagation(engine="loop"))
+                             run_per_graph(graph))
 
     def test_shared_evidence_infers_batch_of_one(self):
         rng = np.random.default_rng(15)
@@ -231,9 +232,9 @@ class TestRetirementAndInfo:
         rng = np.random.default_rng(31)
         # (loopy_graph draws evidence per batch row from one stream, so the
         # solo graph's row 0 matches the pair's row 0 only when batch sizes
-        # agree; instead compare against the loop engine, which shares rows.)
-        loop = graph.run_belief_propagation(max_iterations=1000,
-                                            damping=damping, engine="loop")
+        # agree; instead compare against the per-graph oracle, which shares
+        # rows.)
+        loop = run_per_graph(graph, max_iterations=1000, damping=damping)
         assert_batches_close(both, loop)
         assert solo["a"].batch_size == 1
 
@@ -244,19 +245,14 @@ class TestRetirementAndInfo:
             graph.run_belief_propagation(max_iterations=2, tolerance=1e-300,
                                          damping=damping)
 
-    def test_return_info_requires_batched_engine(self):
-        graph = self.loopy_graph([0.1])
-        with pytest.raises(ValueError, match="batched"):
-            graph.run_belief_propagation(damping=np.array([0.1]),
-                                         engine="loop", return_info=True)
-
 
 class TestValidation:
     def test_unknown_engine(self):
+        # One propagation path: the retired engine switch is not accepted.
         graph = BatchedFactorGraph.star(
             "c", {"l": GaussianDensity([0.0], [[1.0]])}, np.eye(1))
-        with pytest.raises(ValueError, match="engine"):
-            graph.run_belief_propagation(engine="turbo")
+        with pytest.raises(TypeError, match="engine"):
+            graph.run_belief_propagation(engine="loop")
 
     def test_damping_bounds(self):
         graph = BatchedFactorGraph.star(

@@ -156,13 +156,6 @@ class TestArgumentValidation:
             characterize_library(get_technology("n28_bulk"), small_cells,
                                  delay_prior, slew_prior, resume=True)
 
-    def test_checkpoint_requires_fused_pipeline(self, delay_prior, slew_prior,
-                                                small_cells, tmp_path):
-        with pytest.raises(ValueError, match="fused"):
-            characterize_library(get_technology("n28_bulk"), small_cells,
-                                 delay_prior, slew_prior, pipeline="per_arc",
-                                 checkpoint_dir=str(tmp_path))
-
     def test_changed_inputs_raise_mismatch(self, delay_prior, slew_prior,
                                            small_cells, tmp_path):
         _run_library(delay_prior, slew_prior, small_cells,

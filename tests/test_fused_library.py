@@ -1,10 +1,11 @@
 """Tests for the fused library characterization pipeline.
 
-The fused pipeline must be *indistinguishable* from the per-arc pipeline in
-everything but wall clock: bit-identical ``LibraryCharacterization``
-entries, identical :class:`SimulationCounter` charges and identical ledger
-run counts, across every ``pipeline x concurrency`` combination, plus cache
-reuse when a fused pass is rerun warm.
+The fused pipeline must be *indistinguishable* from the per-arc oracle
+(:func:`oracles.library.characterize_library_per_arc`, one
+:class:`StatisticalCharacterizer` per arc) in everything but wall clock:
+``LibraryCharacterization`` entries equal at ``rtol 1e-12``, identical
+:class:`SimulationCounter` charges and identical ledger run counts, under
+every executor mode, plus cache reuse when a fused pass is rerun warm.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles.library import characterize_library_per_arc
 
 import repro.runtime as runtime
 from repro import RunLedger, SimulationCounter, get_technology, make_cell
 from repro.analysis import format_ledger
 from repro.cells.equivalent_inverter import reduce_cell_cached
 from repro.cells.library import StandardCellLibrary, Transition
-from repro.core.library_flow import PIPELINES, characterize_library
+from repro.core.library_flow import characterize_library
 from repro.spice import sweep as sweep_module
 from repro.spice.sweep import sweep_conditions
 from repro.spice.testbench import get_simulation_cache
@@ -68,17 +70,20 @@ def twin_library():
     return StandardCellLibrary("twins", footprint_twins(4))
 
 
-def run_library(tech, library, priors, *, pipeline, concurrency="serial",
-                cold=True, **kwargs):
-    """One characterization run with its own counter and ledger."""
+def run_library(tech, library, priors, *, cold=True, oracle=False, **kwargs):
+    """One characterization run with its own counter and ledger.
+
+    ``oracle=True`` runs the per-arc oracle instead of the fused pipeline.
+    """
     if cold:
         get_simulation_cache().clear()
     counter = SimulationCounter()
     ledger = RunLedger()
-    result = characterize_library(
+    characterize = (characterize_library_per_arc if oracle
+                    else characterize_library)
+    result = characterize(
         tech, library, priors[0], priors[1], conditions=2, n_seeds=8,
-        rng=5, counter=counter, ledger=ledger, pipeline=pipeline,
-        concurrency=concurrency, **kwargs)
+        rng=5, counter=counter, ledger=ledger, **kwargs)
     return result, counter, ledger
 
 
@@ -106,23 +111,18 @@ def assert_entries_equal(a, b, exact=True):
 
 
 class TestFusedParity:
-    def test_pipeline_constant(self):
-        assert PIPELINES == ("fused", "per_arc")
-
     def test_fused_matches_per_arc_bitwise(self, tech28_module, twin_library,
                                            priors_module):
         per_arc, c_per_arc, l_per_arc = run_library(
-            tech28_module, twin_library, priors_module, pipeline="per_arc")
+            tech28_module, twin_library, priors_module, oracle=True)
         fused, c_fused, l_fused = run_library(
-            tech28_module, twin_library, priors_module, pipeline="fused")
+            tech28_module, twin_library, priors_module)
 
-        assert per_arc.pipeline == "per_arc"
-        assert fused.pipeline == "fused"
-        # Cross-pipeline parameter parity is pinned at rtol 1e-12: the
-        # stacked solve hands BLAS different batch shapes than the per-arc
-        # solves, which can shift the last ulp of the prior matmuls (and
-        # with it a marginal seed's iteration count) without moving the
-        # converged parameters.
+        # Pipeline-versus-oracle parameter parity is pinned at rtol 1e-12:
+        # the stacked solve hands BLAS different batch shapes than the
+        # per-arc solves, which can shift the last ulp of the prior matmuls
+        # (and with it a marginal seed's iteration count) without moving
+        # the converged parameters.
         assert_entries_equal(per_arc, fused, exact=False)
         assert fused.simulation_runs == per_arc.simulation_runs
         # Identical counter charges, by label.
@@ -134,16 +134,15 @@ class TestFusedParity:
         assert l_fused.metrics()["solver_iterations"] > 0
         assert l_per_arc.metrics()["solver_iterations"] > 0
 
-    @pytest.mark.parametrize("concurrency", ["chunked", "process"])
+    @pytest.mark.parametrize("concurrency", ["process"])
     def test_fused_identical_across_concurrency(self, tech28_module,
                                                 twin_library, priors_module,
                                                 concurrency):
         serial, c_serial, l_serial = run_library(
-            tech28_module, twin_library, priors_module, pipeline="fused")
+            tech28_module, twin_library, priors_module)
         other, c_other, l_other = run_library(
-            tech28_module, twin_library, priors_module, pipeline="fused",
-            concurrency=concurrency,
-            **({"max_workers": 2} if concurrency == "process" else {}))
+            tech28_module, twin_library, priors_module,
+            concurrency=concurrency, max_workers=2)
         assert_entries_equal(serial, other)
         assert c_other.by_label() == c_serial.by_label()
         assert l_other.simulations_by_label() == \
@@ -151,49 +150,51 @@ class TestFusedParity:
         assert l_other.metrics()["solver_iterations"] == \
             l_serial.metrics()["solver_iterations"]
 
-    @pytest.mark.parametrize("concurrency", ["serial", "chunked", "process"])
+    @pytest.mark.parametrize("concurrency", ["serial", "process"])
     def test_per_arc_identical_across_concurrency(self, tech28_module,
                                                   twin_library, priors_module,
                                                   concurrency):
-        fused, c_fused, _ = run_library(
-            tech28_module, twin_library, priors_module, pipeline="fused")
-        per_arc, c_per_arc, _ = run_library(
-            tech28_module, twin_library, priors_module, pipeline="per_arc",
+        """The per-arc oracle matches the fused pipeline in every mode."""
+        fused, c_fused, l_fused = run_library(
+            tech28_module, twin_library, priors_module,
             concurrency=concurrency,
             **({"max_workers": 2} if concurrency == "process" else {}))
+        per_arc, c_per_arc, l_per_arc = run_library(
+            tech28_module, twin_library, priors_module, oracle=True)
         assert_entries_equal(fused, per_arc, exact=False)
         assert c_per_arc.by_label() == c_fused.by_label()
+        assert l_per_arc.simulations_by_label() == \
+            l_fused.simulations_by_label()
 
     def test_scipy_solver_parity(self, tech28_module, priors_module):
         library = [make_cell("INV_X1")]
         fused, _, _ = run_library(tech28_module, library, priors_module,
-                                  pipeline="fused", solver="scipy")
+                                  solver="scipy")
         per_arc, _, _ = run_library(tech28_module, library, priors_module,
-                                    pipeline="per_arc", solver="scipy")
+                                    oracle=True, solver="scipy")
         assert fused.solver == "scipy"
         assert_entries_equal(fused, per_arc, exact=False)
 
     def test_memory_budget_preserves_results(self, tech28_module,
                                              twin_library, priors_module):
         reference, _, _ = run_library(
-            tech28_module, twin_library, priors_module, pipeline="fused")
+            tech28_module, twin_library, priors_module)
         budgeted, _, _ = run_library(
-            tech28_module, twin_library, priors_module, pipeline="fused",
-            max_bytes=64 * 1024)
+            tech28_module, twin_library, priors_module, max_bytes=64 * 1024)
         assert_entries_equal(reference, budgeted, exact=False)
 
     def test_invalid_pipeline_rejected(self, tech28_module, twin_library,
                                        priors_module):
-        with pytest.raises(ValueError):
+        # One pipeline: the retired pipeline switch is not accepted.
+        with pytest.raises(TypeError, match="pipeline"):
             characterize_library(tech28_module, twin_library, priors_module[0],
-                                 priors_module[1], pipeline="turbo")
+                                 priors_module[1], pipeline="per_arc")
 
 
 class TestSignatureGrouping:
     def test_footprint_twins_share_groups(self, tech28_module, twin_library,
                                           priors_module):
-        _, _, ledger = run_library(tech28_module, twin_library, priors_module,
-                                   pipeline="fused")
+        _, _, ledger = run_library(tech28_module, twin_library, priors_module)
         metrics = ledger.metrics()
         # 4 cells x 2 transitions = 8 arcs, but only 2 templates x 2
         # polarities = 4 distinct signatures.
@@ -205,8 +206,7 @@ class TestSignatureGrouping:
 
     def test_group_sizes_render_in_ledger(self, tech28_module, twin_library,
                                           priors_module):
-        _, _, ledger = run_library(tech28_module, twin_library, priors_module,
-                                   pipeline="fused")
+        _, _, ledger = run_library(tech28_module, twin_library, priors_module)
         text = format_ledger(ledger, title="fused run")
         assert "fused:signature_rows" in text
         assert "fused:plan" in text
@@ -224,7 +224,7 @@ class TestSignatureGrouping:
         fused = characterize_library(
             tech28_module, twin_library, priors_module[0], priors_module[1],
             conditions=grid, n_seeds=8, rng=5, counter=counter_fused,
-            ledger=ledger, pipeline="fused")
+            ledger=ledger)
         metrics = ledger.metrics()
         # 8 arcs x 2 conditions = 16 rows, but 4 signatures x 2 conditions
         # = 8 unique simulations.
@@ -233,10 +233,9 @@ class TestSignatureGrouping:
         assert metrics["fused_rows_deduplicated"] == 8
         get_simulation_cache().clear()
         counter_per_arc = SimulationCounter()
-        per_arc = characterize_library(
+        per_arc = characterize_library_per_arc(
             tech28_module, twin_library, priors_module[0], priors_module[1],
-            conditions=grid, n_seeds=8, rng=5, counter=counter_per_arc,
-            pipeline="per_arc")
+            conditions=grid, n_seeds=8, rng=5, counter=counter_per_arc)
         assert_entries_equal(fused, per_arc, exact=False)
         # Dedup never changes what a flow *requires*: charges stay identical.
         assert counter_fused.by_label() == counter_per_arc.by_label()
@@ -263,11 +262,10 @@ class TestCacheReuse:
     def test_warm_fused_rerun_replays_cache(self, tech28_module, twin_library,
                                             priors_module):
         cold, counter_cold, ledger_cold = run_library(
-            tech28_module, twin_library, priors_module, pipeline="fused")
+            tech28_module, twin_library, priors_module)
         hits_before = runtime.cache_stats()["simulation"].hits
         warm, counter_warm, ledger_warm = run_library(
-            tech28_module, twin_library, priors_module, pipeline="fused",
-            cold=False)
+            tech28_module, twin_library, priors_module, cold=False)
         assert_entries_equal(cold, warm)
         metrics = ledger_warm.metrics()
         assert metrics["fused_rows_cached"] == metrics["fused_rows_total"]
@@ -281,11 +279,10 @@ class TestCacheReuse:
 
     def test_per_arc_replays_fused_cache(self, tech28_module, twin_library,
                                          priors_module):
-        fused, _, _ = run_library(tech28_module, twin_library, priors_module,
-                                  pipeline="fused")
+        fused, _, _ = run_library(tech28_module, twin_library, priors_module)
         hits_before = runtime.cache_stats()["simulation"].hits
         per_arc, _, _ = run_library(tech28_module, twin_library, priors_module,
-                                    pipeline="per_arc", cold=False)
+                                    oracle=True, cold=False)
         assert_entries_equal(fused, per_arc, exact=False)
         assert runtime.cache_stats()["simulation"].hits > hits_before
 

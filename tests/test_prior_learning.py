@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.bp import learn_class_priors_scalar, learn_priors_scalar
+from oracles.historical import characterize_historical_library_per_arc
 
 from repro.core.prior_learning import (
     TimingPrior,
@@ -119,8 +121,8 @@ class TestLearnPrior:
 
 class TestBatchedLearnPriors:
     def test_batched_matches_loop(self, historical_data):
-        batched = learn_priors(historical_data, engine="batched")
-        loop = learn_priors(historical_data, engine="loop")
+        batched = learn_priors(historical_data)
+        loop = learn_priors_scalar(historical_data)
         for response in ("delay", "slew"):
             np.testing.assert_allclose(batched[response].density.mean,
                                        loop[response].density.mean,
@@ -146,8 +148,9 @@ class TestBatchedLearnPriors:
         assert priors["delay"].method == "empirical"
 
     def test_invalid_engine(self, historical_data):
-        with pytest.raises(ValueError, match="engine"):
-            learn_priors(historical_data, engine="warp")
+        # One BP path: the retired engine switch is not accepted.
+        with pytest.raises(TypeError, match="engine"):
+            learn_priors(historical_data, engine="loop")
 
 
 class TestLearnClassPriors:
@@ -162,8 +165,9 @@ class TestLearnClassPriors:
             assert prior.density.dim == 4
 
     def test_batched_matches_loop(self, historical_data):
-        batched = learn_class_priors(historical_data, engine="batched")
-        loop = learn_class_priors(historical_data, engine="loop")
+        batched = learn_class_priors(historical_data)
+        loop = learn_class_priors_scalar(historical_data)
+        assert set(batched) == set(loop)
         for key in batched:
             np.testing.assert_allclose(batched[key].density.mean,
                                        loop[key].density.mean, rtol=1e-12)
@@ -202,8 +206,8 @@ class TestLearnClassPriors:
             learn_class_priors(historical_data, method="magic")
         with pytest.raises(ValueError):
             learn_class_priors(historical_data, prior_widening=0.0)
-        with pytest.raises(ValueError):
-            learn_class_priors(historical_data, engine="warp")
+        with pytest.raises(TypeError):
+            learn_class_priors(historical_data, engine="loop")
 
 
 class TestFusedHistoricalCharacterization:
@@ -216,22 +220,24 @@ class TestFusedHistoricalCharacterization:
 
         tech = __import__("repro").get_technology("n28_bulk")
         results = {}
-        for engine in ("batched", "fused"):
+        for name, characterize in (
+                ("per_arc", characterize_historical_library_per_arc),
+                ("fused", characterize_historical_library)):
             testbench.get_simulation_cache().clear()
             counter = SimulationCounter()
             ledger = RunLedger()
-            results[engine] = (
-                characterize_historical_library(
+            results[name] = (
+                characterize(
                     tech, [inv_cell, nor2_cell],
                     unit_conditions=reference_conditions,
                     transitions=(Transition.FALL,),
-                    counter=counter, engine=engine, ledger=ledger),
+                    counter=counter, ledger=ledger),
                 counter, ledger)
         testbench.get_simulation_cache().clear()
         return results
 
     def test_fused_matches_legacy_fits(self, fused_and_legacy):
-        legacy, _c, _l = fused_and_legacy["batched"]
+        legacy, _c, _l = fused_and_legacy["per_arc"]
         fused, _c2, _l2 = fused_and_legacy["fused"]
         for a, b in zip(legacy.arc_fits, fused.arc_fits):
             assert a.cell_name == b.cell_name and a.arc_name == b.arc_name
@@ -245,7 +251,7 @@ class TestFusedHistoricalCharacterization:
                                    legacy.delay_residuals, atol=1e-6)
 
     def test_counter_accounting_identical(self, fused_and_legacy):
-        _legacy, c_legacy, _l = fused_and_legacy["batched"]
+        _legacy, c_legacy, _l = fused_and_legacy["per_arc"]
         _fused, c_fused, _l2 = fused_and_legacy["fused"]
         assert c_fused.total == c_legacy.total
         assert c_fused.by_label() == c_legacy.by_label()
@@ -354,7 +360,8 @@ class TestFusedHistoricalCharacterization:
     def test_invalid_engine(self, reference_conditions, inv_cell):
         from repro import get_technology
 
-        with pytest.raises(ValueError, match="engine"):
+        # One historical path: the retired engine switch is not accepted.
+        with pytest.raises(TypeError, match="engine"):
             characterize_historical_library(
                 get_technology("n28_bulk"), [inv_cell],
-                unit_conditions=reference_conditions, engine="quantum")
+                unit_conditions=reference_conditions, engine="batched")

@@ -276,7 +276,7 @@ class TestCircuitBreaker:
 
 class TestSlowFaults:
     def test_induced_delay_reports_spec_delay_deterministically(self):
-        site = "library.arc_job"  # any registered site works
+        site = "executor.job"  # any registered site works
         assert induced_delay(site) == 0.0  # no injector: clean identity
         with inject([FaultSpec(site=site, kind="slow", at_calls=(1,),
                                delay_s=0.25)]) as injector:
@@ -287,7 +287,7 @@ class TestSlowFaults:
 
     def test_slow_spec_validation(self):
         with pytest.raises(ValueError):
-            FaultSpec(site="library.arc_job", kind="slow", delay_s=-0.1)
+            FaultSpec(site="executor.job", kind="slow", delay_s=-0.1)
 
 
 class TestFailureReport:
@@ -330,8 +330,10 @@ class TestFaultInjection:
         sites = fault_sites()
         for name in ("executor.process.map", "executor.job",
                      "transient.integrate", "transient.state",
-                     "batch_map.result", "library.arc_job"):
+                     "batch_map.result"):
             assert name in sites, name
+        # The per-arc library job, and its site, are gone.
+        assert "library.arc_job" not in sites
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
@@ -582,9 +584,6 @@ class TestFactorGraphResilience:
             "global", {"leaf": [good, good]}, np.stack([np.eye(2)] * 2))
         with pytest.raises(ValueError, match="on_divergence"):
             graph.run_belief_propagation(on_divergence="ignore")
-        with pytest.raises(ValueError, match="retire"):
-            graph.run_belief_propagation(engine="loop",
-                                         on_divergence="retire")
 
 
 # ---------------------------------------------------------------------------
@@ -699,36 +698,26 @@ class TestLibraryResilience:
         assert metrics.get("map_repaired_scipy", 0) \
             + metrics.get("map_repaired_prior", 0) >= 1
 
-    def test_per_arc_retry_recovers(self, delay_prior, slew_prior,
-                                    small_cells):
+    def test_tile_retry_recovers(self, delay_prior, slew_prior, small_cells):
+        """A failed simulation tile is retried at the executor."""
+        clean, _ = _run_library(delay_prior, slew_prior, small_cells)
+        clear_all_caches()
         ledger = RunLedger()
-        clear_all_caches()
-        spec = FaultSpec(site="library.arc_job", kind="exception",
-                         at_calls=(1,))
-        with inject([spec], seed=5):
+        spec = FaultSpec(site="executor.job", kind="exception", at_calls=(0,))
+        with inject([spec], seed=5) as injector:
             library = characterize_library(
                 get_technology("n28_bulk"), small_cells, delay_prior,
-                slew_prior, conditions=3, n_seeds=6, rng=11,
-                pipeline="per_arc", ledger=ledger, strict=False,
-                retry_policy=RetryPolicy(max_attempts=2))
+                slew_prior, conditions=3, n_seeds=6, rng=11, ledger=ledger,
+                strict=False, retry_policy=RetryPolicy(max_attempts=2))
+        assert [event.kind for event in injector.events] == ["exception"]
         assert library.failures == ()
-        assert len(library.entries) == 4
-        assert ledger.as_dict()["metrics"]["retries"] >= 1
-
-    def test_per_arc_failure_reported(self, delay_prior, slew_prior,
-                                      small_cells):
-        clear_all_caches()
-        spec = FaultSpec(site="library.arc_job", kind="exception",
-                         at_calls=(1,))
-        with inject([spec], seed=5):
-            library = characterize_library(
-                get_technology("n28_bulk"), small_cells, delay_prior,
-                slew_prior, conditions=3, n_seeds=6, rng=11,
-                pipeline="per_arc", strict=False)
-        assert len(library.failures) == 1
-        assert library.failures[0].stage == "characterize"
-        assert library.failures[0].error_type == "InjectedFault"
-        assert len(library.entries) == 3
+        assert len(library.entries) == len(clean.entries)
+        for lhs, rhs in zip(clean.entries, library.entries):
+            assert np.array_equal(lhs.statistical.delay_parameters,
+                                  rhs.statistical.delay_parameters)
+            assert np.array_equal(lhs.statistical.slew_parameters,
+                                  rhs.statistical.slew_parameters)
+        assert ledger.metrics()["executor_retries"] >= 1
 
 
 class TestHistoricalResilience:

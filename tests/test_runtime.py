@@ -307,13 +307,13 @@ def _square_with_ledger(value):
 class TestExecutors:
     @pytest.mark.parametrize("mode", EXECUTOR_MODES)
     def test_map_preserves_order(self, mode):
-        executor = get_executor(mode, max_workers=2, chunk_size=3)
+        executor = get_executor(mode, max_workers=2)
         assert executor.map(_square, range(10)) == [v * v for v in range(10)]
         assert executor.map(_square, []) == []
 
     @pytest.mark.parametrize("mode", EXECUTOR_MODES)
     def test_map_accounted_merges_in_payload_order(self, mode):
-        executor = get_executor(mode, max_workers=2, chunk_size=2)
+        executor = get_executor(mode, max_workers=2)
         ledger = RunLedger()
         results = executor.map_accounted(_square_with_ledger, range(5),
                                          ledger=ledger)
@@ -324,8 +324,10 @@ class TestExecutors:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             get_executor("threads")
+        # The retired chunked mode (serial semantics plus a job-chunk walk).
+        assert EXECUTOR_MODES == ("serial", "process")
         with pytest.raises(ValueError):
-            get_executor("chunked", chunk_size=0)
+            get_executor("chunked")
 
 
 class TestRunLedger:

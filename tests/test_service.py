@@ -16,10 +16,11 @@ import time
 import numpy as np
 import pytest
 
+import repro.runtime as runtime
 from repro import get_technology
 from repro.cells.library import Transition
 from repro.characterization.input_space import InputSpace
-from repro.core.library_flow import characterize_fused_jobs
+from repro.core.library_flow import characterize_fused_jobs, characterize_library
 from repro.runtime import FaultSpec, clear_all_caches, inject
 from repro.runtime.accounting import RunLedger
 from repro.runtime.executor import get_executor
@@ -150,6 +151,60 @@ class TestBasics:
         service.close()
         with pytest.raises(ServiceClosed):
             service.submit(inv_cell, arcs, conditions)
+
+
+class TestTransientEngine:
+    """A default-constructed service integrates on the configured engine."""
+
+    @pytest.fixture(scope="class")
+    def library_models(self, context, inv_cell):
+        """``characterize_library`` models per engine on the service's
+        cell, grid and process samples."""
+        technology, delay_prior, slew_prior, variation, conditions = context
+        models = {}
+        for engine in ("batched", "adaptive"):
+            clear_all_caches()
+            library = characterize_library(
+                technology, [inv_cell], delay_prior, slew_prior,
+                conditions=list(conditions), variation=variation,
+                transient_engine=engine)
+            models[engine] = {entry.arc.name: entry.statistical
+                              for entry in library.entries}
+        clear_all_caches()
+        return models
+
+    @pytest.fixture
+    def adaptive_config(self):
+        saved = runtime.runtime_config().transient_engine
+        runtime.configure(transient_engine="adaptive")
+        yield
+        runtime.configure(transient_engine=saved)
+
+    def test_default_stepper_follows_configured_engine(
+            self, context, inv_cell, library_models, adaptive_config):
+        arcs = inv_arcs(inv_cell)
+        with make_service(context) as service:
+            result = service.request(inv_cell, arcs, context[-1])
+        assert service.stepper is None  # kept exactly as passed
+        for arc in arcs:
+            got = result.characterizations[arc.name]
+            assert_same_characterization(got, library_models["adaptive"][arc.name])
+            # The engines disagree, so RK4 output would fail the check above.
+            assert not np.array_equal(
+                got.delay_parameters,
+                library_models["batched"][arc.name].delay_parameters)
+
+    def test_reconfiguring_after_construction_changes_nothing(
+            self, context, inv_cell, library_models, adaptive_config):
+        arcs = inv_arcs(inv_cell)
+        clear_all_caches()
+        service = make_service(context)
+        runtime.configure(transient_engine="batched")
+        with service:
+            result = service.request(inv_cell, arcs, context[-1])
+        for arc in arcs:
+            assert_same_characterization(result.characterizations[arc.name],
+                                         library_models["adaptive"][arc.name])
 
 
 class TestDeadlines:
