@@ -3,7 +3,8 @@
 The robustness counterpart of the cache microbenchmarks: a small library
 characterization runs once against an empty on-disk tier (cold -- every
 simulation is integrated and written through), then again in a fresh
-"process" (all memory caches cleared, disk kept).  The warm run must
+"process" (all memory caches cleared, disk kept).  That warm run is also
+how a killed run resumes: it reruns against the same store.  It must
 
 * reproduce the cold run's entries bit for bit (disk entries are pickled
   float64 arrays -- the round trip is exact),
@@ -11,10 +12,8 @@ simulation is integrated and written through), then again in a fresh
   3x: it replays transient integrations as disk reads),
 * report its reuse through the ledger's ``simulation:disk`` activity row.
 
-Two more contracts ride along: corrupted store entries (one truncated, one
-bit-flipped) are quarantined and recomputed -- same results, never a crash
--- and a checkpointed run resumes as a pure journal replay that matches the
-original entries exactly.
+One more contract rides along: corrupted store entries (one truncated, one
+bit-flipped) are quarantined and recomputed -- same results, never a crash.
 
 The record lands in ``BENCH_persist.json``.  Knobs:
 
@@ -45,7 +44,6 @@ from repro.analysis import format_cache_stats
 from repro.cells.library import StandardCellLibrary
 from repro.core.library_flow import characterize_library
 from repro.core.prior_learning import characterize_historical_library, learn_prior
-from repro.runtime.checkpoint import load_checkpoint
 
 _TEMPLATES = ("INV_X1", "NAND2_X1", "NOR2_X1", "INV_X2")
 
@@ -84,7 +82,7 @@ def test_persist_acceptance(results_dir):
     delay_prior = learn_prior(historical, response="delay")
     slew_prior = learn_prior(historical, response="slew")
 
-    def run(**kwargs):
+    def run():
         # clear_all_caches() empties every *memory* tier, so each run sees
         # exactly what a fresh process would: nothing in RAM, whatever the
         # durable tier holds on disk.
@@ -93,8 +91,7 @@ def test_persist_acceptance(results_dir):
         start = time.perf_counter()
         result = characterize_library(
             technology, library, delay_prior, slew_prior,
-            conditions=conditions, n_seeds=n_seeds, rng=17, ledger=ledger,
-            **kwargs)
+            conditions=conditions, n_seeds=n_seeds, rng=17, ledger=ledger)
         return result, ledger, time.perf_counter() - start
 
     with tempfile.TemporaryDirectory(prefix="repro_bench_persist_") as root:
@@ -137,17 +134,6 @@ def test_persist_acceptance(results_dir):
         finally:
             runtime.configure(disk_cache_dir=None)
 
-        # ------------------------------------------------------------------
-        # Checkpoint/resume: a completed journal replays bit-identically.
-        # ------------------------------------------------------------------
-        checkpoint_dir = str(Path(root) / "checkpoint")
-        checkpointed, _, checkpoint_seconds = run(checkpoint_dir=checkpoint_dir)
-        _assert_entries_equal(checkpointed, cold)
-        resumed, _, replay_seconds = run(checkpoint_dir=checkpoint_dir,
-                                         resume=True)
-        _assert_entries_equal(resumed, cold)
-        assert load_checkpoint(checkpoint_dir).completed
-
     n_arcs = len(cold.entries)
     print(f"\nPersist acceptance: {n_cells} cells / {n_arcs} arcs x "
           f"{n_seeds} seeds x {conditions} conditions")
@@ -156,7 +142,6 @@ def test_persist_acceptance(results_dir):
           f"floor {min_speedup:.1f}x)")
     print(f"corrupted rerun: {repaired_seconds:.3f} s "
           f"({quarantined} entr{'y' if quarantined == 1 else 'ies'} quarantined)")
-    print(f"journal replay : {replay_seconds:.3f} s")
     print("\n" + format_cache_stats({"simulation": sim_stats},
                                     title="Warm-run cache tiers"))
 
@@ -176,7 +161,5 @@ def test_persist_acceptance(results_dir):
         "disk_bytes": int(sim_stats.disk_bytes),
         "corrupted_rerun_seconds": round(repaired_seconds, 4),
         "quarantined_entries": int(quarantined),
-        "checkpoint_seconds": round(checkpoint_seconds, 4),
-        "replay_seconds": round(replay_seconds, 4),
     }
     write_json_result(results_dir / "BENCH_persist.json", payload)

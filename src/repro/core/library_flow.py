@@ -37,6 +37,14 @@ solve (:func:`repro.core.batch_map.map_estimate_stacked`).  Its results,
 counter charges and ledger run counts are those of characterizing each arc
 on its own with :class:`~repro.core.statistical_flow.StatisticalCharacterizer`.
 
+A killed run resumes by running again.  With the durable cache tier
+attached (``runtime.configure(disk_cache_dir=...)``), every finished
+simulation tile is already on disk; the rerun reads those rows back as disk
+hits, integrates the rest and repeats the stacked solve.  Cache keys cover
+the cell, technology, arc, seed batch, operating point and stepper, so
+changed inputs simply miss, and the solve is block-independent per arc, so
+the rerun is bit-identical to an uninterrupted run.
+
 The resulting :class:`LibraryCharacterization` feeds the downstream
 consumers directly: :meth:`LibraryCharacterization.liberty_writer` emits a
 Liberty library with NLDM mean tables plus LVF-style sigma tables, and
@@ -72,12 +80,10 @@ from repro.liberty.tables import NldmTable
 from repro.liberty.writer import CellTimingData, LibertyWriter, TimingTableSet
 from repro.runtime import resolve_transient_engine
 from repro.runtime.accounting import RunLedger
-from repro.runtime.checkpoint import Checkpointer
 from repro.runtime.executor import EXECUTOR_MODES, get_executor
-from repro.runtime.persist import stable_key_digest
 from repro.runtime.resilience import FailureReport, RetryPolicy, resolve_strict
 from repro.spice.stepper import StepperSpec, resolve_stepper
-from repro.spice.testbench import SimulationCounter, get_simulation_cache
+from repro.spice.testbench import SimulationCounter
 from repro.technology.node import TechnologyNode
 from repro.technology.variation import VariationSample
 from repro.utils.rng import RandomState, ensure_rng
@@ -311,7 +317,6 @@ def characterize_fused_jobs(
     ledger: RunLedger,
     max_bytes: Optional[int],
     strict: bool = True,
-    checkpointer: Optional[Checkpointer] = None,
     stepper: Optional[StepperSpec] = None,
 ) -> "Tuple[List[Optional[StatisticalCharacterization]], List[FailureReport]]":
     """The fused library pipeline: plan -> one tiled pass -> stacked solve.
@@ -335,12 +340,6 @@ def characterize_fused_jobs(
     run), arcs with no surviving conditions come back as ``None``, and every
     degradation is described by a :class:`FailureReport` in the second
     return value.
-
-    ``checkpointer`` commits each completed simulation chunk's rows to the
-    durable store *as it finishes* (crash window: one chunk).  The stacked
-    MAP solve is block-independent per arc -- each arc's block enters and
-    leaves the solve untouched by its peers -- which is what makes a resumed
-    run over any job subset bit-identical to the uninterrupted run.
     """
     n_seeds = variation.n_seeds
     failures: List[FailureReport] = []
@@ -371,21 +370,9 @@ def characterize_fused_jobs(
     # independent, so any tiling reproduces the one-pass results).
     # ------------------------------------------------------------------
     if plan.needs_simulation:
-        # Worker-side cache activity (reductions, any in-worker cache use)
-        # arrives in the per-job ledgers merged by map_accounted; only the
-        # parent-side scatter (its cache *puts*) is snapshotted here, so
-        # serial execution does not double-count the workers' windows.
-        on_chunk = None
-        if checkpointer is not None:
-            def on_chunk(payload_index, result):
-                written = plan.commit_chunk(payload_index, result,
-                                            checkpointer.row_sink)
-                checkpointer.journal_rows(written)
         with ledger.stage("fused:simulate"):
-            plan.simulate(executor, ledger, max_bytes=max_bytes,
-                          on_chunk=on_chunk)
-        with ledger.caches():
-            plan.finalize()
+            plan.simulate(executor, ledger, max_bytes=max_bytes)
+        plan.finalize()
 
     # ------------------------------------------------------------------
     # Account: each arc requires k * n_seeds runs whether its rows were
@@ -550,155 +537,6 @@ def characterize_fused_jobs(
     return characterizations, failures
 
 
-def _checkpoint_signature(
-    technology: TechnologyNode,
-    library_name: str,
-    jobs: List[Tuple[Cell, TimingArc]],
-    job_conditions: List[List[InputCondition]],
-    variation: VariationSample,
-    delay_prior: TimingPrior,
-    slew_prior: TimingPrior,
-    solver: str,
-    stepper: StepperSpec,
-) -> str:
-    """Stable digest of every input that shapes a library run's results.
-
-    Two runs with the same signature produce bit-identical entries, so a
-    checkpoint written under this signature can be resumed safely; anything
-    that would change the numbers -- technology or variation content, the
-    job list, any fitting condition, either prior, the solver, the
-    transient stepper (scheme, step count or tolerances) -- changes the
-    digest.  A resume under a different integration engine or tolerance
-    therefore raises :class:`~repro.runtime.checkpoint.CheckpointMismatch`
-    instead of silently mixing results of different numerical schemes.
-    """
-    return stable_key_digest((
-        "characterize_library",
-        technology.name,
-        technology.fingerprint(),
-        library_name,
-        tuple((cell.name, arc.name) for cell, arc in jobs),
-        tuple(tuple(condition.as_tuple() for condition in conditions)
-              for conditions in job_conditions),
-        variation.fingerprint(),
-        int(variation.n_seeds),
-        delay_prior.fingerprint(),
-        slew_prior.fingerprint(),
-        solver,
-        stepper.signature(),
-    ))
-
-
-def _solved_payload(result: StatisticalCharacterization) -> dict:
-    """The picklable solved-model record persisted per characterized arc.
-
-    Everything that cannot be recomputed deterministically from the run
-    inputs: the extracted parameters, convergence flags, the (possibly
-    degraded) fitting conditions and the run accounting.  The equivalent
-    inverter is deliberately absent -- it is a pure function of (cell,
-    technology, variation) and is rebuilt on load.
-    """
-    return {
-        "delay_parameters": np.asarray(result.delay_parameters, dtype=float),
-        "slew_parameters": np.asarray(result.slew_parameters, dtype=float),
-        "delay_converged": result.delay_converged,
-        "slew_converged": result.slew_converged,
-        "conditions": tuple(condition.as_tuple()
-                            for condition in result.fitting_conditions),
-        "simulation_runs": int(result.simulation_runs),
-        "solver": result.solver,
-    }
-
-
-def _restore_solved(payload: dict, cell: Cell, arc: TimingArc,
-                    technology: TechnologyNode,
-                    variation: VariationSample
-                    ) -> StatisticalCharacterization:
-    """Rebuild one arc's characterization from its persisted solved model."""
-    inverter = reduce_cell_cached(cell, technology, arc=arc,
-                                  variation=variation)
-    conditions = tuple(InputCondition(sin=sin, cload=cload, vdd=vdd)
-                       for sin, cload, vdd in payload["conditions"])
-    return StatisticalCharacterization(
-        cell_name=cell.name,
-        arc_name=arc.name,
-        delay_parameters=np.asarray(payload["delay_parameters"], dtype=float),
-        slew_parameters=np.asarray(payload["slew_parameters"], dtype=float),
-        inverter=inverter,
-        fitting_conditions=conditions,
-        simulation_runs=int(payload["simulation_runs"]),
-        solver=str(payload["solver"]),
-        delay_converged=payload.get("delay_converged"),
-        slew_converged=payload.get("slew_converged"),
-    )
-
-
-def _characterize_fused_checkpointed(
-    technology: TechnologyNode,
-    jobs: List[Tuple[Cell, TimingArc]],
-    job_conditions: List[List[InputCondition]],
-    delay_prior: TimingPrior,
-    slew_prior: TimingPrior,
-    variation: VariationSample,
-    solver: str,
-    executor,
-    ledger: RunLedger,
-    max_bytes: Optional[int],
-    strict: bool,
-    checkpointer: Checkpointer,
-    preloaded: Dict[int, StatisticalCharacterization],
-    stepper: Optional[StepperSpec] = None,
-) -> "Tuple[List[Optional[StatisticalCharacterization]], List[FailureReport]]":
-    """Run :func:`characterize_fused_jobs` under a checkpoint.
-
-    Jobs with a journaled solve are replayed from the solved-model store;
-    the rest run through the normal fused pipeline with the checkpoint's
-    simulation store attached as the simulation cache's durable tier (rows
-    the killed run committed are disk hits during planning; completed
-    chunks commit as they finish).  The stacked solve is block-independent
-    per arc, so the recomputed subset is bit-identical to its blocks in an
-    uninterrupted run.
-    """
-    cache = get_simulation_cache()
-    previous_store = cache.disk_store
-    cache.attach_disk_store(checkpointer.sim_store)
-    try:
-        remaining = [job for job in range(len(jobs)) if job not in preloaded]
-        sub_results, failures = characterize_fused_jobs(
-            technology,
-            [jobs[job] for job in remaining],
-            [job_conditions[job] for job in remaining],
-            delay_prior, slew_prior, variation, solver, executor, ledger,
-            max_bytes, strict=strict, checkpointer=checkpointer,
-            stepper=stepper)
-        for job, result in zip(remaining, sub_results):
-            if result is not None:
-                cell, arc = jobs[job]
-                checkpointer.commit_solve(job, f"{cell.name}:{arc.name}",
-                                          _solved_payload(result))
-        for report in failures:
-            checkpointer.record_failure(report)
-        checkpointer.mark_complete()
-        results: List[Optional[StatisticalCharacterization]] = []
-        computed = iter(sub_results)
-        for job, (cell, arc) in enumerate(jobs):
-            if job in preloaded:
-                # Replayed arcs still account their simulations, so the
-                # resumed ledger carries the same per-cell run labels.
-                ledger.add_simulations(
-                    len(job_conditions[job]) * variation.n_seeds,
-                    label=f"proposed_statistical:{cell.name}")
-                results.append(preloaded[job])
-            else:
-                results.append(next(computed))
-        return results, failures
-    finally:
-        if previous_store is not None:
-            cache.attach_disk_store(previous_store)
-        else:
-            cache.detach_disk_store()
-
-
 def characterize_library(
     technology: TechnologyNode,
     library: Union[StandardCellLibrary, Sequence[Cell]],
@@ -718,8 +556,6 @@ def characterize_library(
     max_bytes: Optional[int] = None,
     strict: Optional[bool] = None,
     retry_policy: Optional[RetryPolicy] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
     transient_engine: Optional[str] = None,
 ) -> LibraryCharacterization:
     """Statistically characterize every requested arc of a cell library.
@@ -787,28 +623,13 @@ def characterize_library(
         Optional :class:`~repro.runtime.resilience.RetryPolicy` re-running
         a failed simulation tile at the executor before it counts as
         broken; ``None`` disables retries.
-    checkpoint_dir:
-        Optional checkpoint directory.  The run journals completed work
-        units there and commits simulated rows and solved models to
-        crash-safe on-disk stores (:mod:`repro.runtime.checkpoint`), so a
-        killed run can be resumed.
-    resume:
-        With ``checkpoint_dir``: replay the directory's journal -- arcs
-        solved by the previous (killed) run load from the solved-model
-        store, committed simulation rows are disk hits, and only the
-        missing rows are re-integrated.  The resumed result is
-        bit-identical to an uninterrupted run; failures persisted by the
-        previous run are merged into the result's ``failures``.  Resuming
-        against a checkpoint whose run signature differs (any input
-        changed) raises
-        :class:`~repro.runtime.checkpoint.CheckpointMismatch`.
     transient_engine:
         Transient integration engine of the simulate phase: ``"batched"``
         (fixed-step lockstep RK4) or ``"adaptive"`` (error-controlled RK45;
         typically 3x+ fewer RHS evaluations at equal accuracy).  ``None``
         defers to ``runtime.configure(transient_engine=...)`` /
         ``REPRO_TRANSIENT_ENGINE``.  The engine's stepper signature is part
-        of every simulation-cache key and of the checkpoint run signature.
+        of every simulation-cache key.
 
     Raises
     ------
@@ -850,40 +671,13 @@ def characterize_library(
     run_ledger = ledger if ledger is not None else RunLedger()
     stepper = resolve_stepper(resolve_transient_engine(transient_engine))
 
-    checkpointer: Optional[Checkpointer] = None
-    preloaded: Dict[int, StatisticalCharacterization] = {}
-    prior_failures: List[FailureReport] = []
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume=True requires checkpoint_dir")
-    if checkpoint_dir is not None:
-        signature = _checkpoint_signature(
-            technology, library_name, jobs, job_conditions, variation,
-            delay_prior, slew_prior, solver, stepper)
-        checkpointer = Checkpointer(checkpoint_dir, signature, resume=resume)
-        if resume:
-            prior_failures = checkpointer.failures()
-            for job in checkpointer.solved_jobs():
-                if not 0 <= job < len(jobs):
-                    continue
-                payload = checkpointer.load_solved(job)
-                if payload is None:
-                    continue  # entry lost or quarantined: recompute the arc
-                cell, arc = jobs[job]
-                preloaded[job] = _restore_solved(payload, cell, arc,
-                                                 technology, variation)
     executor = get_executor(concurrency, max_workers=max_workers,
                             retry_policy=retry_policy)
     with run_ledger.stage("characterize_library"):
-        if checkpointer is not None:
-            results, failures = _characterize_fused_checkpointed(
-                technology, jobs, job_conditions, delay_prior, slew_prior,
-                variation, solver, executor, run_ledger, max_bytes,
-                strict_mode, checkpointer, preloaded, stepper=stepper)
-        else:
-            results, failures = characterize_fused_jobs(
-                technology, jobs, job_conditions, delay_prior, slew_prior,
-                variation, solver, executor, run_ledger, max_bytes,
-                strict=strict_mode, stepper=stepper)
+        results, failures = characterize_fused_jobs(
+            technology, jobs, job_conditions, delay_prior, slew_prior,
+            variation, solver, executor, run_ledger, max_bytes,
+            strict=strict_mode, stepper=stepper)
 
     entries: List[LibraryArcCharacterization] = []
     total_runs = 0
@@ -910,13 +704,6 @@ def characterize_library(
         # defensive backstop, not a reachable path.
         raise RuntimeError(f"strict run recorded failures: "
                            f"{[f.describe() for f in failures]}")
-    if prior_failures:
-        # Failures persisted by the killed run surface on the resumed
-        # result (and its ledger) but are exempt from this run's strict
-        # check: they are history, and their recompute already happened.
-        for report in prior_failures:
-            run_ledger.add_failure(report)
-        failures = prior_failures + failures
     if not entries:
         raise RuntimeError(
             "no arcs survived characterization; failures: "

@@ -174,8 +174,8 @@ class TimingPrior:
         """Stable SHA-256 digest of everything that shapes this prior.
 
         Two priors with the same fingerprint produce bit-identical MAP
-        solves; the digest goes into durable cache keys and the
-        checkpoint run signature, so it must be identical across processes
+        solves; the digest goes into content-addressed keys (the service's
+        single-flight digests), so it must be identical across processes
         (no ``hash()``/``repr`` anywhere -- see
         :func:`repro.runtime.persist.stable_key_digest`).
         """
@@ -260,8 +260,7 @@ def _characterize_fused_historical(
         executor = get_executor("serial", retry_policy=retry_policy)
         with ledger.stage("priors:simulate"):
             plan.simulate(executor, ledger, max_bytes=max_bytes)
-        with ledger.caches():
-            plan.finalize()
+        plan.finalize()
 
     for cell, _arc in arcs:
         counter.add(len(conditions),

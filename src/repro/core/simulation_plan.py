@@ -38,9 +38,12 @@ historical characterization):
    :meth:`SimulationPlan.record_metrics`;
 2. :meth:`SimulationPlan.simulate` -- the row table split into tiles, one
    :func:`simulate_rows_job` per tile through ``executor.map_accounted``
-   (process-safe);
+   (process-safe); each tile's clean rows go into the simulation cache as
+   that tile finishes, so with the durable tier attached
+   (``runtime.configure(disk_cache_dir=...)``) a killed run loses at most
+   the tile in flight and a rerun picks up every finished one as disk hits;
 3. :meth:`SimulationPlan.finalize` -- scatter tile results to every
-   ``(job, condition)`` row and fill the simulation cache.
+   ``(job, condition)`` row.
 
 After ``finalize``, ``plan.job_delays[job][cond]`` / ``job_slews`` hold one
 ``(n_seeds,)`` array per row (cached rows are filled during planning).
@@ -238,8 +241,7 @@ class SimulationPlan:
     # Phase 2: one tiled pass over the row table
     # ------------------------------------------------------------------
     def simulate(self, executor, ledger: RunLedger,
-                 max_bytes: Optional[int] = None,
-                 on_chunk=None) -> None:
+                 max_bytes: Optional[int] = None) -> None:
         """Integrate the whole row table, tiled on the flat row axis.
 
         Tiles honor the memory budget (``max_bytes``, else the configured
@@ -248,11 +250,11 @@ class SimulationPlan:
         reproduces the one-pass results.  Worker-side activity arrives in
         the per-tile ledgers merged by ``map_accounted``.
 
-        ``on_chunk(payload_index, result)``, when given, fires as each
-        tile's result becomes available -- pair it with
-        :meth:`commit_chunk` to persist completed rows mid-run (the
-        checkpoint layer's crash-safety window is one tile, not the whole
-        simulate phase).
+        As each tile finishes, its clean rows go into the simulation cache
+        (which writes them through to its durable tier, if one is
+        attached) under every condition key they serve; the puts' cache
+        activity lands on ``ledger``.  Quarantined rows are never cached:
+        a rerun must re-simulate them, not replay the failure.
         """
         budget = resolve_max_bytes(max_bytes)
         if budget is None:
@@ -271,9 +273,18 @@ class SimulationPlan:
                 [self._reductions[signature] for signature, _, _ in rows],
                 np.array([triple for _, triple, _ in rows], dtype=float),
                 self.stepper, self.integrate_stage, self.on_failure))
+
+        def fill(index: int, result) -> None:
+            with ledger.caches():
+                for delay_row, slew_row, quarantined, targets in (
+                        self._tile_rows(self._tiles[index], result)):
+                    if quarantined:
+                        continue
+                    for _job, _cond, key in targets:
+                        self._cache.put(key, delay_row, slew_row)
+
         self._results = executor.map_accounted(simulate_rows_job, payloads,
-                                               ledger=ledger,
-                                               on_result=on_chunk)
+                                               ledger=ledger, on_result=fill)
 
     def _tile_rows(self, tile: slice, result):
         """``(delay_row, slew_row, quarantined, targets)`` per tile row."""
@@ -285,53 +296,22 @@ class SimulationPlan:
                    quarantined is not None and bool(quarantined[offset]),
                    targets)
 
-    def commit_chunk(self, payload_index: int, result, sink) -> int:
-        """Write one completed tile's clean rows through ``sink``.
-
-        ``result`` is the tile's bare map result (``(delay, slew,
-        quarantined)``); ``sink(key, delay_row, slew_row)`` receives every
-        non-quarantined row under its simulation-cache condition key --
-        footprint twins sharing a table row each get their own key, exactly
-        the entries :meth:`finalize` would put in the cache at the end of
-        the phase.  Returns the number of rows written.  Quarantined rows
-        are deliberately skipped: a resumed run must re-simulate them, not
-        replay the failure.
-        """
-        written = 0
-        for delay_row, slew_row, quarantined, targets in self._tile_rows(
-                self._tiles[payload_index], result):
-            if quarantined:
-                continue
-            for _job, _cond, key in targets:
-                sink(key, delay_row, slew_row)
-                written += 1
-        return written
-
     # ------------------------------------------------------------------
-    # Phase 3: scatter + cache fill
+    # Phase 3: scatter
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        """Scatter tile results to every row and fill the simulation cache.
-
-        Call inside ``ledger.caches()`` so the cache *puts* are attributed
-        to the parent (worker windows are merged separately and must not be
-        double-counted).
-        """
+        """Scatter tile results to every ``(job, condition)`` row."""
         if self._results is None:
             raise RuntimeError("finalize() requires a prior simulate() call")
         for tile, result in zip(self._tiles, self._results):
             for delay_row, slew_row, quarantined, targets in self._tile_rows(
                     tile, result):
-                for job, cond, key in targets:
+                for job, cond, _key in targets:
                     self.job_delays[job][cond] = delay_row
                     self.job_slews[job][cond] = slew_row
                     if quarantined:
                         # A quarantined row is a failed measurement: record
-                        # it against every job that shares the row and keep
-                        # it out of the simulation cache (a retry must
-                        # re-simulate, not replay the failure).
+                        # it against every job that shares the row.
                         self.quarantined_rows.setdefault(job, []).append(cond)
-                        continue
-                    self._cache.put(key, delay_row, slew_row)
         for conds in self.quarantined_rows.values():
             conds.sort()

@@ -16,9 +16,9 @@ extraction, timing graph):
   at named sites (worker crashes, NaN payloads, exceptions, timeouts,
   torn writes, bit flips, full disks, stale locks);
 * :mod:`repro.runtime.persist` -- the crash-safe on-disk
-  :class:`~repro.runtime.persist.DiskStore` behind the durable caches;
-* :mod:`repro.runtime.checkpoint` -- journaled checkpoint/resume of the
-  fused library characterization.
+  :class:`~repro.runtime.persist.DiskStore` behind the durable caches, and
+  with it the one way to resume a killed run: run it again against the same
+  ``disk_cache_dir``.
 
 Process-wide knobs live in :func:`configure`::
 
@@ -76,11 +76,6 @@ from repro.runtime.faultinject import (
     register_fault_site,
 )
 from repro.runtime.persist import DiskStore, DiskStoreStats, stable_key_digest
-from repro.runtime.checkpoint import (
-    CheckpointMismatch,
-    Checkpointer,
-    load_checkpoint,
-)
 from repro.runtime.resilience import (
     CircuitBreaker,
     DeadlineExceeded,
@@ -327,8 +322,6 @@ _bootstrap_from_env()
 
 __all__ = [
     "CacheStats",
-    "CheckpointMismatch",
-    "Checkpointer",
     "CircuitBreaker",
     "DeadlineExceeded",
     "DiskStore",
@@ -356,7 +349,6 @@ __all__ = [
     "get_executor",
     "get_registered_cache",
     "inject",
-    "load_checkpoint",
     "plan_chunks",
     "register_cache",
     "register_fault_site",

@@ -113,11 +113,10 @@ class SerialExecutor:
             on_result: Optional[Callable] = None) -> List:
         """Apply ``fn`` to every payload, returning results in order.
 
-        ``on_result(index, result)``, when given, is invoked as each
-        payload's result becomes available (in payload order for the
-        in-process executors; in collection order for the process pool) --
-        the hook the checkpoint layer uses to commit completed work units
-        *during* a long map instead of after it.
+        ``on_result(index, result)``, when given, is invoked in payload
+        order as each payload's result becomes available -- the hook the
+        simulation plan uses to cache each finished tile's rows *during* a
+        long map instead of after it.
         """
         self._reset_counters()
         results: List = []

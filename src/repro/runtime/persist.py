@@ -3,11 +3,13 @@
 PR 7 made a *live* characterization run resilient (retries, quarantine,
 graceful degradation); this module makes the *data* resilient.  Every
 in-memory :class:`~repro.runtime.cache.LruCache` is process-local, so a
-killed run loses all of its simulations and solved models.  The
+killed run loses everything it kept only in memory.  The
 :class:`DiskStore` is the second tier underneath the durable caches: a
 content-addressed directory of checksummed entries that survives process
 death, torn writes and bit-rot, so a rerun -- minutes or days later --
-warm-starts from everything the previous run committed.
+warm-starts from everything the previous run committed.  That rerun is
+also how a killed run resumes: the library flow writes each simulation
+tile through as it finishes.
 
 Durability contract (each property is exercised by the fault-injection
 harness, see :mod:`repro.runtime.faultinject`):

@@ -16,9 +16,10 @@ Four disciplines, one per failure mode of a naive serving loop:
   its numbers (technology and variation fingerprints, both priors, the
   solver, the transient stepper signature, the conditions).  Within a
   batch, N requests for the same key become ONE fused-pipeline job whose
-  solved model is delivered to all of them; across batches, solved models
-  land in a service-level LRU so repeat requests never re-enter the
-  pipeline.  Below the job level the fused plan dedups further: physically
+  solved model is delivered to all of them; across batches, clean solved
+  models land in a service-level LRU so repeat requests never re-enter the
+  pipeline (a degraded one is delivered with its failure reports and never
+  cached).  Below the job level the fused plan dedups further: physically
   identical rows of *different* jobs (footprint twins on shared operating
   points) integrate exactly once (see
   :meth:`~repro.core.simulation_plan.SimulationPlan.shared_row_counts`).
@@ -638,23 +639,30 @@ class CharacterizationService:
                 jobs.append((request.cell, arc))
                 job_conditions.append(list(request.conditions))
 
-        failures: List[FailureReport] = []
+        # Failure reports per job digest.  A report names only its
+        # cell:arc, and one batch can hold that arc under different
+        # conditions, so it applies to every job of its unit.  A degraded
+        # model (a fit on surviving conditions, a repaired solve) is
+        # delivered with its reports but never cached as if it were clean.
+        reports_of_key: Dict[str, List[FailureReport]] = {}
         if jobs:
             ledger = RunLedger()
             results, failures = self._characterize(jobs, job_conditions,
                                                    ledger)
             for key, job in job_of_key.items():
+                cell, arc = jobs[job]
+                reports = [report for report in failures
+                           if report.unit == f"{cell.name}:{arc.name}"]
+                if reports:
+                    reports_of_key[key] = reports
                 result = results[job]
                 if result is not None:
                     solved_of_key[key] = result
-                    self._solved.put(key, result)
+                    if not reports:
+                        self._solved.put(key, result)
             self._after_batch(ledger)
         else:
             ledger = None
-
-        failures_by_unit: Dict[str, List[FailureReport]] = {}
-        for report in failures:
-            failures_by_unit.setdefault(report.unit, []).append(report)
 
         # Delivery, with the second deadline check of the contract: the
         # batch may have outlived a request's patience, but its solved
@@ -683,13 +691,12 @@ class CharacterizationService:
                 request_failures: List[FailureReport] = []
                 for arc, key in zip(request.arcs, request.keys):
                     served[arc.name] = solved_of_key.get(key)
-                    if served[arc.name] is None:
-                        unit = f"{request.cell.name}:{arc.name}"
-                        request_failures.extend(failures_by_unit.get(unit, []))
+                    request_failures.extend(reports_of_key.get(key, ()))
                 request.ticket._complete(ServiceResult(
                     characterizations=served,
                     coalesced=request.served_by_peer,
-                    degraded=any(value is None for value in served.values()),
+                    degraded=(bool(request_failures) or any(
+                        value is None for value in served.values())),
                     failures=tuple(request_failures),
                     wall_s=now - request.enqueued_at))
 

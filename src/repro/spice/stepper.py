@@ -4,10 +4,9 @@ A :class:`StepperSpec` pins down *everything* that shapes an engine's
 numerical results -- the scheme (fixed-step RK4 or embedded Dormand-Prince
 RK45), the fixed step count, the error tolerances and the step-size
 controller constants.  Its :meth:`~StepperSpec.signature` tuple is the
-engine part of every :class:`~repro.spice.testbench.SimulationCache` key
-and of the library checkpoint signature, so results produced by different
-schemes (or the same scheme at different tolerances) can never collide in
-a cache or be mixed across a checkpoint resume.
+engine part of every :class:`~repro.spice.testbench.SimulationCache` key,
+so results produced by different schemes (or the same scheme at different
+tolerances) can never collide in a cache, in memory or on disk.
 
 :class:`IntegrationStats` is the engines' common accounting record
 (steps taken / steps rejected / scalar RHS evaluations); both the fixed
@@ -100,7 +99,7 @@ class StepperSpec:
         return cls(method="rk4", n_steps=int(n_steps))
 
     def signature(self) -> tuple:
-        """The cache/checkpoint key tuple of this scheme.
+        """The cache key tuple of this scheme.
 
         Fixed-step results depend only on the step count; adaptive results
         depend on the tolerances and every controller constant but *not*

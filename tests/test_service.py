@@ -207,6 +207,42 @@ class TestTransientEngine:
                                          library_models["adaptive"][arc.name])
 
 
+class TestDegradedArcs:
+    def test_degraded_arc_is_reported_and_never_cached(self, context,
+                                                       inv_cell):
+        arcs = inv_arcs(inv_cell)
+        fall, rise = (arc.name for arc in arcs)
+        conditions = context[-1]
+        expected = solo_reference(context, inv_cell, arcs)
+        # One NaN row in the first integration: the fall arc fits on the
+        # one condition that survives, the rise arc is clean.
+        spec = FaultSpec(site="transient.state", kind="nan", at_calls=(0,),
+                         rows=(1,))
+        with make_service(context) as service:
+            with inject([spec], seed=3):
+                first = service.request(inv_cell, arcs, conditions)
+            misses = service.stats().solved_misses
+            repeat = service.request(inv_cell, arcs, conditions)
+            repeat_misses = service.stats().solved_misses - misses
+
+        assert first.degraded
+        assert [(report.unit, report.error_type)
+                for report in first.failures] == [
+            (f"{inv_cell.name}:{fall}", "QuarantinedRows")]
+        assert len(first.characterizations[fall].fitting_conditions) == 1
+
+        # The degraded fall model never entered the solved-model cache: the
+        # repeat recomputes it (one miss) while the clean rise model is the
+        # cached one.
+        assert not repeat.degraded and repeat.failures == ()
+        assert repeat_misses == 1
+        assert repeat.characterizations[fall] is not first.characterizations[fall]
+        assert repeat.characterizations[rise] is first.characterizations[rise]
+        for arc in arcs:
+            assert_same_characterization(repeat.characterizations[arc.name],
+                                         expected[arc.name])
+
+
 class TestDeadlines:
     def test_expired_in_queue_fails_fast(self, context, inv_cell):
         arcs = inv_arcs(inv_cell)
