@@ -22,9 +22,14 @@ This module applies the same treatment the transient engine received:
   formulation the scalar estimator uses, so the two paths optimize literally
   the same objective.
 * **Per-seed Levenberg-Marquardt damping.**  Every seed carries its own
-  damping factor, updated from its own step acceptance, and all ``(4, 4)``
-  normal-equation systems of an iteration are factorized in a single batched
-  ``np.linalg.solve``.
+  damping factor, updated from its own step acceptance.
+* **Closed-form 4x4 Cholesky.**  An iteration forms only the ten unique
+  entries of every seed's damped normal matrix and factors them with
+  elementwise operations on ``(n_seeds,)`` vectors; a non-positive or
+  non-finite pivot rejects that seed's step (its damping grows) instead of
+  producing NaN.  Every per-seed quantity keeps the seed axis last and sums
+  in a fixed order, so no reduction or BLAS kernel depends on how many seeds
+  share an iteration.
 * **Projected bounds.**  Candidate steps are clipped to the model's parameter
   box; first-order optimality is checked on the *projected* gradient so seeds
   resting on a bound still retire.
@@ -32,10 +37,10 @@ This module applies the same treatment the transient engine received:
   (mirroring the batched transient engine's condition retirement), so a few
   slow seeds do not keep the whole ensemble iterating.
 
-The result is ~10 vectorized LM iterations for a full seed batch instead of
-hundreds of scipy solves; the parity suite pins the extracted parameters to
-the scipy path at tight tolerance, and ``benchmarks/test_perf_map.py`` tracks
-the speedup in ``BENCH_map.json``.
+The result is ~10-40 vectorized LM iterations for a full seed batch instead
+of hundreds of scipy solves; the parity suite pins the extracted parameters
+to the scipy path at tight tolerance, and ``benchmarks/test_perf_map.py``
+tracks the speedup in ``BENCH_map.json``.
 
 Beyond the single-arc batch, :func:`map_estimate_stacked` stacks *many* arcs'
 seed batches into one solve: every ``(arc, seed)`` pair becomes a row of one
@@ -43,10 +48,10 @@ seed batches into one solve: every ``(arc, seed)`` pair becomes a row of one
 own arc's fitting conditions, precision weights and (optionally) its own
 prior.  Rows never interact (the per-row damping, retirement and 4x4 normal
 solves are exactly the single-arc ones), so the stacked solve reproduces the
-per-arc solves bit-for-bit while paying the interpreted per-iteration
-overhead once for the whole library instead of once per arc.  This is the
-extraction half of the fused library pipeline
-(:func:`repro.core.library_flow.characterize_library`).
+per-arc solves bit-for-bit, in any block order and memory-budget chunking,
+while paying the interpreted per-iteration overhead once for the whole
+library instead of once per arc.  This is the extraction half of the fused
+library pipeline (:func:`repro.core.library_flow.characterize_library`).
 """
 
 from __future__ import annotations
@@ -323,9 +328,9 @@ def map_estimate_stacked(
     priors:
         One prior shared by every block, or a sequence with one prior per
         block.  When every block resolves to the same Gaussian density the
-        solver keeps the shared-whitener fast path of the single-arc solve
-        (and reproduces it bit-for-bit); heterogeneous priors switch the
-        prior term to per-row matrices.
+        solver keeps one shared whitener; heterogeneous priors switch the
+        prior term to per-row matrices, which run the same arithmetic.
+        Either way each block's result is bit-for-bit its solo solve.
     observations:
         One :class:`BatchMapObservations` per block.  All blocks must share
         the observation count ``k`` (they stack on a common condition axis);
@@ -507,53 +512,58 @@ def _split_stacked(result: "BatchMapResult", block_sizes: Sequence[int],
     return results
 
 
+#: Packed upper triangle of a symmetric 4x4 matrix, row by row: entry
+#: ``(i, j >= i)`` of every normal matrix is ``packed[_ROW_START[i] + j - i]``
+#: (:func:`numpy.triu_indices` order), so each row's entries are contiguous.
+_UPPER = np.triu_indices(N_PARAMETERS)
+_ROW_START = (0, 4, 7, 9, 10)
+_DIAGONAL = np.array(_ROW_START[:-1])
+
+
 class _PriorTerm:
     """The Gaussian prior contribution, shared across rows or per-row.
 
-    The single-arc solve shares one ``(4,)`` mean and one ``(4, 4)``
-    whitener across every seed; the stacked multi-arc solve may carry one
-    prior per arc, expanded here to per-row matrices.  Every per-row
-    expression uses ``einsum`` rather than ``@``: BLAS matmul picks a
-    different kernel for one-row operands (gemv vs gemm), whose last-ulp
-    rounding differs, so matmul results would depend on how many seeds are
-    still active -- breaking the bit-identity of memory-budgeted chunked
-    solves whenever an accept/converge test sits on a rounding knife-edge.
-    ``einsum`` computes each output row identically for any batch size.
+    Stored in the solver's row-last layout: the mean is ``(4, n)`` and the
+    whitener ``W`` and its normal matrix ``W^T W`` are ``(4, 4, n)``, with
+    ``n = 1`` when every row shares one prior.  That row axis broadcasts,
+    so shared and per-row priors run the same elementwise arithmetic and a
+    block stacked under per-block priors gets exactly its solo result.
+    ``W^T W`` is formed once per density (row subsets gather it rather than
+    recomputing it).  The prior-free term has no whitener: its residual,
+    gradient and normal contributions vanish and only the LM damping
+    regularizes the normal equations.
     """
 
-    def __init__(self, mu0: np.ndarray, whitener: np.ndarray,
+    def __init__(self, mu0: np.ndarray, whitener: Optional[np.ndarray],
                  normal: Optional[np.ndarray] = None):
         self.mu0 = mu0
         self.whitener = whitener
-        self.shared = mu0.ndim == 1
-        # W^T W of the normal equations, precomputed once per solve (row
-        # subsets slice it rather than recomputing the einsum).
-        if normal is not None:
-            self._normal = normal
-        elif self.shared:
-            self._normal = whitener.T @ whitener
-        else:
-            self._normal = np.einsum("mki,mkj->mij", whitener, whitener)
+        self.shared = mu0.shape[1] == 1
+        if normal is None and whitener is not None:
+            # Row l of W contributes its outer product; rows summed in order.
+            normal = whitener[0][:, np.newaxis] * whitener[0][np.newaxis, :]
+            for row in whitener[1:]:
+                normal = normal + row[:, np.newaxis] * row[np.newaxis, :]
+        self.normal = normal
+        self.packed = None if normal is None else normal[_UPPER]
 
     @classmethod
     def from_density(cls, density: GaussianDensity,
                      prior_weight: float) -> "_PriorTerm":
         whitener = density.scaled_covariance(
             1.0 / prior_weight).whitening_matrix(jitter=1e-12)
-        return cls(np.asarray(density.mean, dtype=float), whitener)
+        return cls(np.asarray(density.mean, dtype=float)[:, np.newaxis],
+                   whitener[:, :, np.newaxis])
 
     @classmethod
     def free(cls, start: np.ndarray) -> "_PriorTerm":
         """A zero-information prior: plain least squares from ``start``.
 
-        The whitener is all zeros, so the prior residual, gradient and
-        normal-matrix contributions vanish and only the LM damping
-        regularizes the normal equations -- exactly the objective of
-        :func:`repro.core.timing_model.fit_least_squares`.  ``start`` only
+        This is exactly the objective of
+        :func:`repro.core.timing_model.fit_least_squares`; ``start`` only
         seeds the iteration (via :meth:`start`).
         """
-        return cls(np.asarray(start, dtype=float),
-                   np.zeros((N_PARAMETERS, N_PARAMETERS)))
+        return cls(np.asarray(start, dtype=float)[:, np.newaxis], None)
 
     @classmethod
     def from_densities(cls, densities: Sequence[GaussianDensity],
@@ -566,46 +576,109 @@ class _PriorTerm:
                    and np.array_equal(density.covariance, first.covariance))
                for density in densities):
             return cls.from_density(first, prior_weight)
-        mu_rows = []
-        whitener_rows = []
-        for density, size in zip(densities, block_sizes):
-            term = cls.from_density(density, prior_weight)
-            mu_rows.append(np.broadcast_to(term.mu0, (size, N_PARAMETERS)))
-            whitener_rows.append(np.broadcast_to(
-                term.whitener, (size, N_PARAMETERS, N_PARAMETERS)))
-        return cls(np.concatenate(mu_rows, axis=0),
-                   np.concatenate(whitener_rows, axis=0))
+        terms = [cls.from_density(density, prior_weight)
+                 for density in densities]
 
-    def take(self, rows) -> "_PriorTerm":
+        def rows(field: str) -> np.ndarray:
+            return np.concatenate(
+                [np.broadcast_to(getattr(term, field),
+                                 getattr(term, field).shape[:-1] + (size,))
+                 for term, size in zip(terms, block_sizes)], axis=-1)
+
+        return cls(rows("mu0"), rows("whitener"), normal=rows("normal"))
+
+    def take(self, rows: np.ndarray) -> "_PriorTerm":
         """The term restricted to a row subset (no-op when shared)."""
         if self.shared:
             return self
-        return _PriorTerm(self.mu0[rows], self.whitener[rows],
-                          normal=self._normal[rows])
+        return _PriorTerm(_take_rows(self.mu0, rows),
+                          _take_rows(self.whitener, rows),
+                          normal=_take_rows(self.normal, rows))
 
-    def residual(self, theta: np.ndarray) -> np.ndarray:
-        """Whitened prior residual ``W (theta - mu0)`` per row."""
-        if self.shared:
-            return np.einsum("ij,mj->mi", self.whitener, theta - self.mu0)
-        return np.einsum("mij,mj->mi", self.whitener, theta - self.mu0)
+    def add_cost(self, cost: np.ndarray, theta: np.ndarray) -> None:
+        """Add the squared whitened residual ``|W (theta - mu0)|^2`` in place."""
+        if self.whitener is None:
+            return
+        residual = _ordered_sum(self.whitener * (theta - self.mu0)[np.newaxis])
+        cost += _ordered_sum(residual * residual)
 
-    def gradient(self, r_prior: np.ndarray) -> np.ndarray:
-        """Gradient contribution ``W^T r_prior`` per row."""
-        if self.shared:
-            return np.einsum("ji,mj->mi", self.whitener, r_prior)
-        return np.einsum("mji,mj->mi", self.whitener, r_prior)
-
-    def normal(self) -> np.ndarray:
-        """Normal-matrix contribution ``W^T W`` (per row when not shared)."""
-        return self._normal
+    def add_gradient_and_normal(self, gradient: np.ndarray,
+                                normal: np.ndarray, theta: np.ndarray) -> None:
+        """Add ``W^T W (theta - mu0)`` and the packed ``W^T W`` in place."""
+        if self.whitener is None:
+            return
+        gradient += _ordered_sum(self.normal * (theta - self.mu0)[np.newaxis])
+        normal += self.packed
 
     def start(self, lower: np.ndarray, upper: np.ndarray,
               n_rows: int) -> np.ndarray:
-        """Per-row starting point: the prior mean, nudged inside the bounds."""
+        """Per-row ``(4, n)`` start: the prior mean, nudged inside the bounds."""
         start = np.clip(self.mu0, lower + 1e-9, upper - 1e-9)
-        if self.shared:
-            return np.broadcast_to(start, (n_rows, N_PARAMETERS)).copy()
-        return start.copy()
+        return np.broadcast_to(start, (N_PARAMETERS, n_rows)).copy()
+
+
+def _take_rows(value: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row subset of a row-last array (a shared length-1 row axis stays)."""
+    if value.shape[-1] == 1:
+        return value
+    return np.take(value, rows, axis=-1)
+
+
+def _ordered_sum(values: np.ndarray) -> np.ndarray:
+    """``values`` summed over their second-to-last axis, in index order.
+
+    Explicit elementwise adds rather than a NumPy reduction, whose
+    summation order follows the array's shape: a row's sum must not depend
+    on how many rows share the pass.
+    """
+    count = values.shape[-2]
+    if count == 1:
+        return values[..., 0, :].copy()
+    total = values[..., 0, :] + values[..., 1, :]
+    for index in range(2, count):
+        total += values[..., index, :]
+    return total
+
+
+def _cholesky_solve(packed: np.ndarray, rhs: np.ndarray
+                    ) -> "tuple[np.ndarray, np.ndarray]":
+    """Solve every row's symmetric 4x4 system by closed-form Cholesky.
+
+    ``packed`` holds each row's upper triangle (``_UPPER`` order, shape
+    ``(10, m)``) and is overwritten with the factor; ``rhs`` is ``(4, m)``.
+    Returns the ``(4, m)`` solutions and a per-row ``factored`` flag: a row
+    with a non-positive or non-finite pivot gets a zero solution and
+    ``False``.  Only elementwise operations, so each row's result is
+    independent of the other rows in the pass.
+    """
+    # Right-looking A = L L^T: row i of the packed upper triangle becomes
+    # column i of L below the diagonal (l_ji, j > i), after the trailing
+    # rows are updated with its outer product; 1 / L_ii goes to ``inverse``.
+    usable, inverse, columns = [], [], []
+    for i in range(N_PARAMETERS):
+        start, stop = _ROW_START[i], _ROW_START[i + 1]
+        pivot = packed[start]
+        usable.append((pivot > 0.0) & (pivot < np.inf))
+        inverse.append(1.0 / np.sqrt(np.where(usable[i], pivot, 1.0)))
+        column = packed[start + 1:stop]
+        column *= inverse[i]
+        columns.append(column)
+        for offset, j in enumerate(range(i + 1, N_PARAMETERS)):
+            packed[_ROW_START[j]:_ROW_START[j + 1]] -= (
+                column[offset] * column[offset:])
+    factored = usable[0] & usable[1] & usable[2] & usable[3]
+
+    # Forward substitution L y = b, then back substitution L^T x = y.
+    solution = rhs.copy()
+    for i in range(N_PARAMETERS - 1):
+        solution[i] *= inverse[i]
+        solution[i + 1:] -= columns[i] * solution[i]
+    solution[-1] *= inverse[-1]
+    for i in reversed(range(N_PARAMETERS)):
+        for l_ji, x_j in zip(columns[i], solution[i + 1:]):
+            solution[i] -= l_ji * x_j
+        solution[i] *= inverse[i]
+    return np.where(factored, solution, 0.0), factored
 
 
 def _chunked_solve(
@@ -618,14 +691,16 @@ def _chunked_solve(
     max_bytes: Optional[int],
 ) -> BatchMapResult:
     """Split the row axis under the memory budget and solve sequentially."""
-    # Per-seed working set: residual and cost rows of length k, the (k, 4)
-    # Jacobian plus its weighted copy, and the damped (4, 4) normal systems
-    # with their solve scratch -- roughly 8 * (6k + 80) bytes.  Rows that
-    # carry their own condition vectors (stacked multi-arc solves) add the
-    # stored (k,) arrays plus the per-iteration gathered copies; per-row
-    # priors add their (4,) mean and two (4, 4) matrices.
+    # Per-seed working set of one pass: the (4, k) Jacobian, its weighted
+    # copy and a (4, k) block of products, the prediction, residual and
+    # cost rows of length k, and about a hundred scalars (parameters,
+    # gradient, normal entries, factorization scratch) -- roughly
+    # 8 * (16k + 100) bytes.  Rows that carry their own condition vectors
+    # (stacked multi-arc solves) add the stored (k,) arrays plus the
+    # compacted working copies; per-row priors add their (4,) mean and two
+    # (4, 4) matrices.
     k = observations.k
-    item_bytes = 8 * (6 * k + 80)
+    item_bytes = 8 * (16 * k + 100)
     for value in (observations.sin, observations.cload, observations.vdd,
                   observations.beta):
         if value is not None and value.ndim == 2:
@@ -635,8 +710,9 @@ def _chunked_solve(
     chunks = plan_chunks(observations.n_seeds, item_bytes,
                          resolve_max_bytes(max_bytes))
     if len(chunks) > 1:
+        index = np.arange(observations.n_seeds)
         parts = [
-            _solve_seed_block(term.take(rows),
+            _solve_seed_block(term.take(index[rows]),
                               _slice_observations(observations, rows),
                               model, max_iterations, gtol, xtol)
             for rows in chunks
@@ -688,93 +764,96 @@ def _solve_seed_block(
     gtol: float,
     xtol: float,
 ) -> BatchMapResult:
-    """The vectorized LM solve of one (possibly chunked) row block."""
-    lower, upper = model.bounds
-    bound_atol = 1e-10 * (upper - lower)
+    """The vectorized LM solve of one (possibly chunked) row block.
 
-    sin, cload, vdd = observations.sin, observations.cload, observations.vdd
-    ieff = observations.ieff
+    Every per-row quantity keeps the row axis last -- conditions are
+    ``(k, m)``, parameters and gradients ``(4, m)``, the normal matrix ten
+    upper-triangle ``(m,)`` entries -- so each pass is a fixed set of
+    elementwise array operations: no reduction or BLAS kernel whose
+    arithmetic depends on how many rows share the pass.
+    """
+    lower, upper = (bound[:, np.newaxis] for bound in model.bounds)
+    bound_atol = 1e-10 * (upper - lower)
+    lower_edge, upper_edge = lower + bound_atol, upper - bound_atol
+
     response = observations.response
     n_seeds, k = response.shape
     beta = (observations.beta if observations.beta is not None else np.ones(k))
+
+    def row_last(value: np.ndarray) -> np.ndarray:
+        return (value[:, np.newaxis] if value.ndim == 1
+                else np.ascontiguousarray(value.T))
+
     # Residual weights: sqrt(beta) / response gives the relative, precision-
     # weighted data residual of Eq. 15 when multiplied by (model - response).
-    sqrt_beta = np.sqrt(beta)
-    weight = (sqrt_beta[np.newaxis, :] if sqrt_beta.ndim == 1
-              else sqrt_beta) / response
+    response_rows = row_last(response)
+    columns = [row_last(value) for value in (
+        observations.sin, observations.cload, observations.vdd,
+        observations.ieff)]
+    columns += [response_rows, row_last(np.sqrt(beta)) / response_rows]
 
-    def row_take(value: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return value if value.ndim == 1 else value[rows]
-
-    def data_residual_jacobian(theta: np.ndarray, rows: np.ndarray
-                               ) -> "tuple[np.ndarray, np.ndarray]":
-        prediction, jacobian = CompactTimingModel.evaluate_and_jacobian(
-            theta, row_take(sin, rows), row_take(cload, rows),
-            row_take(vdd, rows), row_take(ieff, rows))
-        w = weight[rows]
-        return (prediction - response[rows]) * w, jacobian * w[..., np.newaxis]
-
-    def cost_of(theta: np.ndarray, rows: np.ndarray,
+    def cost_of(theta: np.ndarray, data: List[np.ndarray],
                 row_term: _PriorTerm) -> np.ndarray:
+        sin, cload, vdd, ieff, observed, weight = data
         prediction = CompactTimingModel.evaluate_array(
-            theta[:, np.newaxis, :], row_take(sin, rows),
-            row_take(cload, rows), row_take(vdd, rows), row_take(ieff, rows))
-        data = (prediction - response[rows]) * weight[rows]
-        prior_res = row_term.residual(theta)
-        return np.einsum("ij,ij->i", data, data) + np.einsum(
-            "ij,ij->i", prior_res, prior_res)
+            theta.T, sin, cload, vdd, ieff)
+        residual = (prediction - observed) * weight
+        cost = _ordered_sum(residual * residual)
+        row_term.add_cost(cost, theta)
+        return cost
 
+    # The working set holds the rows still iterating (``rows`` maps it back
+    # to the block); a pass updates it elementwise, and rows that retire
+    # are written out before the set is compacted.
     theta = term.start(lower, upper, n_seeds)
-    cost = cost_of(theta, np.arange(n_seeds), term)
-    damping = np.full(n_seeds, _LAMBDA_INIT)
+    cost = cost_of(theta, columns, term)
     converged = np.zeros(n_seeds, dtype=bool)
-    iterations = np.zeros(n_seeds, dtype=int)
-
-    active = np.arange(n_seeds)
-    eye = np.eye(N_PARAMETERS)
-    for _ in range(max_iterations):
-        if active.size == 0:
+    iterations = np.full(n_seeds, max_iterations)
+    rows = np.arange(n_seeds)
+    theta_w, cost_w, data, row_term = theta, cost, columns, term
+    damping = np.full(n_seeds, _LAMBDA_INIT)
+    for iteration in range(1, max_iterations + 1):
+        if rows.size == 0:
             break
-        iterations[active] += 1
-        theta_a = theta[active]
-        active_term = term.take(active)
-        r_data, j_data = data_residual_jacobian(theta_a, active)
-        r_prior = active_term.residual(theta_a)
-        # Gradient and Gauss-Newton normal matrix of the stacked problem;
-        # the prior block contributes whitener^T whitener, which keeps every
-        # normal matrix positive definite regardless of the data.
-        gradient = (np.einsum("mki,mk->mi", j_data, r_data)
-                    + active_term.gradient(r_prior))
-        normal = (np.einsum("mki,mkj->mij", j_data, j_data)
-                  + active_term.normal())
+        sin, cload, vdd, ieff, observed, weight = data
+        prediction, jacobian = CompactTimingModel.evaluate_and_jacobian(
+            theta_w.T, sin, cload, vdd, ieff)
+        r_data = (prediction - observed) * weight
+        j_data = jacobian * weight
+        # Gradient and the packed upper triangle of the Gauss-Newton normal
+        # matrix; the prior block contributes whitener^T whitener, which
+        # keeps every normal matrix positive definite regardless of the data.
+        gradient = _ordered_sum(j_data * r_data)
+        normal = np.concatenate([_ordered_sum(j_data[i:] * j_data[i])
+                                 for i in range(N_PARAMETERS)])
+        row_term.add_gradient_and_normal(gradient, normal, theta_w)
 
         # Active-set classification: a coordinate resting on a bound whose
         # gradient pushes further outward is frozen for this iteration (it
         # cannot produce feasible descent); the projected gradient over the
         # remaining free coordinates is the first-order optimality measure.
-        at_lower = theta_a <= lower + bound_atol
-        at_upper = theta_a >= upper - bound_atol
+        at_lower = theta_w <= lower_edge
+        at_upper = theta_w >= upper_edge
         free = ~((at_lower & (gradient > 0.0)) | (at_upper & (gradient < 0.0)))
         projected = np.where(free, gradient, 0.0)
-        done = np.max(np.abs(projected), axis=1) < gtol * np.maximum(cost[active], 1.0)
+        done = np.abs(projected).max(axis=0) < gtol * np.maximum(cost_w, 1.0)
 
         # Marquardt step on the *reduced* system: frozen coordinates get a
-        # unit diagonal row/column and a zero gradient entry, so their step
-        # component is exactly zero while the free block keeps its damped
-        # Gauss-Newton curvature.  One batched factorization solves every
-        # active seed's 4x4 system.
-        scale = np.clip(np.einsum("mii->mi", normal), 1e-30, None)
-        damped = normal + (damping[active][:, np.newaxis] * scale)[:, :, np.newaxis] * eye
-        free_f = free.astype(float)
-        damped = damped * free_f[:, :, np.newaxis] * free_f[:, np.newaxis, :]
-        diag_idx = np.arange(N_PARAMETERS)
-        damped[:, diag_idx, diag_idx] += 1.0 - free_f
-        step = np.linalg.solve(damped, -projected[..., np.newaxis])[..., 0]
-        candidate = np.clip(theta_a + step, lower, upper)
-        moved = candidate - theta_a
-        new_cost = cost_of(candidate, active, active_term)
+        # unit diagonal and a zero row/column and gradient entry, so their
+        # step component is exactly zero while the free block keeps its
+        # damped Gauss-Newton curvature.  A row whose factorization fails
+        # (a non-positive or non-finite pivot) takes no step and counts as
+        # rejected, so its damping grows.
+        diagonal = normal[_DIAGONAL]
+        normal = np.where(free[_UPPER[0]] & free[_UPPER[1]], normal, 0.0)
+        normal[_DIAGONAL] = np.where(
+            free, diagonal + damping * np.maximum(diagonal, 1e-30), 1.0)
+        step, factored = _cholesky_solve(normal, -projected)
+        candidate = np.minimum(np.maximum(theta_w + step, lower), upper)
+        moved = candidate - theta_w
+        new_cost = cost_of(candidate, data, row_term)
 
-        accept = new_cost <= cost[active]
+        accept = (new_cost <= cost_w) & factored
         # Tiny accepted moves mean the iterate is numerically stationary
         # (possibly pressed against a bound).  A tiny move that is *rejected*
         # under already-saturated damping is stationary too: the heaviest
@@ -782,30 +861,45 @@ def _solve_seed_block(
         # when large beta scales the cost so far above 1 that float rounding
         # swamps the remaining descent (the gradient test above, scaled by
         # the cost, covers the same regime from the other side).
-        saturated = damping[active] >= _LAMBDA_MAX
-        step_small = (np.max(np.abs(moved), axis=1)
-                      < xtol * (np.max(np.abs(theta_a), axis=1) + xtol))
+        saturated = damping >= _LAMBDA_MAX
+        step_small = factored & (
+            np.abs(moved).max(axis=0)
+            < xtol * (np.abs(theta_w).max(axis=0) + xtol))
         done |= step_small & (accept | saturated)
 
-        rows = active[accept]
-        theta[rows] = candidate[accept]
-        cost[rows] = new_cost[accept]
-        damping[rows] = np.maximum(damping[rows] * _LAMBDA_DOWN, _LAMBDA_MIN)
-        rejected = active[~accept]
-        damping[rejected] = np.minimum(damping[rejected] * _LAMBDA_UP, _LAMBDA_MAX)
+        theta_w = np.where(accept, candidate, theta_w)
+        cost_w = np.where(accept, new_cost, cost_w)
+        damping = np.where(accept, np.maximum(damping * _LAMBDA_DOWN, _LAMBDA_MIN),
+                           np.minimum(damping * _LAMBDA_UP, _LAMBDA_MAX))
 
-        converged[active[done]] = True
         # A saturated seed still proposing non-tiny steps that all fail is
         # genuinely stuck: retire it so it stops burning iterations, but
         # report it unconverged.
-        stalled = ~done & saturated & ~step_small
-        active = active[~(done | stalled)]
+        retire = done | (saturated & ~step_small)
+        if retire.any():
+            leaving = np.flatnonzero(retire)
+            block_rows = rows[leaving]
+            theta[:, block_rows] = np.take(theta_w, leaving, axis=1)
+            cost[block_rows] = cost_w[leaving]
+            converged[block_rows] = done[leaving]
+            iterations[block_rows] = iteration
+            staying = np.flatnonzero(~retire)
+            rows = rows[staying]
+            theta_w = np.take(theta_w, staying, axis=1)
+            cost_w = cost_w[staying]
+            damping = damping[staying]
+            data = [_take_rows(value, staying) for value in data]
+            row_term = row_term.take(staying)
+    theta[:, rows] = theta_w
+    cost[rows] = cost_w
 
+    parameters = np.ascontiguousarray(theta.T)
     prediction = CompactTimingModel.evaluate_array(
-        theta[:, np.newaxis, :], sin, cload, vdd, ieff)
+        parameters[:, np.newaxis, :], observations.sin, observations.cload,
+        observations.vdd, observations.ieff)
     residuals = (prediction - response) / response
     return BatchMapResult(
-        parameters=theta,
+        parameters=parameters,
         converged=converged,
         n_iterations=iterations,
         cost=cost,

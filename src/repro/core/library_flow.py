@@ -340,6 +340,9 @@ def characterize_fused_jobs(
     run), arcs with no surviving conditions come back as ``None``, and every
     degradation is described by a :class:`FailureReport` in the second
     return value.
+
+    ``stepper=None`` integrates with the configured transient engine
+    (``runtime.configure(transient_engine=...)``), resolved by the plan.
     """
     n_seeds = variation.n_seeds
     failures: List[FailureReport] = []

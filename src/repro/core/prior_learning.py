@@ -55,11 +55,9 @@ from repro.cells.library import Cell, Transition
 from repro.characterization.input_space import InputSpace
 from repro.core.simulation_plan import SimulationPlan
 from repro.core.timing_model import CompactTimingModel, FitResult, N_PARAMETERS
-from repro.runtime import resolve_transient_engine
 from repro.runtime.accounting import RunLedger
 from repro.runtime.executor import get_executor
 from repro.runtime.resilience import FailureReport, RetryPolicy, resolve_strict
-from repro.spice.stepper import resolve_stepper
 from repro.spice.testbench import SimulationCounter
 from repro.technology.node import TechnologyNode
 from repro.technology.sampling import latin_hypercube
@@ -246,12 +244,10 @@ def _characterize_fused_historical(
         fit_least_squares_stacked,
     )
 
-    # The configured transient engine drives this phase like every other flow.
-    stepper = resolve_stepper(resolve_transient_engine(None))
+    # The plan runs the configured transient engine, like every other flow.
     plan = SimulationPlan(technology, variation=None,
                           integrate_stage="priors:integrate",
-                          on_failure="raise" if strict else "quarantine",
-                          stepper=stepper)
+                          on_failure="raise" if strict else "quarantine")
     with ledger.stage("priors:plan"), ledger.caches():
         for cell, arc in arcs:
             plan.add_job(cell, arc, conditions)

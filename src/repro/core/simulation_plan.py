@@ -57,12 +57,12 @@ import numpy as np
 
 from repro.cells.equivalent_inverter import reduce_cell_cached
 from repro.cells.library import Cell, TimingArc
-from repro.runtime import resolve_max_bytes
+from repro.runtime import resolve_max_bytes, resolve_transient_engine
 from repro.runtime.accounting import RunLedger
 from repro.runtime.chunking import plan_chunks
 from repro.spice.adaptive import simulate_arc_transitions_adaptive
 from repro.spice.batch import simulate_arc_transitions, transient_item_bytes
-from repro.spice.stepper import StepperSpec
+from repro.spice.stepper import StepperSpec, resolve_stepper
 from repro.spice.sweep import record_integration_stats
 from repro.spice.testbench import SimulationCache, get_simulation_cache
 from repro.spice.transient import DEFAULT_STEPS
@@ -122,10 +122,11 @@ class SimulationPlan:
         self.variation = variation
         self.n_steps = int(n_steps)
         #: Integration scheme of every batched call (and the engine part of
-        #: every simulation-cache key); defaults to fixed-step RK4 at
-        #: ``n_steps``.  The flows pass the resolved transient engine's.
-        self.stepper = (stepper if stepper is not None
-                        else StepperSpec(method="rk4", n_steps=self.n_steps))
+        #: every simulation-cache key); ``None`` resolves the configured
+        #: transient engine's stepper at ``n_steps``
+        #: (``runtime.configure(transient_engine=...)``).
+        self.stepper = (stepper if stepper is not None else resolve_stepper(
+            resolve_transient_engine(None), n_steps=self.n_steps))
         self.n_seeds = variation.n_seeds if variation is not None else 1
         self.integrate_stage = integrate_stage
         #: Fault handling forwarded to every batched transient call; with

@@ -159,60 +159,43 @@ class CompactTimingModel:
         Parameters
         ----------
         theta:
-            Parameter matrix of shape ``(n_batch, 4)`` in natural units --
-            one row per Monte Carlo seed (a single length-4 vector is
-            accepted and treated as a batch of one).
-        sin, cload, vdd:
-            Operating points of shape ``(k,)`` in SI units, shared by every
-            batch row, or ``(n_batch, k)`` with one condition set per row
-            (the stacked library-wide MAP solve, where each row belongs to
-            a different arc with its own fitting conditions).
-        ieff:
-            Effective currents in amperes, shape ``(k,)`` (shared) or
-            ``(n_batch, k)`` (per-seed).
+            Parameter array of shape ``(..., 4)`` in natural units.
+        sin, cload, vdd, ieff:
+            Operating points in SI units.  Like :meth:`evaluate_array`, the
+            parameters (``theta[..., i]``) and the operating points broadcast
+            against each other: the batched MAP solver passes ``theta`` of
+            shape ``(m, 4)`` and conditions of shape ``(k, m)`` (one column
+            per row) or ``(k, 1)`` (shared by every row).
 
         Returns
         -------
         (prediction, jacobian):
-            ``prediction`` has shape ``(n_batch, k)`` (seconds) and
-            ``jacobian`` shape ``(n_batch, k, 4)`` with
-            ``jacobian[..., i] = d prediction / d theta_i`` in natural
-            units (i.e. per fF for ``Cpar`` and per fF/ps for ``alpha``).
+            ``prediction`` has the broadcast shape of the arguments
+            (seconds) and ``jacobian`` is parameter-major, shape
+            ``(4,) + prediction.shape``, with ``jacobian[i] = d prediction /
+            d theta_i`` in natural units (i.e. per fF for ``Cpar`` and per
+            fF/ps for ``alpha``), so each derivative is one contiguous array.
         """
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        if theta.ndim != 2 or theta.shape[1] != N_PARAMETERS:
-            raise ValueError(f"theta must have shape (n_batch, {N_PARAMETERS})")
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape[-1:] != (N_PARAMETERS,):
+            raise ValueError(f"theta must have shape (..., {N_PARAMETERS})")
+        sin, cload, vdd, ieff = (np.asarray(value, dtype=float)
+                                 for value in (sin, cload, vdd, ieff))
+        kd = theta[..., 0]
+        cpar = theta[..., 1] * FEMTO
+        vprime = theta[..., 2]
+        alpha = theta[..., 3] * FEMTO / PICO
 
-        def rows(name: str, value) -> np.ndarray:
-            array = np.asarray(value, dtype=float)
-            if array.ndim <= 1:
-                return array.reshape(-1)[np.newaxis, :]
-            if array.ndim != 2 or array.shape[0] != theta.shape[0]:
-                raise ValueError(
-                    f"{name} must have shape (k,) or (n_batch, k), "
-                    f"got {array.shape} for n_batch={theta.shape[0]}")
-            return array
-
-        sin = rows("sin", sin)
-        cload = rows("cload", cload)
-        vdd = rows("vdd", vdd)
-        ieff = rows("ieff", ieff)
-
-        kd = theta[:, 0:1]
-        cpar = theta[:, 1:2] * FEMTO
-        vprime = theta[:, 2:3]
-        alpha = theta[:, 3:4] * FEMTO / PICO
-
-        supply = vdd + vprime                             # (n_batch, k)
+        supply_per_ieff = (vdd + vprime) / ieff
         charge_cap = cload + cpar + alpha * sin
-        inv_ieff = 1.0 / ieff                             # broadcasts over rows
-        prediction = kd * supply * charge_cap * inv_ieff
+        kd_supply_per_ieff = kd * supply_per_ieff
+        prediction = kd_supply_per_ieff * charge_cap
 
-        jacobian = np.empty(np.broadcast(prediction, sin).shape + (N_PARAMETERS,))
-        jacobian[..., 0] = supply * charge_cap * inv_ieff
-        jacobian[..., 1] = kd * supply * inv_ieff * FEMTO
-        jacobian[..., 2] = kd * charge_cap * inv_ieff
-        jacobian[..., 3] = kd * supply * sin * inv_ieff * (FEMTO / PICO)
+        jacobian = np.empty((N_PARAMETERS,) + prediction.shape)
+        np.multiply(supply_per_ieff, charge_cap, out=jacobian[0])
+        np.multiply(kd_supply_per_ieff, FEMTO, out=jacobian[1])
+        np.divide(kd * charge_cap, ieff, out=jacobian[2])
+        np.multiply(kd_supply_per_ieff * (FEMTO / PICO), sin, out=jacobian[3])
         return prediction, jacobian
 
     # ------------------------------------------------------------------

@@ -36,6 +36,11 @@ _COMPILE_CACHE = register_runtime_cache(
 #: Distinct per-instance tokens (never reused, unlike ``id()``).
 _NETLIST_TOKENS = itertools.count()
 
+#: Name allowances of :attr:`CompiledNetlist.nbytes`: a gate's instance and
+#: cell names, and a net's name, at about eight characters each.
+_GATE_NAME_BYTES = 16
+_NET_NAME_BYTES = 8
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -232,7 +237,7 @@ class Netlist:
         compiled = _COMPILE_CACHE.get(key)
         if compiled is None:
             compiled = compile_netlist(self)
-            _COMPILE_CACHE.put(key, compiled)
+            _COMPILE_CACHE.put(key, compiled, nbytes=compiled.nbytes)
         return compiled
 
 
@@ -311,6 +316,20 @@ class CompiledNetlist:
     def n_levels(self) -> int:
         """Number of topological levels (excluding the primary-input level 0)."""
         return len(self.level_starts) - 1
+
+    @property
+    def nbytes(self) -> int:
+        """Approximate footprint, sized without walking the object graph.
+
+        The array buffers, one int64 per gate for ``level_groups`` (whose
+        index arrays partition the gates), and flat per-gate and per-net
+        allowances for the name tuples; the ``"netlist_compile"`` cache
+        charges each entry this figure.
+        """
+        arrays = sum(value.nbytes for value in vars(self).values()
+                     if isinstance(value, np.ndarray))
+        return (arrays + self.n_gates * (8 + _GATE_NAME_BYTES)
+                + self.n_nets * _NET_NAME_BYTES)
 
     def level_worst_fanins(self, level: int, arrival: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -257,6 +257,46 @@ def adaptive_priors():
             learn_prior(historical, response="slew"))
 
 
+class TestPlanEngineResolution:
+    def test_direct_fused_call_follows_configured_engine(self, tech28,
+                                                         adaptive_priors):
+        """``stepper=None`` on a direct fused call runs the configured
+        engine, so it reproduces ``characterize_library`` exactly."""
+        from repro import make_cell
+        from repro.characterization.input_space import InputSpace
+        from repro.core.library_flow import (
+            characterize_fused_jobs,
+            characterize_library,
+        )
+        from repro.runtime.executor import get_executor
+
+        cells = [make_cell("INV_X1"), make_cell("NAND2_X1")]
+        conditions = InputSpace(tech28).sample_lhs(3, np.random.default_rng(4))
+        variation = tech28.variation.sample(6, rng=2)
+        runtime.configure(transient_engine="adaptive")
+        get_simulation_cache().clear()
+        library = characterize_library(
+            tech28, cells, adaptive_priors[0], adaptive_priors[1],
+            conditions=conditions, variation=variation)
+        jobs = [(cell, cell.arc(cell.input_pins[0], transition))
+                for cell in cells
+                for transition in (Transition.FALL, Transition.RISE)]
+        get_simulation_cache().clear()
+        direct, failures = characterize_fused_jobs(
+            tech28, jobs, [list(conditions) for _ in jobs],
+            adaptive_priors[0], adaptive_priors[1], variation, "batched",
+            get_executor("serial"), RunLedger(), None, stepper=None)
+        get_simulation_cache().clear()
+        assert not failures
+        assert len(direct) == len(library.entries) == 4
+        for (cell, arc), entry, result in zip(jobs, library.entries, direct):
+            assert (entry.cell_name, entry.arc) == (cell.name, arc)
+            np.testing.assert_array_equal(result.delay_parameters,
+                                          entry.statistical.delay_parameters)
+            np.testing.assert_array_equal(result.slew_parameters,
+                                          entry.statistical.slew_parameters)
+
+
 class TestLibraryConcurrency:
     def test_bit_identical_across_concurrency_modes(self, tech28,
                                                     adaptive_priors):

@@ -120,6 +120,22 @@ class TestCompiledNetlist:
         netlist.set_output_load("out", 5e-15)
         assert netlist.compile() is not first
 
+    def test_cache_entry_size_tracks_default_sizeof(self):
+        """The compile cache sizes an entry from its arrays and counts
+        (no object-graph walk), within 2x of the generic estimator."""
+        from repro.runtime import clear_all_caches
+        from repro.runtime.cache import default_sizeof
+        from repro.sta.netlist import _COMPILE_CACHE
+
+        netlist = random_layered_dag(100, 50, rng=3)
+        clear_all_caches()
+        compiled = netlist.compile()
+        assert compiled.n_gates == 5000
+        walked = default_sizeof(compiled)
+        assert walked / 2 <= compiled.nbytes <= 2 * walked
+        assert _COMPILE_CACHE.stats().current_bytes == compiled.nbytes
+        clear_all_caches()
+
     def test_loop_detected(self):
         netlist = Netlist("loop", ["a"], ["z"])
         netlist.add_gate(Gate("g1", "NAND2_X1", ("a", "y"), "z"))
