@@ -125,7 +125,7 @@ def test_chunked_budget_acceptance(results_dir):
     # ------------------------------------------------------------------
     stats = runtime.cache_stats()
     assert stats["simulation"].hits > 0, "warm library replay must hit"
-    assert stats["ieff"].hits > 0, "repeated per-level Ieff rows must hit"
+    assert stats["ieff"].hits > 0, "repeated Ieff rows must hit"
     assert ledger.simulations_total > 0
     assert ledger.stage_seconds("ssta") > 0.0
 

@@ -10,11 +10,12 @@ of ``REPRO_BENCH_SSTA_WIDTH x REPRO_BENCH_SSTA_DEPTH`` gates with
 
 * the loop oracle: one Python iteration and one per-seed timing query per
   gate (:func:`oracles.sta.ssta_loop`);
-* :class:`~repro.sta.MonteCarloSsta`: compiled netlist, per-level segmented
-  ``np.maximum.reduceat`` reductions, one ``(gates x seeds)`` vectorized
-  compact-model query per (level, cell type) group.
+* :class:`~repro.sta.MonteCarloSsta`: compiled netlist, and per level one
+  running maximum over the padded fanin matrix plus one ``(gates x seeds)``
+  gather-and-evaluate of the compact model for the whole level, whatever its
+  mix of cell types.
 
-The timing view is backed by real per-seed
+The timing view is the table-backed view of real per-seed
 :class:`~repro.core.statistical_flow.StatisticalCharacterization` objects
 (seed-vectorized equivalent inverters of the 28 nm node with synthetic
 parameter ensembles -- no simulations, so the benchmark measures graph

@@ -4,18 +4,23 @@ The robustness counterpart of the cache microbenchmarks: a small library
 characterization runs once against an empty on-disk tier (cold -- every
 simulation is integrated and written through), then again in a fresh
 "process" (all memory caches cleared, disk kept).  That warm run is also
-how a killed run resumes: it reruns against the same store.  It must
+how a killed run resumes: it reruns against the same store.  The benchmark
+times ``PAIRS`` such cold/warm pairs, each cold run against a fresh, empty
+store.  Every warm run must
 
-* reproduce the cold run's entries bit for bit (disk entries are pickled
+* reproduce its cold run's entries bit for bit (disk entries are pickled
   float64 arrays -- the round trip is exact),
-* be at least ``REPRO_BENCH_PERSIST_MIN_SPEEDUP`` times faster (default
-  3x: it replays transient integrations as disk reads),
-* report its reuse through the ledger's ``simulation:disk`` activity row.
+* report its reuse through the ledger's ``simulation:disk`` activity row,
+
+and the median cold/warm ratio over the pairs must be at least
+``REPRO_BENCH_PERSIST_MIN_SPEEDUP`` (default 3x: a warm run replays
+transient integrations as disk reads).  The median keeps one scheduler
+hiccup on a shared host from deciding the gate.
 
 One more contract rides along: corrupted store entries (one truncated, one
 bit-flipped) are quarantined and recomputed -- same results, never a crash.
 
-The record lands in ``BENCH_persist.json``.  Knobs:
+The record, every pair included, lands in ``BENCH_persist.json``.  Knobs:
 
 ``REPRO_BENCH_PERSIST_CELLS``        cells in the synthetic library (6)
 ``REPRO_BENCH_PERSIST_SEEDS``        Monte Carlo seeds (16)
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -46,6 +52,9 @@ from repro.core.library_flow import characterize_library
 from repro.core.prior_learning import characterize_historical_library, learn_prior
 
 _TEMPLATES = ("INV_X1", "NAND2_X1", "NOR2_X1", "INV_X2")
+
+#: Cold/warm pairs timed; the gate reads their median ratio.
+PAIRS = 5
 
 
 def synthetic_library(n_cells: int) -> StandardCellLibrary:
@@ -94,26 +103,36 @@ def test_persist_acceptance(results_dir):
             conditions=conditions, n_seeds=n_seeds, rng=17, ledger=ledger)
         return result, ledger, time.perf_counter() - start
 
+    pairs, ratios = [], []
     with tempfile.TemporaryDirectory(prefix="repro_bench_persist_") as root:
-        runtime.configure(disk_cache_dir=str(root))
         try:
-            cold, _, cold_seconds = run()
-            warm, warm_ledger, warm_seconds = run()
+            for index in range(PAIRS):
+                # A fresh, empty store per pair: every cold run integrates.
+                store = Path(root) / f"pair{index}"
+                runtime.configure(disk_cache_dir=str(store))
+                cold, _, cold_seconds = run()
+                warm, warm_ledger, warm_seconds = run()
 
-            # --------------------------------------------------------------
-            # Warm start: bit-identical, disk-served, and >= the floor.
-            # --------------------------------------------------------------
-            _assert_entries_equal(warm, cold)
-            disk_activity = warm_ledger.cache_activity()["simulation:disk"]
-            assert disk_activity["hits"] > 0, \
-                "the warm run must be served from the durable tier"
-            speedup = cold_seconds / warm_seconds
+                # ----------------------------------------------------------
+                # Warm start: bit-identical and disk-served on every pair.
+                # ----------------------------------------------------------
+                _assert_entries_equal(warm, cold)
+                disk_activity = warm_ledger.cache_activity()["simulation:disk"]
+                assert disk_activity["hits"] > 0, \
+                    "the warm run must be served from the durable tier"
+                ratios.append(cold_seconds / warm_seconds)
+                pairs.append({"cold_seconds": round(cold_seconds, 4),
+                              "warm_seconds": round(warm_seconds, 4),
+                              "speedup": round(ratios[-1], 2),
+                              "warm_disk_hits": int(disk_activity["hits"])})
+            speedup = statistics.median(ratios)
             assert speedup >= min_speedup, (
-                f"warm start {warm_seconds:.3f}s vs cold {cold_seconds:.3f}s "
-                f"= {speedup:.2f}x, below the {min_speedup:.1f}x floor")
+                f"median warm start of {PAIRS} cold/warm pairs "
+                f"= {speedup:.2f}x, below the {min_speedup:.1f}x floor "
+                f"(pairs: {[pair['speedup'] for pair in pairs]})")
 
             sim_stats = runtime.cache_stats()["simulation"]
-            store_root = Path(root) / "simulation"
+            store_root = store / "simulation"
 
             # --------------------------------------------------------------
             # Corruption: truncate one entry, bit-flip another; the third
@@ -137,13 +156,14 @@ def test_persist_acceptance(results_dir):
     n_arcs = len(cold.entries)
     print(f"\nPersist acceptance: {n_cells} cells / {n_arcs} arcs x "
           f"{n_seeds} seeds x {conditions} conditions")
-    print(f"cold run       : {cold_seconds:.3f} s")
-    print(f"warm run       : {warm_seconds:.3f} s ({speedup:.2f}x, "
-          f"floor {min_speedup:.1f}x)")
+    for index, pair in enumerate(pairs):
+        print(f"pair {index}         : cold {pair['cold_seconds']:.3f} s, "
+              f"warm {pair['warm_seconds']:.3f} s ({pair['speedup']:.2f}x)")
+    print(f"median speedup : {speedup:.2f}x (floor {min_speedup:.1f}x)")
     print(f"corrupted rerun: {repaired_seconds:.3f} s "
           f"({quarantined} entr{'y' if quarantined == 1 else 'ies'} quarantined)")
     print("\n" + format_cache_stats({"simulation": sim_stats},
-                                    title="Warm-run cache tiers"))
+                                    title="Last pair's warm-run cache tiers"))
 
     payload = {
         "benchmark": "persist_acceptance",
@@ -152,11 +172,11 @@ def test_persist_acceptance(results_dir):
         "n_seeds": n_seeds,
         "n_conditions": conditions,
         "n_arcs": n_arcs,
-        "cold_seconds": round(cold_seconds, 4),
-        "warm_seconds": round(warm_seconds, 4),
+        "cold_seconds": statistics.median(pair["cold_seconds"] for pair in pairs),
+        "warm_seconds": statistics.median(pair["warm_seconds"] for pair in pairs),
         "speedup": round(speedup, 2),
         "min_speedup": min_speedup,
-        "warm_disk_hits": int(disk_activity["hits"]),
+        "pairs": pairs,
         "disk_entries": int(sim_stats.disk_entries),
         "disk_bytes": int(sim_stats.disk_bytes),
         "corrupted_rerun_seconds": round(repaired_seconds, 4),

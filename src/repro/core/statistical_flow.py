@@ -174,7 +174,7 @@ class StatisticalCharacterization:
         # The Ieff-cache token is process-local: a pickled copy landing in
         # another process must not collide with tokens that process's own
         # counter already handed out, so it is dropped here and lazily
-        # reissued by :meth:`_ieff_row` on first use.
+        # reissued by :meth:`ieff_row` on first use.
         state = self.__dict__.copy()
         state.pop("_ieff_token", None)
         return state
@@ -221,7 +221,7 @@ class StatisticalCharacterization:
             parameters, condition.sin, condition.cload, condition.vdd, ieff),
             dtype=float).reshape(-1)
 
-    def _ieff_row(self, vdd: float) -> np.ndarray:
+    def ieff_row(self, vdd: float) -> np.ndarray:
         """Per-seed effective currents at one supply, cached per vdd value.
 
         Rows live in the runtime-registered ``"ieff"`` LRU, keyed by a
@@ -252,7 +252,7 @@ class StatisticalCharacterization:
         if sin.size != cload.size or sin.size != vdd.size:
             raise ValueError("sin, cload and vdd must have the same length")
         if sin.size and np.all(vdd == vdd[0]):
-            ieff = np.broadcast_to(self._ieff_row(float(vdd[0])),
+            ieff = np.broadcast_to(self.ieff_row(float(vdd[0])),
                                    (sin.size, self.n_seeds))
         else:
             ieff = np.broadcast_to(
@@ -281,9 +281,9 @@ class StatisticalCharacterization:
         """Per-seed delays at many operating points, shape ``(n_points, n_seeds)``.
 
         The vectorized form of :meth:`delay_samples`: condition arrays in SI
-        units, one row of seed samples per operating point.  This is the
-        query path the batched STA/SSTA engines hit once per netlist level
-        and cell type.
+        units, one row of seed samples per operating point.  The table-backed
+        timing view of :mod:`repro.sta` reproduces these numbers bit for bit
+        from stacked parameter planes.
         """
         return self._samples_many(sin, cload, vdd, self.delay_parameters)
 

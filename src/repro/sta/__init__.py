@@ -6,9 +6,10 @@ full use case.  It provides gate-level netlists (and their compiled,
 levelized array form), a topological STA engine with slew propagation and
 capacitive loading derived from the characterized cells, and a Monte Carlo
 SSTA variant that consumes the per-seed delay ensembles of the statistical
-flow.  Both analyzers run a level-batched engine (one vectorized timing
-query per topological level and cell type), and :mod:`repro.sta.synthetic`
-generates seeded netlists of arbitrary scale to exercise them.
+flow.  Both analyzers make each topological level one array pass (one
+timing-view query per level, whatever its mix of cell types), and
+:mod:`repro.sta.synthetic` generates seeded netlists of arbitrary scale to
+exercise them.
 """
 
 from repro.sta.netlist import (

@@ -6,13 +6,16 @@ the actual capacitive load (sum of fanout input-pin capacitances plus any
 external load), and the worst primary-output arrival together with its
 critical path is reported.
 
-Propagation is level-batched: the netlist is compiled once
-(:meth:`~repro.sta.netlist.Netlist.compile`), arrivals and slews live in
-flat per-net arrays, each topological level resolves its worst fanins with
-segmented ``np.maximum.reduceat`` reductions over the CSR fanin arrays, and
-one batched timing query is issued per (level, cell type) group.  Every
-net's capacitive load comes from one precomputed load vector (external load
-plus summed fanout pin capacitances), so no fanout list is walked during
+Propagation is one array pass per topological level: the netlist is
+compiled once (:meth:`~repro.sta.netlist.Netlist.compile`), arrivals and
+slews live in flat per-net arrays (plus the sentinel row that spare fanin
+slots read as ``-inf``), each level finds its gates' worst fanins with a
+running maximum over the padded fanin matrix
+(:meth:`~repro.sta.netlist.CompiledNetlist.level_worst_fanins`), and the
+whole level, whatever its mix of cell types, is one timing-view query
+(:meth:`~repro.sta.timing_view.TimingView.level_timing`).  Every net's
+capacitive load comes from one precomputed load vector (external load plus
+summed fanout pin capacitances), so no fanout list is walked during
 propagation.
 """
 
@@ -79,8 +82,8 @@ class TimingGraphAnalyzer:
                  primary_input_slew: float = 5e-12,
                  primary_input_arrival: float = 0.0,
                  ledger: Optional[RunLedger] = None):
-        if primary_input_slew <= 0.0:
-            raise ValueError("primary_input_slew must be positive")
+        if not (primary_input_slew > 0.0 and np.isfinite(primary_input_slew)):
+            raise ValueError("primary_input_slew must be positive and finite")
         self._netlist = netlist
         self._view = timing_view
         self._input_slew = float(primary_input_slew)
@@ -89,12 +92,9 @@ class TimingGraphAnalyzer:
         self._bind(netlist.compile())
 
     def _bind(self, compiled: CompiledNetlist) -> None:
-        for cell in dict.fromkeys(compiled.gate_cells):
-            if not self._view.has_cell(cell):
-                raise KeyError(f"timing view does not cover cell {cell!r}")
+        self._gate_rows = self._view.cell_rows(
+            compiled.cell_names)[compiled.gate_cell]
         self._compiled = compiled
-        self._net_index = {name: index for index, name
-                           in enumerate(compiled.net_names)}
         self._loads = _net_load_vector(compiled, self._view)
 
     def _refresh(self) -> None:
@@ -112,9 +112,9 @@ class TimingGraphAnalyzer:
     def net_load(self, net: str) -> float:
         """Total capacitive load on a net, in farads (precomputed)."""
         self._refresh()
-        if net not in self._net_index:
+        if net not in self._compiled.net_names:
             raise KeyError(f"netlist {self._netlist.name!r} has no net {net!r}")
-        return float(self._loads[self._net_index[net]])
+        return float(self._loads[self._compiled.net_names.index(net)])
 
     def run(self):
         """Propagate arrivals and slews and return the timing report."""
@@ -135,28 +135,26 @@ class StaticTimingAnalyzer(TimingGraphAnalyzer):
 
     def _propagate(self) -> PathReport:
         compiled = self._compiled
-        arrival = np.full(compiled.n_nets, -np.inf)
-        slew = np.zeros(compiled.n_nets)
+        arrival = np.full(compiled.n_nets + 1, -np.inf)
+        slew = np.zeros(compiled.n_nets + 1)
         arrival[compiled.primary_input_nets] = self._input_arrival
         slew[compiled.primary_input_nets] = self._input_slew
         loads = np.maximum(self._loads, MIN_LOAD_F)
-        # Index into fanin_nets of each gate's chosen worst input (for the
-        # critical-path trace).
-        worst_fanin = np.zeros(compiled.n_gates, dtype=np.int64)
+        # Each gate's chosen worst input net (for the critical-path trace).
+        net_ids = np.arange(compiled.n_nets + 1)
+        drive_net = np.empty(compiled.n_gates, dtype=np.int64)
 
+        starts = compiled.level_starts.tolist()
         for level in range(compiled.n_levels):
-            start = int(compiled.level_starts[level])
-            stop = int(compiled.level_starts[level + 1])
-            nets, worst, first = compiled.level_worst_fanins(level, arrival)
-            worst_fanin[start:stop] = int(compiled.fanin_ptr[start]) + first
-            input_slews = slew[nets[first]]
-            out_nets = compiled.gate_output_net[start:stop]
-            out_loads = loads[out_nets]
-            for cell, local in compiled.level_groups[level]:
-                delay, out_slew = self._view.gate_timing_many(
-                    cell, input_slews[local], out_loads[local])
-                arrival[out_nets[local]] = worst[local] + delay
-                slew[out_nets[local]] = out_slew
+            gates = slice(starts[level], starts[level + 1])
+            worst, drive_net[gates] = compiled.level_worst_fanins(
+                level, arrival, net_ids)
+            out_nets = compiled.gate_output_net[gates]
+            delay, out_slew = self._view.level_timing(
+                self._gate_rows[gates], slew[drive_net[gates]],
+                loads[out_nets])
+            arrival[out_nets] = np.add(worst, delay, out=worst)
+            slew[out_nets] = out_slew
 
         po_nets = compiled.primary_output_nets
         critical_index = int(po_nets[int(np.argmax(arrival[po_nets]))])
@@ -165,7 +163,7 @@ class StaticTimingAnalyzer(TimingGraphAnalyzer):
         while compiled.driver_gate[net] >= 0:
             gate_index = int(compiled.driver_gate[net])
             critical_path.append(compiled.gate_names[gate_index])
-            net = int(compiled.fanin_nets[worst_fanin[gate_index]])
+            net = int(drive_net[gate_index])
         critical_path.reverse()
 
         names = compiled.net_names

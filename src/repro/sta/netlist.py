@@ -7,11 +7,15 @@ provide the circuits used by the examples and tests: an inverter chain (the
 classic ring-oscillator-style delay line), a balanced NAND/NOR reduction
 tree, and the ISCAS-85 C17 benchmark.
 
-:class:`CompiledNetlist` is the array form the batched STA/SSTA engines run
-on: nets and gates are integer-indexed, the DAG is levelized (gates stored
-level-major so each level is a contiguous slice), gate fanins are a CSR
-index array, and every net's capacitive load reduces to one scatter-add over
-the fanin pins.
+:class:`CompiledNetlist` is the array form the STA/SSTA analyzers run on:
+nets and gates are integer-indexed, the DAG is levelized (gates stored
+level-major so each level is a contiguous slice), each gate carries a cell
+index and a row of the padded ``(n_gates, max_fanin)`` fanin matrix, and
+every net's capacitive load reduces to one scatter-add over the fanin pins.
+:func:`compile_netlist` builds it with array operations -- frontier
+levelization over CSR consumer arrays and a stable argsort into level-major
+order -- and its footprint (:attr:`CompiledNetlist.nbytes`) is sized from
+the arrays without walking the object graph.
 """
 
 from __future__ import annotations
@@ -36,10 +40,9 @@ _COMPILE_CACHE = register_runtime_cache(
 #: Distinct per-instance tokens (never reused, unlike ``id()``).
 _NETLIST_TOKENS = itertools.count()
 
-#: Name allowances of :attr:`CompiledNetlist.nbytes`: a gate's instance and
-#: cell names, and a net's name, at about eight characters each.
-_GATE_NAME_BYTES = 16
-_NET_NAME_BYTES = 8
+#: Name allowance of :attr:`CompiledNetlist.nbytes`: a gate's instance name
+#: and a net's name, at about eight characters each.
+_NAME_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -258,21 +261,24 @@ class CompiledNetlist:
     net_names:
         Net name per net index (primary inputs first, then gate outputs in
         insertion order).
-    gate_names, gate_cells:
-        Instance and cell name per compiled gate index.
+    gate_names:
+        Instance name per compiled gate index.
+    cell_names:
+        The distinct cell names, in order of first use in the netlist.
+    gate_cell:
+        Index into ``cell_names`` per compiled gate.
     gate_output_net:
         Net index driven by each gate.
     gate_level:
         Topological level of each gate (primary-input nets are level 0).
-    fanin_nets, fanin_ptr:
-        CSR fanin structure: gate ``g`` reads nets
-        ``fanin_nets[fanin_ptr[g]:fanin_ptr[g + 1]]``, in pin order.
+    fanin_matrix:
+        Padded ``(n_gates, max_fanin)`` fanin nets: row ``g`` holds the
+        nets read by gate ``g`` in pin order, and its spare slots hold the
+        sentinel net index ``n_nets``.  The analyzers keep one extra net row
+        for the sentinel that always reads ``-inf``, so a spare slot never
+        wins a worst-fanin search.
     level_starts:
         Compiled-gate index where each level begins, length ``n_levels + 1``.
-    level_groups:
-        Per level, ``(cell_name, local_gate_indices)`` pairs grouping the
-        level's gates by cell type -- ``local_gate_indices`` index into the
-        level's slice.  One batched timing query is issued per pair.
     driver_gate:
         Driving gate per net index (-1 for primary inputs).
     external_loads:
@@ -288,13 +294,12 @@ class CompiledNetlist:
     netlist: Netlist
     net_names: Tuple[str, ...]
     gate_names: Tuple[str, ...]
-    gate_cells: Tuple[str, ...]
+    cell_names: Tuple[str, ...]
+    gate_cell: np.ndarray
     gate_output_net: np.ndarray
     gate_level: np.ndarray
-    fanin_nets: np.ndarray
-    fanin_ptr: np.ndarray
+    fanin_matrix: np.ndarray
     level_starts: np.ndarray
-    level_groups: Tuple[Tuple[Tuple[str, np.ndarray], ...], ...]
     driver_gate: np.ndarray
     external_loads: np.ndarray
     load_nets: np.ndarray
@@ -304,7 +309,7 @@ class CompiledNetlist:
 
     @property
     def n_nets(self) -> int:
-        """Number of nets."""
+        """Number of nets (the fanin sentinel excluded)."""
         return len(self.net_names)
 
     @property
@@ -321,45 +326,38 @@ class CompiledNetlist:
     def nbytes(self) -> int:
         """Approximate footprint, sized without walking the object graph.
 
-        The array buffers, one int64 per gate for ``level_groups`` (whose
-        index arrays partition the gates), and flat per-gate and per-net
-        allowances for the name tuples; the ``"netlist_compile"`` cache
-        charges each entry this figure.
+        The array buffers plus a flat allowance per gate and per net name;
+        the ``"netlist_compile"`` cache charges each entry this figure.
         """
         arrays = sum(value.nbytes for value in vars(self).values()
                      if isinstance(value, np.ndarray))
-        return (arrays + self.n_gates * (8 + _GATE_NAME_BYTES)
-                + self.n_nets * _NET_NAME_BYTES)
+        return arrays + (self.n_gates + self.n_nets) * _NAME_BYTES
 
-    def level_worst_fanins(self, level: int, arrival: np.ndarray
-                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Segment-reduce each gate's fanin arrivals over one level.
+    def level_worst_fanins(self, level: int, arrival: np.ndarray,
+                           carried: np.ndarray
+                           ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each gate's latest fanin arrival over one level, and its pin's value.
 
-        ``arrival`` is indexed by net -- shape ``(n_nets,)`` for
-        deterministic STA or ``(n_nets, n_seeds)`` for SSTA.  Returns
-        ``(nets, worst, first)``: the level's concatenated fanin net
-        indices, the worst (latest) arrival per gate, and the local index
-        into ``nets`` of the first pin attaining it (matching Python
-        ``max`` / ``np.argmax`` tie-breaking, seed-wise in the 2-D case).
+        ``arrival`` and ``carried`` are indexed by net, include the
+        sentinel row and share one shape -- ``(n_nets + 1,)`` for
+        deterministic STA or ``(n_nets + 1, n_seeds)`` for SSTA.  Returns
+        ``(worst, picked)``: the worst (latest) arrival per gate, and
+        ``carried`` at the first pin attaining it, seed-wise in the 2-D
+        case.  A running maximum over the padded slots: a strict ``>``
+        keeps the first pin on ties and on NaN, so the pick always comes
+        from one of the gate's own pins, while ``np.maximum`` carries a NaN
+        arrival through to the gate.
         """
-        start = int(self.level_starts[level])
-        stop = int(self.level_starts[level + 1])
-        fanin_lo = int(self.fanin_ptr[start])
-        fanin_hi = int(self.fanin_ptr[stop])
-        nets = self.fanin_nets[fanin_lo:fanin_hi]
-        pointers = self.fanin_ptr[start:stop] - fanin_lo
-        values = arrival[nets]
-        worst = np.maximum.reduceat(values, pointers, axis=0)
-        counts = np.diff(np.append(pointers, nets.size))
-        index = np.arange(nets.size).reshape((-1,) + (1,) * (values.ndim - 1))
-        candidates = np.where(values == np.repeat(worst, counts, axis=0),
-                              index, nets.size)
-        first = np.minimum.reduceat(candidates, pointers, axis=0)
-        # A NaN arrival matches nothing (NaN != NaN), leaving the sentinel;
-        # clamp so the gather stays in bounds and the NaN propagates to the
-        # gate's arrival exactly as in the loop engines.
-        first = np.minimum(first, nets.size - 1)
-        return nets, worst, first
+        fanins = self.fanin_matrix[self.level_starts[level]:
+                                   self.level_starts[level + 1]]
+        worst = arrival[fanins[:, 0]]
+        picked = carried[fanins[:, 0]]
+        for slot in range(1, fanins.shape[1]):
+            nets = fanins[:, slot]
+            candidate = arrival[nets]
+            picked = np.where(candidate > worst, carried[nets], picked)
+            np.maximum(worst, candidate, out=worst)
+        return worst, picked
 
     def net_loads(self, input_caps_f: Mapping[str, float]) -> np.ndarray:
         """Total capacitive load per net index, in farads.
@@ -369,138 +367,140 @@ class CompiledNetlist:
         gate connected to it -- computed for every net in one scatter-add
         instead of the per-net fanout walk of the naive engines.
         """
-        pin_caps = np.array([float(input_caps_f[self.gate_cells[g]])
-                             for g in self.load_pin_gate])
+        cell_caps = np.array([float(input_caps_f[cell])
+                              for cell in self.cell_names])
         loads = self.external_loads.copy()
-        np.add.at(loads, self.load_nets, pin_caps)
+        np.add.at(loads, self.load_nets,
+                  cell_caps[self.gate_cell[self.load_pin_gate]])
         return loads
+
+
+def _frontier_levels(pin_gate: np.ndarray, pin_driver: np.ndarray,
+                     n_gates: int) -> np.ndarray:
+    """Topological level of every gate by frontier levelization.
+
+    ``pin_gate`` and ``pin_driver`` give each fanin pin's consumer and
+    driving gate (negative for a primary input).  Each round releases the
+    gates whose last driven pin belongs to the previous round's frontier,
+    walking CSR consumer arrays, so a gate's level is one more than the
+    worst level of its fanin nets (primary inputs at level 0).  Gates on or
+    behind a combinational loop are never released and keep level 0.
+    """
+    driven = pin_driver >= 0
+    consumers = pin_gate[driven][np.argsort(pin_driver[driven], kind="stable")]
+    consumer_ptr = np.zeros(n_gates + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pin_driver[driven], minlength=n_gates),
+              out=consumer_ptr[1:])
+    pending = np.bincount(pin_gate[driven], minlength=n_gates)
+    level = np.zeros(n_gates, dtype=np.int64)
+    frontier = np.flatnonzero(pending == 0)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        level[frontier] = depth
+        starts = consumer_ptr[frontier]
+        lengths = consumer_ptr[frontier + 1] - starts
+        ends = np.cumsum(lengths)
+        released = consumers[np.repeat(starts - ends + lengths, lengths)
+                             + np.arange(ends[-1])]
+        candidates, hits = np.unique(released, return_counts=True)
+        pending[candidates] -= hits
+        frontier = candidates[pending[candidates] == 0]
+    return level
 
 
 def compile_netlist(netlist: Netlist) -> CompiledNetlist:
     """Build the :class:`CompiledNetlist` array view of a netlist.
 
-    Levelizes with Kahn's algorithm (detecting combinational loops and
-    driverless nets along the way), orders gates level-major, and prepares
-    the CSR fanin plus load-accumulation index arrays.
+    Every step is an array operation over the flattened fanin pins:
+    frontier levelization over CSR consumer arrays (which also detects
+    combinational loops), a stable argsort into level-major order, and the
+    padded fanin matrix plus the load-accumulation index arrays.  Only the
+    name lookups walk the gates in Python.
     """
     gates = netlist.gates
-    pis = netlist.primary_inputs
+    n_gates = len(gates)
+    net_names = (*netlist.primary_inputs, *(gate.output_net for gate in gates))
+    n_inputs, n_nets = len(netlist.primary_inputs), len(net_names)
+    net_index = dict(zip(net_names, range(n_nets)))
 
-    net_index: Dict[str, int] = {}
-    for net in pis:
-        net_index[net] = len(net_index)
-    for gate in gates:
-        net_index[gate.output_net] = len(net_index)
-    for gate in gates:
-        for net in gate.input_nets:
-            if net not in net_index:
-                raise ValueError(
-                    f"net {net!r} (input of {gate.name}) has no driver")
+    fanin_lists = [gate.input_nets for gate in gates]
+    counts = np.fromiter(map(len, fanin_lists), dtype=np.int64, count=n_gates)
+    pin_ptr = np.zeros(n_gates + 1, dtype=np.int64)
+    np.cumsum(counts, out=pin_ptr[1:])
+    pins = np.fromiter(map(net_index.get,
+                           itertools.chain.from_iterable(fanin_lists),
+                           itertools.repeat(-1)),
+                       dtype=np.int64, count=int(pin_ptr[-1]))
+    pin_gate = np.repeat(np.arange(n_gates), counts)
+    if np.any(pins < 0):
+        first = int(np.argmax(pins < 0))
+        gate = int(pin_gate[first])
+        net = fanin_lists[gate][first - pin_ptr[gate]]
+        raise ValueError(
+            f"net {net!r} (input of {gates[gate].name}) has no driver")
     for net in netlist.primary_outputs:
         if net not in net_index:
             raise ValueError(f"primary output {net!r} has no driver")
 
-    # Kahn levelization over gates: a gate's level is one more than the
-    # worst level of its fanin nets; primary-input nets sit at level 0.
-    gate_pos = {gate.name: index for index, gate in enumerate(gates)}
-    driver_names = [netlist._driver_of.get(name) for name in net_index]
-    driver_pos = [gate_pos[name] if name is not None else -1
-                  for name in driver_names]
-    net_of_gate = [net_index[gate.output_net] for gate in gates]
-    indegree = np.zeros(len(gates), dtype=np.int64)
-    consumer_lists: List[List[int]] = [[] for _ in gates]
-    for position, gate in enumerate(gates):
-        for net in gate.input_nets:
-            driver = driver_pos[net_index[net]]
-            if driver >= 0:
-                indegree[position] += 1
-                consumer_lists[driver].append(position)
-
-    gate_level = np.zeros(len(gates), dtype=np.int64)
-    ready = [position for position in range(len(gates)) if indegree[position] == 0]
-    net_level = np.zeros(len(net_index), dtype=np.int64)
-    processed = 0
-    order: List[int] = []
-    while ready:
-        next_ready: List[int] = []
-        for position in ready:
-            gate = gates[position]
-            level = 1 + max(net_level[net_index[net]] for net in gate.input_nets)
-            gate_level[position] = level
-            net_level[net_of_gate[position]] = level
-            order.append(position)
-            processed += 1
-            for consumer in consumer_lists[position]:
-                indegree[consumer] -= 1
-                if indegree[consumer] == 0:
-                    next_ready.append(consumer)
-        ready = next_ready
-    if processed != len(gates):
+    # Gate outputs are nets n_inputs + position, so a pin's driving gate is
+    # its net minus n_inputs.
+    level = _frontier_levels(pin_gate, pins - n_inputs, n_gates)
+    if np.any(level == 0):
         raise ValueError(f"netlist {netlist.name!r} contains a combinational loop")
 
     # Level-major compiled order, insertion order within a level.
-    compiled_order = sorted(range(len(gates)),
-                            key=lambda position: (gate_level[position], position))
-    gate_names: List[str] = []
-    gate_cells: List[str] = []
-    output_net = np.empty(len(gates), dtype=np.int64)
-    fanin_nets: List[int] = []
-    fanin_ptr = np.zeros(len(gates) + 1, dtype=np.int64)
-    load_nets: List[int] = []
-    load_pin_gate: List[int] = []
-    compiled_level = np.empty(len(gates), dtype=np.int64)
-    for compiled_index, position in enumerate(compiled_order):
-        gate = gates[position]
-        gate_names.append(gate.name)
-        gate_cells.append(gate.cell_name)
-        output_net[compiled_index] = net_index[gate.output_net]
-        compiled_level[compiled_index] = gate_level[position]
-        fanin_nets.extend(net_index[net] for net in gate.input_nets)
-        fanin_ptr[compiled_index + 1] = len(fanin_nets)
-        for net in dict.fromkeys(gate.input_nets):
-            load_nets.append(net_index[net])
-            load_pin_gate.append(compiled_index)
+    order = np.argsort(level, kind="stable")
+    gate_level = level[order]
+    n_levels = int(gate_level[-1]) if n_gates else 0
+    level_starts = np.append(
+        np.searchsorted(gate_level, np.arange(1, n_levels + 1)),
+        n_gates).astype(np.int64)
 
-    n_levels = int(compiled_level[-1]) if len(gates) else 0
-    level_starts = np.searchsorted(compiled_level, np.arange(1, n_levels + 1))
-    level_starts = np.append(level_starts, len(gates)).astype(np.int64)
+    cells = [gate.cell_name for gate in gates]
+    cell_names = tuple(dict.fromkeys(cells))
+    cell_index = {cell: index for index, cell in enumerate(cell_names)}
+    gate_cell = np.fromiter(map(cell_index.__getitem__, cells),
+                            dtype=np.int64, count=n_gates)[order]
 
-    level_groups: List[Tuple[Tuple[str, np.ndarray], ...]] = []
-    for level in range(n_levels):
-        start, stop = int(level_starts[level]), int(level_starts[level + 1])
-        by_cell: Dict[str, List[int]] = {}
-        for local, compiled_index in enumerate(range(start, stop)):
-            by_cell.setdefault(gate_cells[compiled_index], []).append(local)
-        level_groups.append(tuple(
-            (cell, np.asarray(indices, dtype=np.int64))
-            for cell, indices in by_cell.items()))
+    fanin_matrix = np.full((n_gates, int(counts.max(initial=0))), n_nets,
+                           dtype=np.int64)
+    fanin_matrix[pin_gate, np.arange(pins.size) - pin_ptr[pin_gate]] = pins
+    fanin_matrix = fanin_matrix[order]
+    # A pin loads its net once per gate: the first slot carrying each net.
+    first_use = fanin_matrix < n_nets
+    for slot in range(1, fanin_matrix.shape[1]):
+        first_use[:, slot] &= np.all(
+            fanin_matrix[:, :slot] != fanin_matrix[:, slot:slot + 1], axis=1)
+    load_pin_gate, load_slot = np.nonzero(first_use)
 
-    driver_gate = np.full(len(net_index), -1, dtype=np.int64)
-    driver_gate[output_net] = np.arange(len(gates))
-    external_loads = np.zeros(len(net_index))
+    gate_output_net = n_inputs + order
+    driver_gate = np.full(n_nets, -1, dtype=np.int64)
+    driver_gate[gate_output_net] = np.arange(n_gates)
+    external_loads = np.zeros(n_nets)
     for net, capacitance in netlist._output_loads.items():
         if net in net_index:
             external_loads[net_index[net]] = capacitance
 
+    names = [gate.name for gate in gates]
     return CompiledNetlist(
         netlist=netlist,
-        net_names=tuple(net_index),
-        gate_names=tuple(gate_names),
-        gate_cells=tuple(gate_cells),
-        gate_output_net=output_net,
-        gate_level=compiled_level,
-        fanin_nets=np.asarray(fanin_nets, dtype=np.int64),
-        fanin_ptr=fanin_ptr,
+        net_names=net_names,
+        gate_names=tuple(map(names.__getitem__, order.tolist())),
+        cell_names=cell_names,
+        gate_cell=gate_cell,
+        gate_output_net=gate_output_net,
+        gate_level=gate_level,
+        fanin_matrix=fanin_matrix,
         level_starts=level_starts,
-        level_groups=tuple(level_groups),
         driver_gate=driver_gate,
         external_loads=external_loads,
-        load_nets=np.asarray(load_nets, dtype=np.int64),
-        load_pin_gate=np.asarray(load_pin_gate, dtype=np.int64),
-        primary_input_nets=np.asarray([net_index[net] for net in pis],
-                                      dtype=np.int64),
-        primary_output_nets=np.asarray(
-            [net_index[net] for net in netlist.primary_outputs], dtype=np.int64),
+        load_nets=fanin_matrix[load_pin_gate, load_slot],
+        load_pin_gate=load_pin_gate,
+        primary_input_nets=np.arange(n_inputs, dtype=np.int64),
+        primary_output_nets=np.array(
+            [net_index[net] for net in netlist.primary_outputs],
+            dtype=np.int64),
     )
 
 

@@ -8,11 +8,13 @@ delay -- mean, sigma, and the high quantiles that statistical sign-off uses.
 This is the downstream consumer the paper's statistical library
 characterization exists to serve.
 
-As in the deterministic analyzer, propagation is level-batched: arrivals
-live in one ``(n_nets, n_seeds)`` array, every topological level resolves
-its seed-wise worst fanins with segmented reductions over the compiled CSR
-fanin arrays, and one batched ``(gates x seeds)`` timing query is issued
-per (level, cell type) group.  Each gate's driving slew is selected **per
+As in the deterministic analyzer, each topological level is one array
+pass: arrivals live in one ``(n_nets + 1, n_seeds)`` array (the last row is
+the ``-inf`` sentinel that spare fanin slots read), every level finds its
+seed-wise worst fanins with a running maximum over the padded fanin matrix,
+and the whole level is one ``(gates x seeds)`` timing-view query
+(:meth:`~repro.sta.timing_view.StatisticalTimingView.level_timing_samples`),
+whatever its mix of cell types.  Each gate's driving slew is selected **per
 seed** from that seed's worst (latest-arriving) input -- not from one
 globally worst input -- and a ``primary_input_arrival`` is accepted,
 mirroring the deterministic analyzer.
@@ -91,28 +93,24 @@ class MonteCarloSsta(TimingGraphAnalyzer):
     def _propagate(self) -> SstaReport:
         compiled = self._compiled
         n_seeds = self._view.n_seeds
-        seed_index = np.arange(n_seeds)
-        arrival = np.full((compiled.n_nets, n_seeds), -np.inf)
-        slew = np.zeros((compiled.n_nets, n_seeds))
+        arrival = np.full((compiled.n_nets + 1, n_seeds), -np.inf)
+        slew = np.zeros((compiled.n_nets + 1, n_seeds))
         arrival[compiled.primary_input_nets] = self._input_arrival
         slew[compiled.primary_input_nets] = self._input_slew
         loads = np.maximum(self._loads, MIN_LOAD_F)
 
+        starts = compiled.level_starts.tolist()
         for level in range(compiled.n_levels):
-            start = int(compiled.level_starts[level])
-            stop = int(compiled.level_starts[level + 1])
-            # worst: (G, S) seed-wise latest fanin arrival; first: (G, S)
-            # seed-wise first pin attaining it (np.argmax tie-breaking).
-            nets, worst, first = compiled.level_worst_fanins(level, arrival)
-            drive_net = nets[first]                                # (G, S)
-            input_slews = slew[drive_net, seed_index[np.newaxis, :]]
-            out_nets = compiled.gate_output_net[start:stop]
-            out_loads = loads[out_nets]
-            for cell, local in compiled.level_groups[level]:
-                delay, out_slew = self._view.gate_timing_samples_many(
-                    cell, input_slews[local], out_loads[local])
-                arrival[out_nets[local]] = worst[local] + delay
-                slew[out_nets[local]] = out_slew
+            gates = slice(starts[level], starts[level + 1])
+            # worst: (G, S) seed-wise latest fanin arrival; input_slews: the
+            # slew of the first pin attaining it, seed-wise.
+            worst, input_slews = compiled.level_worst_fanins(level, arrival,
+                                                             slew)
+            out_nets = compiled.gate_output_net[gates]
+            delay, out_slew = self._view.level_timing_samples(
+                self._gate_rows[gates], input_slews, loads[out_nets])
+            arrival[out_nets] = np.add(worst, delay, out=worst)
+            slew[out_nets] = out_slew
 
         po_names = [compiled.net_names[index]
                     for index in compiled.primary_output_nets]

@@ -208,6 +208,27 @@ class TestStaEquivalence:
                 base.critical_delay + 7e-12, rel=1e-12)
             assert shifted.critical_path == base.critical_path
 
+    def test_nan_arrivals_keep_drive_pin_within_gate(self):
+        """All-NaN arrivals tie every fanin, so each gate drives from its
+        first pin -- never from a pin of another gate in its level."""
+        netlist = random_layered_dag(6, 4, rng=3)
+        view = make_nominal_view()
+        loop = sta_loop(netlist, view, primary_input_arrival=np.nan)
+        batched = run_sta(netlist, view, primary_input_arrival=np.nan)
+        assert batched.transition_times == loop.transition_times
+        assert batched.critical_path == loop.critical_path
+        assert batched.critical_output == loop.critical_output
+        assert all(np.isnan(arrival)
+                   for arrival in batched.arrival_times.values())
+
+    @pytest.mark.parametrize("analyzer", (StaticTimingAnalyzer, MonteCarloSsta))
+    @pytest.mark.parametrize("slew", (np.nan, np.inf))
+    def test_non_finite_input_slew_rejected(self, analyzer, slew):
+        view = (make_nominal_view() if analyzer is StaticTimingAnalyzer
+                else make_statistical_view(4))
+        with pytest.raises(ValueError, match="finite"):
+            analyzer(c17_benchmark(), view, primary_input_slew=slew)
+
     def test_invalid_engine_rejected(self):
         # One propagation path: the retired engine switch is not accepted.
         with pytest.raises(TypeError, match="engine"):
@@ -385,6 +406,9 @@ class TestBatchedViewQueries:
         view = make_nominal_view()
         with pytest.raises(ValueError, match="match"):
             view.gate_timing_many("INV_X1", np.ones(3) * 1e-12, np.ones(2) * 1e-15)
+        with pytest.raises(ValueError, match="match"):
+            view.level_timing(np.zeros(3, dtype=np.int64), np.ones(2) * 1e-12,
+                              np.ones(2) * 1e-15)
 
     def test_batch_callback_shape_checked(self):
         cells = {"INV_X1": CellTiming(

@@ -432,12 +432,12 @@ class TestCacheTokenPickling:
             inverter=inverter,
             fitting_conditions=(InputCondition(5e-12, 2e-15, 0.9),),
             simulation_runs=0)
-        row = characterization._ieff_row(0.9)  # assigns a token
+        row = characterization.ieff_row(0.9)  # assigns a token
         assert "_ieff_token" in characterization.__dict__
         loaded = pickle.loads(pickle.dumps(characterization))
         assert "_ieff_token" not in loaded.__dict__
         # The clone reissues its own token and computes identical rows.
-        np.testing.assert_array_equal(loaded._ieff_row(0.9), row)
+        np.testing.assert_array_equal(loaded.ieff_row(0.9), row)
         assert loaded.__dict__["_ieff_token"] != characterization.__dict__[
             "_ieff_token"]
 
