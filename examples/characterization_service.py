@@ -8,7 +8,9 @@ four serving disciplines:
 
 1. **Single-flight coalescing** -- eight clients wanting the same two
    cells are served by one fused pass; the stats show one or two batches
-   and dozens of coalesced arcs instead of eight recomputations.
+   and dozens of coalesced arcs instead of eight recomputations.  A
+   client that arrives after the pass is answered at admission from the
+   solved-model cache (``admission hits``), without waiting for a batch.
 2. **Cooperative deadlines** -- an impatient client (tight ``deadline_s``)
    submits alongside a deliberately slowed batch (the
    ``service.slow_worker`` fault); it gets ``DeadlineExceeded`` promptly
@@ -60,7 +62,8 @@ def arcs_of(cell):
 
 def show(stats) -> None:
     print(f"  submitted {stats.submitted}, completed {stats.completed}, "
-          f"batches {stats.batches}, coalesced arcs {stats.coalesced_arcs}")
+          f"batches {stats.batches}, admission hits {stats.admission_hits}, "
+          f"coalesced arcs {stats.coalesced_arcs}")
     print(f"  deadline misses {stats.deadline_misses}, shed {stats.shed}, "
           f"queue peak {stats.queue_peak}, breaker {stats.breaker_state} "
           f"(trips {stats.breaker_trips})")
@@ -100,10 +103,14 @@ def main() -> None:
         for thread in threads:
             thread.join()
         wall = time.perf_counter() - start
+        # A late client asks again: the solved-model cache answers it at
+        # admission, without a batch.
+        late = service.request(cells[0], arcs_of(cells[0]), conditions)
         stats = service.stats()
     assert all(result.complete for result in results.values())
     print(f"  8 clients served in {wall:.2f} s "
           f"({sum(r.coalesced for r in results.values())} rode shared work)")
+    print(f"  a late repeat came back in {1e3 * late.wall_s:.2f} ms")
     show(stats)
 
     # ------------------------------------------------------------------

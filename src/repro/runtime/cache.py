@@ -263,8 +263,14 @@ class LruCache:
             return len(self._entries)
 
     def __contains__(self, key: Any) -> bool:
+        """Whether :meth:`get` would serve ``key`` from memory.
+
+        A peek: it counts neither a hit nor a miss and leaves recency
+        alone.  False while the cache is disabled, where ``get`` misses
+        too.  The disk tier is not consulted.
+        """
         with self._lock:
-            return key in self._entries
+            return self._enabled and key in self._entries
 
     def enable(self) -> None:
         """Serve lookups again after :meth:`disable`."""
@@ -340,11 +346,11 @@ class LruCache:
     def get(self, key: Any, default: Any = None) -> Any:
         """Return the cached value for ``key`` (marking it most recent).
 
-        Returns ``default`` -- and counts a miss -- when absent or
-        disabled.  A memory miss with a disk tier attached falls back to
-        the store; a disk hit is promoted into memory and returned (the
-        memory miss stays counted -- memory and disk counters are
-        independent tiers).
+        Returns ``default`` when absent -- counting a miss -- or when
+        disabled, which counts nothing.  A memory miss with a disk tier
+        attached falls back to the store; a disk hit is promoted into
+        memory and returned (the memory miss stays counted -- memory and
+        disk counters are independent tiers).
         """
         with self._lock:
             if not self._enabled:

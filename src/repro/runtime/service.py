@@ -17,9 +17,12 @@ Four disciplines, one per failure mode of a naive serving loop:
   solver, the transient stepper signature, the conditions).  Within a
   batch, N requests for the same key become ONE fused-pipeline job whose
   solved model is delivered to all of them; across batches, clean solved
-  models land in a service-level LRU so repeat requests never re-enter the
-  pipeline (a degraded one is delivered with its failure reports and never
-  cached).  Below the job level the fused plan dedups further: physically
+  models land in a service-level LRU (a degraded one is delivered with its
+  failure reports and never cached).  A request whose every arc is already
+  in the LRU is served at admission, on the submitting thread: repeats
+  neither re-enter the pipeline nor wait for a coalescing window.  A
+  partial hit queues as usual, and its batch serves the cached arcs.
+  Below the job level the fused plan dedups further: physically
   identical rows of *different* jobs (footprint twins on shared operating
   points) integrate exactly once (see
   :meth:`~repro.core.simulation_plan.SimulationPlan.shared_row_counts`).
@@ -201,15 +204,16 @@ class ServiceResult:
         under degraded shedding, missed the solved-model cache).
     coalesced:
         Whether any of the request's arcs was served by work it did not
-        trigger itself -- a solved-cache hit or a job shared with another
-        request in the same batch.
+        trigger itself -- a solved-cache hit (at admission or in a batch)
+        or a job shared with another request in the same batch.
     degraded:
         Whether this is a cache-only partial result (load-shedding under
         the ``degrade`` policy) or carries per-arc failures.
     failures:
         Structured reports for arcs that degraded or failed.
     wall_s:
-        Seconds from admission to delivery.
+        Seconds from admission to delivery; near zero for a request
+        served at admission from the solved-model cache.
     """
 
     characterizations: Dict[str, Optional[object]]
@@ -228,13 +232,19 @@ class ServiceResult:
 @dataclass(frozen=True)
 class ServiceStats:
     """Monitoring snapshot of one service (see :meth:`
-    CharacterizationService.stats`)."""
+    CharacterizationService.stats`).
+
+    ``admission_hits`` counts the requests answered at admission from the
+    solved-model LRU.  They count in ``submitted``, ``completed`` and
+    ``coalesced_arcs``, but never in ``batches``.
+    """
 
     submitted: int
     completed: int
     deadline_misses: int
     shed: int
     coalesced_arcs: int
+    admission_hits: int
     batches: int
     queue_depth: int
     queue_peak: int
@@ -423,6 +433,10 @@ class CharacterizationService:
                deadline_s: Optional[float] = None) -> ServiceTicket:
         """Enqueue one characterization request; returns immediately.
 
+        A request whose every arc is already in the solved-model LRU is
+        not enqueued: its ticket is complete on return (``coalesced``,
+        counted in ``stats().admission_hits``).
+
         Parameters
         ----------
         cell:
@@ -441,6 +455,9 @@ class CharacterizationService:
 
         Raises
         ------
+        ValueError
+            Empty arcs or conditions, a non-positive deadline, or an arc
+            of another cell or of a pin the cell does not have.
         ServiceClosed
             After :meth:`close`.
         ServiceOverloaded
@@ -454,6 +471,11 @@ class CharacterizationService:
             raise ValueError("arcs must be non-empty")
         if not conditions:
             raise ValueError("conditions must be non-empty")
+        pins = cell.input_pins
+        for arc in arcs:
+            if arc.cell_name != cell.name or arc.input_pin not in pins:
+                raise ValueError(f"arc {arc.name} is not an arc of cell "
+                                 f"{cell.name} (input pins {pins})")
         now = time.monotonic()
         keys = tuple(self.job_key(cell, arc, conditions) for arc in arcs)
         ticket = ServiceTicket()
@@ -476,6 +498,23 @@ class CharacterizationService:
             if full:
                 return self._shed(request)
             self._submitted += 1
+            # Admission fast path: every arc already solved completes the
+            # ticket here, with no queue slot, window or batch.  The ``in``
+            # peek leaves the LRU counters alone for a request that goes
+            # on to the queue, whose batch then counts each lookup once;
+            # an entry evicted between the peek and the get goes on too.
+            if (request.not_before == 0.0
+                    and all(key in self._solved for key in keys)):
+                served = self._cached_models(request)
+                if all(model is not None for model in served.values()):
+                    self._completed += 1
+                    self.ledger.add_metric("service_admission_hits", 1)
+                    self.ledger.add_metric("service_arcs_coalesced",
+                                           len(keys))
+                    ticket._complete(ServiceResult(
+                        characterizations=served, coalesced=True,
+                        wall_s=time.monotonic() - now))
+                    return ticket
             self._queue.append(request)
             self._queue_peak = max(self._queue_peak, len(self._queue))
             self.ledger.set_gauge("service_queue_peak", self._queue_peak)
@@ -501,12 +540,7 @@ class CharacterizationService:
             raise ServiceOverloaded(
                 f"queue at depth {self.queue_depth}; request rejected "
                 f"(policy 'reject')")
-        served: Dict[str, Optional[object]] = {}
-        hits = 0
-        for arc, key in zip(request.arcs, request.keys):
-            solved = self._solved.get(key)
-            served[arc.name] = solved
-            hits += solved is not None
+        served = self._cached_models(request)
         failures = tuple(
             FailureReport(unit=f"{request.cell.name}:{arc.name}",
                           stage="admission",
@@ -515,10 +549,22 @@ class CharacterizationService:
             for arc in request.arcs if served[arc.name] is None)
         self._completed += 1
         request.ticket._complete(ServiceResult(
-            characterizations=served, coalesced=hits > 0, degraded=True,
+            characterizations=served,
+            coalesced=any(model is not None for model in served.values()),
+            degraded=True,
             failures=failures,
             wall_s=time.monotonic() - request.enqueued_at))
         return request.ticket
+
+    def _cached_models(self, request: _Request) -> Dict[str, Optional[object]]:
+        """Arc name -> solved model from the LRU (``None`` where it misses).
+
+        The admission side's one reader of the solved-model LRU: the fast
+        path serves a request only when every arc hits, the ``degrade``
+        shed path serves whatever hits.
+        """
+        return {arc.name: self._solved.get(key)
+                for arc, key in zip(request.arcs, request.keys)}
 
     # ------------------------------------------------------------------
     # Monitoring
@@ -533,6 +579,7 @@ class CharacterizationService:
                 deadline_misses=metrics.get("service_deadline_misses", 0),
                 shed=metrics.get("service_shed", 0),
                 coalesced_arcs=metrics.get("service_arcs_coalesced", 0),
+                admission_hits=metrics.get("service_admission_hits", 0),
                 batches=self._batches,
                 queue_depth=len(self._queue),
                 queue_peak=self._queue_peak,
@@ -560,7 +607,18 @@ class CharacterizationService:
                 time.sleep(self.batch_window_s)
             batch = self._drain_batch()
             if batch:
-                self._serve_batch(batch)
+                try:
+                    self._serve_batch(batch)
+                except Exception as error:
+                    # The scheduler must outlive any one batch: fail the
+                    # batch's undelivered tickets with the error (its
+                    # traceback rides along) and serve the next batch.
+                    with self._lock:
+                        self.ledger.add_metric("service_batch_errors", 1)
+                        for request in batch:
+                            if not request.ticket.done():
+                                self._completed += 1
+                                request.ticket._fail(error)
                 continue
             # Nothing serveable (only stuck requests remain): park until
             # the earliest hold-out expiry or deadline instead of spinning.

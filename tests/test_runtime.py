@@ -80,6 +80,7 @@ class TestLruCache:
         cache.put("a", 1)
         cache.disable()
         assert cache.get("a") is None  # disabled: no hit, no miss count
+        assert "a" not in cache  # membership agrees with get
         cache.put("b", 2)  # disabled: not stored
         cache.enable()
         assert cache.get("a") == 1

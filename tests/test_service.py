@@ -10,6 +10,7 @@ completing and coalesced results bit-identical to solo runs.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -515,3 +516,175 @@ class TestConcurrentClients:
         finally:
             sim_cache.detach_disk_store()
             clear_all_caches()
+
+
+class TestAdmissionFastPath:
+    """Fully cached requests complete at admission, on the caller's thread."""
+
+    def test_repeat_skips_the_window_and_the_batch(self, context, inv_cell):
+        arcs = inv_arcs(inv_cell)
+        conditions = context[-1]
+        clear_all_caches()
+        with make_service(context, batch_window_s=2.0) as service:
+            first = service.request(inv_cell, arcs, conditions)
+            batches = service.stats().batches
+            start = time.monotonic()
+            repeat = service.submit(inv_cell, arcs, conditions).result(
+                timeout=30)
+            elapsed = time.monotonic() - start
+            stats = service.stats()
+        assert elapsed < 0.5  # far below the 2 s coalescing window
+        assert stats.batches == batches
+        assert stats.admission_hits == 1
+        assert stats.submitted == stats.completed == 2
+        assert repeat.coalesced and repeat.complete and not repeat.degraded
+        for arc in arcs:
+            assert (repeat.characterizations[arc.name]
+                    is first.characterizations[arc.name])
+
+    def test_partial_hit_goes_to_the_queue(self, context, inv_cell):
+        fall, rise = inv_arcs(inv_cell)
+        conditions = context[-1]
+        clear_all_caches()
+        with make_service(context) as service:
+            first = service.request(inv_cell, (fall,), conditions)
+            both = service.request(inv_cell, (fall, rise), conditions)
+            stats = service.stats()
+        # The peek found rise missing, so the batch did the lookups: one
+        # hit (fall) and one miss (rise) beside the first request's miss.
+        assert stats.admission_hits == 0
+        assert stats.batches == 2
+        assert (stats.solved_hits, stats.solved_misses) == (1, 2)
+        assert both.coalesced and both.complete
+        assert (both.characterizations[fall.name]
+                is first.characterizations[fall.name])
+
+    def test_stuck_request_is_not_served_at_admission(self, context,
+                                                      inv_cell):
+        arcs = inv_arcs(inv_cell)
+        conditions = context[-1]
+        clear_all_caches()
+        with make_service(context) as service:
+            first = service.request(inv_cell, arcs, conditions)
+            with inject([FaultSpec(site="service.stuck_request", kind="slow",
+                                   at_calls=(0,), delay_s=0.2)]):
+                ticket = service.submit(inv_cell, arcs, conditions)
+            assert not ticket.done()  # held out, like any stuck request
+            repeat = ticket.result(timeout=30)
+            stats = service.stats()
+        assert stats.admission_hits == 0 and stats.batches == 2
+        assert repeat.coalesced and repeat.wall_s >= 0.2
+        for arc in arcs:
+            assert (repeat.characterizations[arc.name]
+                    is first.characterizations[arc.name])
+
+    def test_contending_submitters_mix_hits_and_batches(
+            self, context, inv_cell, nand2_cell):
+        """More submitter threads than cores, a short switch interval and
+        a seeded mix of warmed, partially warmed and cold requests: every
+        ticket completes, the counters add up, every hit hands out the
+        LRU's own object, and every result equals its solo run."""
+        fall, rise = inv_arcs(inv_cell)
+        conditions = context[-1]
+        expected = {inv_cell.name: solo_reference(context, inv_cell,
+                                                  (fall, rise)),
+                    nand2_cell.name: solo_reference(
+                        context, nand2_cell, inv_arcs(nand2_cell))}
+        kinds = [(inv_cell, (fall,)),                   # warmed
+                 (inv_cell, (fall, rise)),              # partial hit
+                 (nand2_cell, inv_arcs(nand2_cell))]    # cold
+        n_threads, per_thread = 8, 6
+        outcomes = {}
+        errors = []
+
+        def submitter(index):
+            rng = np.random.default_rng([23, index])
+            try:
+                for position in range(per_thread):
+                    cell, arcs = kinds[int(rng.integers(len(kinds)))]
+                    ticket = service.submit(cell, arcs, conditions)
+                    outcomes[index, position] = (cell, arcs, ticket)
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        clear_all_caches()
+        interval = sys.getswitchinterval()
+        service = make_service(context, queue_depth=64)
+        try:
+            service.request(inv_cell, (fall,), conditions)  # warm fall
+            sys.setswitchinterval(1e-5)
+            threads = [threading.Thread(target=submitter, args=(index,))
+                       for index in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            results = {slot: ticket.result(timeout=60)
+                       for slot, (_, _, ticket) in outcomes.items()}
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not errors
+        assert len(results) == n_threads * per_thread
+        stats = service.stats()
+        assert stats.submitted == stats.completed == n_threads * per_thread + 1
+        assert stats.admission_hits > 0
+        assert (stats.admission_hits
+                + service.ledger.metrics()["service_requests"]
+                == stats.completed)
+        for slot, (cell, arcs, _) in outcomes.items():
+            result = results[slot]
+            assert result.complete and not result.degraded
+            for arc in arcs:
+                model = result.characterizations[arc.name]
+                assert model is service._solved.get(
+                    service.job_key(cell, arc, conditions))
+                assert_same_characterization(model,
+                                             expected[cell.name][arc.name])
+
+
+class TestSchedulerResilience:
+    def test_arc_of_another_cell_is_rejected_at_submit(
+            self, context, inv_cell, nand2_cell):
+        conditions = context[-1]
+        with make_service(context) as service:
+            # A pin the cell lacks used to kill the scheduler; a pin it has
+            # served the cell's own model under the other cell's arc name.
+            for pin in ("B", "A"):
+                with pytest.raises(ValueError, match="not an arc of cell"):
+                    service.submit(inv_cell,
+                                   (nand2_cell.arc(pin, Transition.FALL),),
+                                   conditions)
+            result = service.submit(inv_cell, inv_arcs(inv_cell),
+                                    conditions).result(timeout=20)
+        assert result.complete
+        assert service.stats().submitted == 1
+
+    def test_raising_batch_fails_its_tickets_and_the_scheduler_lives_on(
+            self, context, inv_cell, nand2_cell, monkeypatch):
+        conditions = context[-1]
+        clear_all_caches()
+        service = make_service(context, start=False)
+        fused = service._characterize
+        calls = []
+
+        def raise_once(*args):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise RuntimeError("fused pass blew up")
+            return fused(*args)
+
+        monkeypatch.setattr(service, "_characterize", raise_once)
+        with service:
+            doomed = service.submit(inv_cell, inv_arcs(inv_cell), conditions)
+            with pytest.raises(RuntimeError, match="fused pass blew up"):
+                doomed.result(timeout=20)
+            later = service.submit(nand2_cell, inv_arcs(nand2_cell),
+                                   conditions).result(timeout=20)
+            assert service._thread.is_alive()
+        assert later.complete and not later.degraded
+        stats = service.stats()
+        assert stats.submitted == stats.completed == 2
+        assert stats.batches == 1  # only the delivered batch
+        assert service.ledger.metrics()["service_batch_errors"] == 1
