@@ -8,8 +8,7 @@ This example looks inside the "historical learning" half of the flow:
 * it fuses the per-node fits into a prior with Gaussian belief propagation
   over the technology star and compares that against the simple pooled
   (empirical) estimate -- both responses learned in one *batched* BP call
-  (``learn_priors``, identical to one scalar ``learn_prior`` per response
-  at machine precision);
+  (``learn_priors``, bit-identical to one ``learn_prior`` per response);
 * it illustrates the bias/variance trade-off in historical-library selection
   the paper discusses: a prior learned from matching (high-performance)
   nodes versus one that mixes in a low-power node;

@@ -95,8 +95,7 @@ def main() -> None:
     print(f"\nCharacterized {len(result.entries)} arcs of "
           f"{len(result.cell_names())} cells x {result.n_seeds} seeds in "
           f"{fused_seconds:.1f} s "
-          f"({result.simulation_runs} simulation runs, "
-          f"solver={result.solver!r})")
+          f"({result.simulation_runs} simulation runs)")
     print(f"  simulation plan: {metrics.get('fused_rows_simulated', 0)} rows "
           f"over {metrics.get('fused_signature_groups', 0)} signatures "
           f"({metrics.get('fused_rows_deduplicated', 0)} deduplicated, "

@@ -96,7 +96,6 @@ from repro.bayes import (
     BatchedFactorGraph,
     GaussianBatch,
     GaussianDensity,
-    GaussianFactorGraph,
     PrecisionModel,
 )
 from repro.experiments import AccuracyCurve, ExperimentRunner, compute_speedup
@@ -116,7 +115,6 @@ __all__ = [
     "ExperimentRunner",
     "GaussianBatch",
     "GaussianDensity",
-    "GaussianFactorGraph",
     "InputCondition",
     "InputSpace",
     "IntegrationStats",

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cells.equivalent_inverter import reduce_cell_cached
+from repro.cells.equivalent_inverter import default_arc, reduce_cell_cached
 from repro.cells.library import Cell, TimingArc
 from repro.characterization.input_space import (
     InputCondition,
@@ -36,7 +36,7 @@ class LseCharacterizer:
                  counter: Optional[SimulationCounter] = None):
         self._technology = technology
         self._cell = cell
-        self._arc = arc if arc is not None else cell.timing_arcs()[1]
+        self._arc = arc if arc is not None else default_arc(cell)
         self._counter = counter
         self._space = InputSpace(technology)
         self._inverter = reduce_cell_cached(cell, technology, arc=self._arc)

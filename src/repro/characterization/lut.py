@@ -19,6 +19,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cells.equivalent_inverter import default_arc
 from repro.cells.library import Cell, TimingArc
 from repro.characterization.input_space import InputCondition, InputSpace
 from repro.spice.sweep import sweep_conditions
@@ -164,7 +165,7 @@ class LutCharacterizer:
                  counter: Optional[SimulationCounter] = None):
         self._technology = technology
         self._cell = cell
-        self._arc = arc if arc is not None else cell.timing_arcs()[1]
+        self._arc = arc if arc is not None else default_arc(cell)
         self._counter = counter
         self._space = InputSpace(technology)
         self._delay_lut: Optional[LutGrid] = None
@@ -246,7 +247,7 @@ class StatisticalLutCharacterizer:
             raise ValueError("statistical LUT needs at least 2 seeds")
         self._technology = technology
         self._cell = cell
-        self._arc = arc if arc is not None else cell.timing_arcs()[1]
+        self._arc = arc if arc is not None else default_arc(cell)
         self._variation = variation
         self._counter = counter
         self._space = InputSpace(technology)

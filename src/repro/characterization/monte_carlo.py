@@ -22,6 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cells.equivalent_inverter import default_arc
 from repro.cells.library import Cell, TimingArc
 from repro.characterization.input_space import InputCondition
 from repro.spice.sweep import sweep_conditions
@@ -89,7 +90,7 @@ def nominal_baseline(
     conditions = tuple(conditions)
     if not conditions:
         raise ValueError("at least one condition is required")
-    arc = arc if arc is not None else cell.timing_arcs()[1]
+    arc = arc if arc is not None else default_arc(cell)
     runs_before = counter.total if counter is not None else 0
     measurements = sweep_conditions(
         cell, technology, [c.as_tuple() for c in conditions], arc=arc,
@@ -119,7 +120,7 @@ def statistical_baseline(
         raise ValueError("at least one condition is required")
     if variation.n_seeds < 2:
         raise ValueError("statistical baseline needs at least 2 seeds")
-    arc = arc if arc is not None else cell.timing_arcs()[1]
+    arc = arc if arc is not None else default_arc(cell)
     runs_before = counter.total if counter is not None else 0
     measurements = sweep_conditions(
         cell, technology, [c.as_tuple() for c in conditions], arc=arc,

@@ -39,8 +39,8 @@ This module applies the same treatment the transient engine received:
 
 The result is ~10-40 vectorized LM iterations for a full seed batch instead
 of hundreds of scipy solves; the parity suite pins the extracted parameters
-to the scipy path at tight tolerance, and ``benchmarks/test_perf_map.py``
-tracks the speedup in ``BENCH_map.json``.
+to the per-seed scipy oracle (``tests/oracles/map.py``) at tight tolerance,
+and ``benchmarks/test_perf_map.py`` tracks the speedup in ``BENCH_map.json``.
 
 Beyond the single-arc batch, :func:`map_estimate_stacked` stacks *many* arcs'
 seed batches into one solve: every ``(arc, seed)`` pair becomes a row of one

@@ -15,7 +15,11 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cells.equivalent_inverter import EquivalentInverter, reduce_cell_cached
+from repro.cells.equivalent_inverter import (
+    EquivalentInverter,
+    default_arc,
+    reduce_cell_cached,
+)
 from repro.cells.library import Cell, TimingArc
 from repro.characterization.input_space import (
     InputCondition,
@@ -62,7 +66,7 @@ class BayesianCharacterizer:
     ):
         self._technology = technology
         self._cell = cell
-        self._arc = arc if arc is not None else cell.timing_arcs()[1]
+        self._arc = arc if arc is not None else default_arc(cell)
         self._delay_prior = delay_prior
         self._slew_prior = slew_prior
         self._counter = counter

@@ -1,10 +1,11 @@
 """Library-scale statistical characterization orchestrator.
 
-The per-arc flows (:class:`~repro.core.characterizer.BayesianCharacterizer`,
-:class:`~repro.core.statistical_flow.StatisticalCharacterizer`) characterize
-one timing arc at a time; a real library job characterizes *every cell and
-arc* of a standard-cell library against one learned prior.  This module
-orchestrates that workload:
+A real library job characterizes *every cell and arc* of a standard-cell
+library against one learned prior.  This module orchestrates that workload,
+and its fused pipeline (:func:`characterize_fused_jobs`) is the one
+production path of statistical characterization: the single-arc
+:class:`~repro.core.statistical_flow.StatisticalCharacterizer` is a
+one-job call of it.  What a library run adds:
 
 * one shared Monte Carlo seed batch, so every arc's per-seed parameters are
   statistically comparable (and SSTA can correlate them seed-by-seed);
@@ -16,8 +17,8 @@ orchestrates that workload:
   (:mod:`repro.runtime.executor`): ``concurrency="serial"`` shares the
   in-process caches and ``"process"`` fans the simulation tiles out over a
   process pool;
-* simulation-run accounting identical to running the per-arc flows by hand:
-  each arc charges ``k * n_seeds`` runs under a ``library:<cell>:<arc>``
+* simulation-run accounting identical to characterizing each arc on its
+  own: each arc charges ``k * n_seeds`` runs under a ``library:<cell>:<arc>``
   label, whichever execution mode ran it, and
   :class:`~repro.runtime.accounting.RunLedger` records merge into one
   library-level ledger in deterministic order.
@@ -35,7 +36,8 @@ the executor's shard hint (better process-pool load balance than whole-arc
 fan-out) -- and all extractions land in a single stacked, block-diagonal MAP
 solve (:func:`repro.core.batch_map.map_estimate_stacked`).  Its results,
 counter charges and ledger run counts are those of characterizing each arc
-on its own with :class:`~repro.core.statistical_flow.StatisticalCharacterizer`.
+on its own with one sweep and two MAP solves, the per-arc reference kept in
+``tests/oracles/library.py``.
 
 A killed run resumes by running again.  With the durable cache tier
 attached (``runtime.configure(disk_cache_dir=...)``), every finished
@@ -71,9 +73,7 @@ from repro.core.batch_map import (
 from repro.core.prior_learning import TimingPrior
 from repro.core.simulation_plan import SimulationPlan
 from repro.core.statistical_flow import (
-    SOLVERS,
     StatisticalCharacterization,
-    StatisticalCharacterizer,
     arc_observation_pair,
 )
 from repro.liberty.tables import NldmTable
@@ -135,8 +135,8 @@ class LibraryCharacterization:
         Input-space ranges of the target technology (default table axes).
     n_seeds:
         Monte Carlo seeds shared by every arc.
-    solver, concurrency:
-        How the parameter extraction and the fan-out were executed.
+    concurrency:
+        How the simulation tiles were fanned out.
     simulation_runs:
         Total simulator invocations across all arcs.
     entries:
@@ -159,7 +159,6 @@ class LibraryCharacterization:
     slew_range: Tuple[float, float]
     cload_range: Tuple[float, float]
     n_seeds: int
-    solver: str
     concurrency: str
     simulation_runs: int
     entries: Tuple[LibraryArcCharacterization, ...]
@@ -321,17 +320,21 @@ def characterize_fused_jobs(
 ) -> "Tuple[List[Optional[StatisticalCharacterization]], List[FailureReport]]":
     """The fused library pipeline: plan -> one tiled pass -> stacked solve.
 
-    Produces exactly the characterizations (same values, same per-arc
-    ledger run counts) of one :class:`StatisticalCharacterizer` per arc on
-    the same seeds and conditions; the planning/integration half is the
+    The one production path of statistical characterization: a library run,
+    the characterization service and a single-arc
+    :class:`~repro.core.statistical_flow.StatisticalCharacterizer` (a
+    one-job call) all go through it.  The planning/integration half is the
     shared :class:`~repro.core.simulation_plan.SimulationPlan` (also driving
     historical characterization for prior learning); see the module
-    docstring for the design.  Public since PR 10: the characterization
-    service (:mod:`repro.runtime.service`) drives it directly with coalesced
-    job lists that need not share a condition count -- full-condition jobs
-    are stacked per distinct ``k`` (one block-diagonal solve per group;
-    blocks are independent, so the grouping is bit-identical to solving any
-    other way).
+    docstring for the design.  The characterization service
+    (:mod:`repro.runtime.service`) drives it with coalesced job lists that
+    need not share a condition count -- full-condition jobs are stacked per
+    distinct ``k`` (one block-diagonal solve per group; blocks are
+    independent, so the grouping is bit-identical to solving any other
+    way).
+
+    ``solver`` must be ``"batched"``, the stacked seed-vectorized MAP
+    solve; any other value raises :class:`ValueError`.
 
     With ``strict=False`` the pipeline degrades per row instead of aborting:
     broken simulation rows are quarantined by the transient engine, arcs
@@ -344,6 +347,8 @@ def characterize_fused_jobs(
     ``stepper=None`` integrates with the configured transient engine
     (``runtime.configure(transient_engine=...)``), resolved by the plan.
     """
+    if solver != "batched":
+        raise ValueError(f"solver must be 'batched', got {solver!r}")
     n_seeds = variation.n_seeds
     failures: List[FailureReport] = []
 
@@ -409,134 +414,104 @@ def characterize_fused_jobs(
 
     # ------------------------------------------------------------------
     # Extract: stack every arc's seed batch into one block-diagonal MAP
-    # solve per response (batched solver); the scipy parity solver keeps
-    # its per-arc trust-region loops on the injected measurements.
+    # solve per response.
     # ------------------------------------------------------------------
-    characterizations: List[Optional[StatisticalCharacterization]] = []
-    if solver == "batched":
-        space = InputSpace(technology)
-        delay_obs_of: Dict[int, object] = {}
-        slew_obs_of: Dict[int, object] = {}
-        stacked_jobs: List[int] = []
-        degraded_jobs: List[int] = []
-        with ledger.stage("fused:extract"):
-            for job, (cell, arc) in enumerate(jobs):
-                kept = job_kept[job]
-                if kept is None:
-                    continue
-                delay_obs, slew_obs = arc_observation_pair(
-                    technology, inverters[job],
-                    [job_conditions[job][cond] for cond in kept],
-                    delay_prior, slew_prior,
-                    np.stack([job_delays[job][cond] for cond in kept], axis=0),
-                    np.stack([job_slews[job][cond] for cond in kept], axis=0),
-                    space=space)
-                delay_obs_of[job] = delay_obs
-                slew_obs_of[job] = slew_obs
-                if len(kept) == len(job_conditions[job]):
-                    stacked_jobs.append(job)
-                else:
-                    degraded_jobs.append(job)
-        delay_results: Dict[int, object] = {}
-        slew_results: Dict[int, object] = {}
-        with ledger.stage("fused:solve"):
-            # The stacked solver needs a uniform condition count k across
-            # its blocks; coalesced workloads (the serving front door) mix
-            # requests with different k, so stack once per distinct k.
-            # Blocks are independent, so the partition cannot change any
-            # arc's numbers.
-            by_k: Dict[int, List[int]] = {}
-            for job in stacked_jobs:
-                by_k.setdefault(len(job_conditions[job]), []).append(job)
-            for k_jobs in by_k.values():
-                delay_results.update(zip(k_jobs, map_estimate_stacked(
-                    delay_prior, [delay_obs_of[job] for job in k_jobs],
-                    max_bytes=max_bytes)))
-                slew_results.update(zip(k_jobs, map_estimate_stacked(
-                    slew_prior, [slew_obs_of[job] for job in k_jobs],
-                    max_bytes=max_bytes)))
-            # Degraded arcs carry fewer conditions than the stacked blocks
-            # (which need a uniform k), so each gets its own solve; blocks
-            # are independent rows either way, so their stacked peers stay
-            # bit-identical to a clean run.
-            for job in degraded_jobs:
-                delay_results[job] = map_estimate_batch(
-                    delay_prior, delay_obs_of[job], max_bytes=max_bytes)
-                slew_results[job] = map_estimate_batch(
-                    slew_prior, slew_obs_of[job], max_bytes=max_bytes)
-            ledger.add_metric(
-                "solver_iterations",
-                int(sum(int(result.n_iterations.sum())
-                        for result in delay_results.values())
-                    + sum(int(result.n_iterations.sum())
-                          for result in slew_results.values())))
-        if not strict:
-            # Corrupted-solve fallback chain (batched -> scipy -> prior
-            # mean, per seed row).  A clean result passes through as the
-            # same object, so nothing here perturbs the fault-free path.
-            for job in sorted(delay_results):
-                cell, arc = jobs[job]
-                for response, results_map, obs_of, prior in (
-                        ("delay", delay_results, delay_obs_of, delay_prior),
-                        ("slew", slew_results, slew_obs_of, slew_prior)):
-                    result = results_map[job]
-                    repaired = repair_batch_result(
-                        result, obs_of[job], prior, ledger=ledger)
-                    if repaired is not result:
-                        results_map[job] = repaired
-                        broken = int(np.count_nonzero(
-                            ~np.all(np.isfinite(result.parameters), axis=1)))
-                        failures.append(FailureReport(
-                            unit=f"{cell.name}:{arc.name}", stage="extract",
-                            error=(f"{response} solve produced {broken} "
-                                   f"non-finite seed rows; repaired via the "
-                                   f"scipy/prior fallback chain"),
-                            error_type="RepairedSolve"))
+    space = InputSpace(technology)
+    delay_obs_of: Dict[int, object] = {}
+    slew_obs_of: Dict[int, object] = {}
+    stacked_jobs: List[int] = []
+    degraded_jobs: List[int] = []
+    with ledger.stage("fused:extract"):
         for job, (cell, arc) in enumerate(jobs):
-            if job not in delay_results:
-                characterizations.append(None)
+            kept = job_kept[job]
+            if kept is None:
                 continue
-            runs = len(job_conditions[job]) * n_seeds
-            characterizations.append(StatisticalCharacterization(
-                cell_name=cell.name,
-                arc_name=arc.name,
-                delay_parameters=delay_results[job].parameters,
-                slew_parameters=slew_results[job].parameters,
-                inverter=inverters[job],
-                fitting_conditions=tuple(job_conditions[job][cond]
-                                         for cond in job_kept[job]),
-                simulation_runs=runs,
-                solver=solver,
-                delay_converged=delay_results[job].converged,
-                slew_converged=slew_results[job].converged,
-            ))
-    else:
-        with ledger.stage("fused:extract"):
-            for job, (cell, arc) in enumerate(jobs):
-                kept = job_kept[job]
-                if kept is None:
-                    characterizations.append(None)
-                    continue
-                characterizer = StatisticalCharacterizer(
-                    technology, cell, delay_prior, slew_prior, arc=arc,
-                    n_seeds=n_seeds, solver=solver, ledger=ledger,
-                    max_bytes=max_bytes)
-                characterizer.use_variation(variation)
-                try:
-                    characterizations.append(
-                        characterizer.characterize_from_measurements(
-                            [job_conditions[job][cond] for cond in kept],
-                            np.stack([job_delays[job][cond] for cond in kept],
-                                     axis=0),
-                            np.stack([job_slews[job][cond] for cond in kept],
-                                     axis=0),
-                            simulation_runs=len(job_conditions[job]) * n_seeds))
-                except Exception as error:
-                    if strict:
-                        raise
-                    characterizations.append(None)
-                    failures.append(FailureReport.from_exception(
-                        f"{cell.name}:{arc.name}", "extract", error))
+            delay_obs, slew_obs = arc_observation_pair(
+                technology, inverters[job],
+                [job_conditions[job][cond] for cond in kept],
+                delay_prior, slew_prior,
+                np.stack([job_delays[job][cond] for cond in kept], axis=0),
+                np.stack([job_slews[job][cond] for cond in kept], axis=0),
+                space=space)
+            delay_obs_of[job] = delay_obs
+            slew_obs_of[job] = slew_obs
+            if len(kept) == len(job_conditions[job]):
+                stacked_jobs.append(job)
+            else:
+                degraded_jobs.append(job)
+    delay_results: Dict[int, object] = {}
+    slew_results: Dict[int, object] = {}
+    with ledger.stage("fused:solve"):
+        # The stacked solver needs a uniform condition count k across
+        # its blocks; coalesced workloads (the serving front door) mix
+        # requests with different k, so stack once per distinct k.
+        # Blocks are independent, so the partition cannot change any
+        # arc's numbers.
+        by_k: Dict[int, List[int]] = {}
+        for job in stacked_jobs:
+            by_k.setdefault(len(job_conditions[job]), []).append(job)
+        for k_jobs in by_k.values():
+            delay_results.update(zip(k_jobs, map_estimate_stacked(
+                delay_prior, [delay_obs_of[job] for job in k_jobs],
+                max_bytes=max_bytes)))
+            slew_results.update(zip(k_jobs, map_estimate_stacked(
+                slew_prior, [slew_obs_of[job] for job in k_jobs],
+                max_bytes=max_bytes)))
+        # Degraded arcs carry fewer conditions than the stacked blocks
+        # (which need a uniform k), so each gets its own solve; blocks
+        # are independent rows either way, so their stacked peers stay
+        # bit-identical to a clean run.
+        for job in degraded_jobs:
+            delay_results[job] = map_estimate_batch(
+                delay_prior, delay_obs_of[job], max_bytes=max_bytes)
+            slew_results[job] = map_estimate_batch(
+                slew_prior, slew_obs_of[job], max_bytes=max_bytes)
+        ledger.add_metric(
+            "solver_iterations",
+            int(sum(int(result.n_iterations.sum())
+                    for result in delay_results.values())
+                + sum(int(result.n_iterations.sum())
+                      for result in slew_results.values())))
+    if not strict:
+        # Corrupted-solve fallback chain (batched -> scipy -> prior
+        # mean, per seed row).  A clean result passes through as the
+        # same object, so nothing here perturbs the fault-free path.
+        for job in sorted(delay_results):
+            cell, arc = jobs[job]
+            for response, results_map, obs_of, prior in (
+                    ("delay", delay_results, delay_obs_of, delay_prior),
+                    ("slew", slew_results, slew_obs_of, slew_prior)):
+                result = results_map[job]
+                repaired = repair_batch_result(
+                    result, obs_of[job], prior, ledger=ledger)
+                if repaired is not result:
+                    results_map[job] = repaired
+                    broken = int(np.count_nonzero(
+                        ~np.all(np.isfinite(result.parameters), axis=1)))
+                    failures.append(FailureReport(
+                        unit=f"{cell.name}:{arc.name}", stage="extract",
+                        error=(f"{response} solve produced {broken} "
+                               f"non-finite seed rows; repaired via the "
+                               f"scipy/prior fallback chain"),
+                        error_type="RepairedSolve"))
+    characterizations: List[Optional[StatisticalCharacterization]] = []
+    for job, (cell, arc) in enumerate(jobs):
+        if job not in delay_results:
+            characterizations.append(None)
+            continue
+        runs = len(job_conditions[job]) * n_seeds
+        characterizations.append(StatisticalCharacterization(
+            cell_name=cell.name,
+            arc_name=arc.name,
+            delay_parameters=delay_results[job].parameters,
+            slew_parameters=slew_results[job].parameters,
+            inverter=inverters[job],
+            fitting_conditions=tuple(job_conditions[job][cond]
+                                     for cond in job_kept[job]),
+            simulation_runs=runs,
+            delay_converged=delay_results[job].converged,
+            slew_converged=slew_results[job].converged,
+        ))
     return characterizations, failures
 
 
@@ -552,7 +527,6 @@ def characterize_library(
     variation: Optional[VariationSample] = None,
     rng: RandomState = None,
     counter: Optional[SimulationCounter] = None,
-    solver: str = "batched",
     concurrency: str = "serial",
     max_workers: Optional[int] = None,
     ledger: Optional[RunLedger] = None,
@@ -590,9 +564,6 @@ def characterize_library(
         Optional simulation-run accounting; every arc charges
         ``k * n_seeds`` runs under ``library:<cell>:<arc>``, identically in
         both execution modes.
-    solver:
-        Parameter-extraction solver (see
-        :class:`~repro.core.statistical_flow.StatisticalCharacterizer`).
     concurrency:
         Runtime executor mode: ``"serial"`` (default; shares the in-process
         simulation cache) or ``"process"`` (fans tiles of the *flat
@@ -642,8 +613,6 @@ def characterize_library(
     if concurrency not in CONCURRENCY_MODES:
         raise ValueError(
             f"concurrency must be one of {CONCURRENCY_MODES}, got {concurrency!r}")
-    if solver not in SOLVERS:
-        raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if input_pins not in ("first", "all"):
         raise ValueError(f"input_pins must be 'first' or 'all', got {input_pins!r}")
     cells = list(library)
@@ -679,7 +648,7 @@ def characterize_library(
     with run_ledger.stage("characterize_library"):
         results, failures = characterize_fused_jobs(
             technology, jobs, job_conditions, delay_prior, slew_prior,
-            variation, solver, executor, run_ledger, max_bytes,
+            variation, "batched", executor, run_ledger, max_bytes,
             strict=strict_mode, stepper=stepper)
 
     entries: List[LibraryArcCharacterization] = []
@@ -719,7 +688,6 @@ def characterize_library(
         slew_range=tuple(technology.slew_range),
         cload_range=tuple(technology.cload_range),
         n_seeds=variation.n_seeds,
-        solver=solver,
         concurrency=concurrency,
         simulation_runs=total_runs,
         entries=tuple(entries),

@@ -34,11 +34,11 @@ Both halves of the phase run fleet-scale batched:
   pass over every arc of the node on the configured engine, with cross-arc
   dedup -- and fits all arcs in one stacked least-squares solve
   (:func:`repro.core.batch_map.fit_least_squares_stacked`);
-* :func:`learn_priors` and :func:`learn_class_priors` stack every
-  (response x arc-class) star graph into one
-  :class:`~repro.bayes.factor_graph.BatchedFactorGraph` run, so a fleet of
-  priors costs one batched BP call instead of one Python message loop per
-  prior.
+* :func:`learn_prior`, :func:`learn_priors` and :func:`learn_class_priors`
+  stack every requested (response x arc-class) star graph into one
+  :class:`~repro.bayes.factor_graph.BatchedFactorGraph` run (a single
+  prior is a stack of one), so a fleet of priors costs one batched BP call
+  instead of one Python message loop per prior.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bayes.factor_graph import BatchedFactorGraph, GaussianFactorGraph
+from repro.bayes.factor_graph import BatchedFactorGraph
 from repro.bayes.gaussian import GaussianDensity
 from repro.bayes.precision import PrecisionModel
 from repro.cells.library import Cell, Transition
@@ -514,8 +514,7 @@ def _star_inputs(
     """Leaf evidence and drift covariance of one technology-star graph.
 
     ``named_matrices`` pairs each technology name with its ``(n_arcs, 4)``
-    parameter matrix; the order is the evidence-registration order, exactly
-    as :func:`learn_prior` builds its scalar star.
+    parameter matrix; the order is the evidence-registration order.
     """
     per_tech_means = np.array([matrix.mean(axis=0)
                                for _name, matrix in named_matrices])
@@ -562,6 +561,60 @@ def _finish_prior(
     )
 
 
+def _fuse_priors(
+    historical: Sequence[HistoricalLibraryData],
+    requests: Sequence[Tuple[str, Sequence[np.ndarray]]],
+    method: str,
+    shrinkage: float,
+    prior_widening: float,
+    ledger: Optional[RunLedger],
+) -> List[TimingPrior]:
+    """One prior per request; every BP star is solved in one batched run.
+
+    Each request pairs a response with one ``(n_arcs, 4)`` parameter matrix
+    per historical library, in ``historical`` order.  With ``"bp"`` and at
+    least two libraries, each request becomes one technology-star graph and
+    all of them are stacked into one
+    :class:`~repro.bayes.factor_graph.BatchedFactorGraph` run; otherwise
+    each prior is the pooled empirical density.  The fusion's wall time
+    lands on ``ledger`` under the ``priors:bp`` stage.
+    """
+    if not historical:
+        raise ValueError("at least one historical library is required")
+    if method not in ("bp", "empirical"):
+        raise ValueError(f"method must be 'bp' or 'empirical', got {method!r}")
+    if prior_widening <= 0.0:
+        raise ValueError("prior_widening must be positive")
+    run_ledger = ledger if ledger is not None else RunLedger()
+    with run_ledger.stage("priors:bp"):
+        if method == "empirical" or len(historical) == 1:
+            return [_finish_prior(
+                        historical, response,
+                        GaussianDensity.from_samples(np.vstack(matrices),
+                                                     shrinkage=shrinkage,
+                                                     jitter=1e-8),
+                        "empirical", prior_widening)
+                    for response, matrices in requests]
+
+        names = [data.technology_name for data in historical]
+        stars = [_star_inputs(list(zip(names, matrices)), shrinkage)
+                 for _response, matrices in requests]
+        leaves = {leaf: [star_leaves[leaf] for star_leaves, _drift in stars]
+                  for leaf in stars[0][0]}
+        graph = BatchedFactorGraph.star(
+            "global", leaves, np.stack([drift for _leaves, drift in stars]))
+        global_batch = graph.run_belief_propagation()["global"]
+        # Predictive distribution for a new technology node: global belief
+        # widened by the technology-drift covariance.
+        return [_finish_prior(
+                    historical, response,
+                    GaussianDensity(global_batch.mean[index],
+                                    global_batch.covariance[index]
+                                    + stars[index][1]),
+                    "bp", prior_widening)
+                for index, (response, _matrices) in enumerate(requests)]
+
+
 def learn_prior(
     historical: Sequence[HistoricalLibraryData],
     response: str = "delay",
@@ -593,34 +646,11 @@ def learn_prior(
         If no historical data is given or the method is unknown.
     """
     _check_response(response)
-    if not historical:
-        raise ValueError("at least one historical library is required")
-    if method not in ("bp", "empirical"):
-        raise ValueError(f"method must be 'bp' or 'empirical', got {method!r}")
-    if prior_widening <= 0.0:
-        raise ValueError("prior_widening must be positive")
-
-    if method == "empirical" or len(historical) == 1:
-        pooled = np.vstack([data.parameter_matrix(response)
-                            for data in historical])
-        density = GaussianDensity.from_samples(pooled, shrinkage=shrinkage,
-                                               jitter=1e-8)
-        effective_method = "empirical"
-    else:
-        leaves, drift = _star_inputs(
-            [(data.technology_name, data.parameter_matrix(response))
-             for data in historical], shrinkage)
-        graph = GaussianFactorGraph.star("global", leaves, drift)
-        beliefs = graph.run_belief_propagation()
-        global_belief = beliefs["global"]
-        # Predictive distribution for a new technology node: global belief
-        # widened by the technology-drift covariance.
-        density = GaussianDensity(global_belief.mean,
-                                  global_belief.covariance + drift)
-        effective_method = "bp"
-
-    return _finish_prior(historical, response, density, effective_method,
-                         prior_widening)
+    (prior,) = _fuse_priors(
+        historical,
+        [(response, [data.parameter_matrix(response) for data in historical])],
+        method, shrinkage, prior_widening, ledger=None)
+    return prior
 
 
 def learn_priors(historical: Sequence[HistoricalLibraryData], method: str = "bp",
@@ -631,36 +661,15 @@ def learn_priors(historical: Sequence[HistoricalLibraryData], method: str = "bp"
     When BP applies, the delay and slew star graphs are stacked into one
     :class:`~repro.bayes.factor_graph.BatchedFactorGraph` and solved in a
     single batched belief-propagation call (the same numbers as
-    :func:`learn_prior` per response).  The BP wall time lands on
+    :func:`learn_prior` per response).  The fusion's wall time lands on
     ``ledger`` under the ``priors:bp`` stage.
     """
-    run_ledger = ledger if ledger is not None else RunLedger()
-    if method != "bp" or len(historical) <= 1:
-        with run_ledger.stage("priors:bp"):
-            return {response: learn_prior(historical, response=response,
-                                          method=method, shrinkage=shrinkage)
-                    for response in RESPONSES}
-
-    stars = [_star_inputs([(data.technology_name,
-                            data.parameter_matrix(response))
-                           for data in historical], shrinkage)
-             for response in RESPONSES]
-    leaf_names = list(stars[0][0])
-    leaves = {name: [star_leaves[name] for star_leaves, _drift in stars]
-              for name in leaf_names}
-    drift_stack = np.stack([drift for _leaves, drift in stars])
-    graph = BatchedFactorGraph.star("global", leaves, drift_stack)
-    with run_ledger.stage("priors:bp"):
-        beliefs = graph.run_belief_propagation()
-    global_batch = beliefs["global"]
-    priors: Dict[str, TimingPrior] = {}
-    for index, response in enumerate(RESPONSES):
-        drift = stars[index][1]
-        density = GaussianDensity(global_batch.mean[index],
-                                  global_batch.covariance[index] + drift)
-        priors[response] = _finish_prior(historical, response, density,
-                                         "bp", 1.0)
-    return priors
+    priors = _fuse_priors(
+        historical,
+        [(response, [data.parameter_matrix(response) for data in historical])
+         for response in RESPONSES],
+        method, shrinkage, 1.0, ledger)
+    return dict(zip(RESPONSES, priors))
 
 
 def learn_class_priors(
@@ -684,10 +693,6 @@ def learn_class_priors(
     """
     if not historical:
         raise ValueError("at least one historical library is required")
-    if method not in ("bp", "empirical"):
-        raise ValueError(f"method must be 'bp' or 'empirical', got {method!r}")
-    if prior_widening <= 0.0:
-        raise ValueError("prior_widening must be positive")
 
     key_of = class_of if class_of is not None else (lambda fit: fit.cell_name)
     per_library: List[Dict[str, List[ArcFit]]] = []
@@ -712,36 +717,10 @@ def learn_class_priors(
 
     pairs = [(response, name) for response in RESPONSES
              for name in class_names]
-    run_ledger = ledger if ledger is not None else RunLedger()
-    priors: Dict[Tuple[str, str], TimingPrior] = {}
-
-    if method == "empirical" or len(historical) == 1:
-        for response, name in pairs:
-            pooled = np.vstack([class_matrix(classes, name, response)
-                                for classes in per_library])
-            density = GaussianDensity.from_samples(pooled, shrinkage=shrinkage,
-                                                   jitter=1e-8)
-            priors[(response, name)] = _finish_prior(
-                historical, response, density, "empirical", prior_widening)
-        return priors
-
-    stars = [_star_inputs(
-                 [(data.technology_name, class_matrix(classes, name, response))
-                  for data, classes in zip(historical, per_library)],
-                 shrinkage)
-             for response, name in pairs]
-    leaf_names = list(stars[0][0])
-    leaves = {leaf: [star_leaves[leaf] for star_leaves, _drift in stars]
-              for leaf in leaf_names}
-    drift_stack = np.stack([drift for _leaves, drift in stars])
-    graph = BatchedFactorGraph.star("global", leaves, drift_stack)
-    with run_ledger.stage("priors:bp"):
-        beliefs = graph.run_belief_propagation()
-    global_batch = beliefs["global"]
-    for index, (response, name) in enumerate(pairs):
-        density = GaussianDensity(global_batch.mean[index],
-                                  global_batch.covariance[index]
-                                  + stars[index][1])
-        priors[(response, name)] = _finish_prior(historical, response, density,
-                                                 "bp", prior_widening)
-    return priors
+    priors = _fuse_priors(
+        historical,
+        [(response, [class_matrix(classes, name, response)
+                     for classes in per_library])
+         for response, name in pairs],
+        method, shrinkage, prior_widening, ledger)
+    return dict(zip(pairs, priors))

@@ -14,39 +14,41 @@ The statistical half of the paper's flow works per Monte Carlo process seed:
 
 The total simulation cost is ``O(k * Nsample)``, compared with
 ``O(N_LUT * Nsample)`` for a statistical look-up table.
+
+:class:`StatisticalCharacterizer` runs steps 2 and 3 for one arc as a
+one-job pass of the fused library pipeline
+(:func:`repro.core.library_flow.characterize_fused_jobs`), so one arc and a
+whole library share one production path.  The straight-line sweep-and-solve
+reference it must equal lives in ``tests/oracles/library.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cells.equivalent_inverter import EquivalentInverter, reduce_cell_cached
+from repro.cells.equivalent_inverter import EquivalentInverter, default_arc
 from repro.cells.library import Cell, TimingArc
 from repro.characterization.input_space import (
     InputCondition,
     InputSpace,
     conditions_to_arrays,
 )
-from repro.core.batch_map import BatchMapObservations, map_estimate_batch
-from repro.core.map_estimation import MapObservations, map_estimate
-from repro.core.prior_learning import TimingPrior
+from repro.core.batch_map import BatchMapObservations
+from repro.core.prior_learning import TimingPrior, _check_response
 from repro.core.timing_model import CompactTimingModel, TimingModelParameters
-from repro.runtime import register_runtime_cache
+from repro.runtime import register_runtime_cache, resolve_transient_engine
 from repro.runtime.accounting import RunLedger
 from repro.runtime.cache import LruCache
-from repro.spice.sweep import sweep_conditions
+from repro.runtime.executor import get_executor
+from repro.spice.stepper import resolve_stepper
 from repro.spice.testbench import SimulationCounter
 from repro.technology.node import TechnologyNode
 from repro.technology.variation import VariationSample
 from repro.utils.rng import RandomState, ensure_rng
-
-#: Parameter-extraction solvers selectable in :class:`StatisticalCharacterizer`.
-SOLVERS = ("batched", "scipy")
 
 #: Per-(characterization, supply) effective-current rows.  An STA run queries
 #: one analysis supply thousands of times per characterization; the
@@ -76,8 +78,8 @@ def arc_observation_pair(
     Eq. 15 observations -- the per-seed effective currents at each fitting
     supply, the precision weights from the learned priors, the
     condition-major measurement matrices transposed to seed-major rows.
-    :meth:`StatisticalCharacterizer.characterize` and the fused library
-    pipeline both call it, so the two extraction paths can never drift.
+    The fused library pipeline builds every arc's blocks with it, and the
+    per-arc test oracle does too, so the two can never drift.
 
     Parameters
     ----------
@@ -149,13 +151,9 @@ class StatisticalCharacterization:
         The ``k`` input conditions that were simulated.
     simulation_runs:
         Total simulator invocations spent (``k * n_seeds``).
-    solver:
-        Which extraction solver produced the parameters (``"batched"`` or
-        ``"scipy"``).
     delay_converged, slew_converged:
-        Optional per-seed convergence flags from the batched solver
-        (``None`` for the scipy path, whose per-seed ``FitResult`` objects
-        are not retained).
+        Per-seed convergence flags of the MAP solve (``None`` when the
+        parameters were not produced by a solve).
     """
 
     cell_name: str
@@ -166,7 +164,6 @@ class StatisticalCharacterization:
     fitting_conditions: Tuple[InputCondition, ...]
     simulation_runs: int
     _model: CompactTimingModel = CompactTimingModel()
-    solver: str = "batched"
     delay_converged: Optional[np.ndarray] = None
     slew_converged: Optional[np.ndarray] = None
 
@@ -186,8 +183,8 @@ class StatisticalCharacterization:
     def unconverged_seeds(self) -> np.ndarray:
         """Seed indices whose delay or slew extraction failed to converge.
 
-        Empty when everything converged, and also for the scipy path (which
-        does not retain per-seed flags).
+        Empty when everything converged, and also when no flags were
+        recorded.
         """
         flags = np.zeros(self.n_seeds, dtype=bool)
         if self.delay_converged is not None:
@@ -314,7 +311,8 @@ class StatisticalCharacterization:
                 "mu_slew": slew.mean(axis=1), "sigma_slew": slew.std(axis=1)}
 
     def mean_parameters(self, response: str = "delay") -> TimingModelParameters:
-        """Average extracted parameters across seeds."""
+        """Average extracted parameters across seeds (``"delay"``/``"slew"``)."""
+        _check_response(response)
         matrix = (self.delay_parameters if response == "delay"
                   else self.slew_parameters)
         return TimingModelParameters.from_array(matrix.mean(axis=0))
@@ -332,10 +330,10 @@ class StatisticalCharacterizer:
     """Proposed-flow statistical characterizer for one cell timing arc.
 
     ``ledger`` threads a :class:`~repro.runtime.accounting.RunLedger`
-    through the run (``simulate`` / ``extract`` stage timings, simulation
-    runs, solver iterations, cache activity); ``max_bytes`` bounds the
-    batched engines' working sets via deterministic chunking (``None``
-    defers to ``repro.runtime.configure(max_bytes=...)``).
+    through the run (the fused pipeline's ``fused:*`` stage timings,
+    simulation runs, solver iterations, cache activity); ``max_bytes``
+    bounds the batched engines' working sets via deterministic chunking
+    (``None`` defers to ``repro.runtime.configure(max_bytes=...)``).
     """
 
     def __init__(
@@ -348,27 +346,22 @@ class StatisticalCharacterizer:
         n_seeds: int = 200,
         rng: RandomState = None,
         counter: Optional[SimulationCounter] = None,
-        solver: str = "batched",
         ledger: Optional[RunLedger] = None,
         max_bytes: Optional[int] = None,
         transient_engine: Optional[str] = None,
     ):
         if n_seeds < 2:
             raise ValueError("statistical characterization needs at least 2 seeds")
-        if solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
         self._technology = technology
         self._cell = cell
-        self._arc = arc if arc is not None else cell.timing_arcs()[1]
+        self._arc = arc if arc is not None else default_arc(cell)
         self._delay_prior = delay_prior
         self._slew_prior = slew_prior
         self._n_seeds = int(n_seeds)
         self._rng = ensure_rng(rng)
         self._counter = counter
         self._space = InputSpace(technology)
-        self._model = CompactTimingModel()
         self._variation: Optional[VariationSample] = None
-        self._solver = solver
         self._ledger = ledger
         self._max_bytes = max_bytes
         #: Transient integration engine of the simulate stage (``None``
@@ -382,11 +375,6 @@ class StatisticalCharacterizer:
     def n_seeds(self) -> int:
         """Number of Monte Carlo seeds used per characterization."""
         return self._n_seeds
-
-    @property
-    def solver(self) -> str:
-        """The default parameter-extraction solver (``"batched"`` / ``"scipy"``)."""
-        return self._solver
 
     @property
     def variation(self) -> Optional[VariationSample]:
@@ -404,9 +392,14 @@ class StatisticalCharacterizer:
     # Characterization
     # ------------------------------------------------------------------
     def characterize(self, conditions: Union[int, Sequence[InputCondition]],
-                     rng: RandomState = None,
-                     solver: Optional[str] = None) -> StatisticalCharacterization:
+                     rng: RandomState = None) -> StatisticalCharacterization:
         """Run the statistical flow with ``k`` fitting conditions.
+
+        The arc runs as a one-job pass of the fused library pipeline
+        (:func:`repro.core.library_flow.characterize_fused_jobs`) on the
+        serial executor: one transient pass over its ``k x n_seeds`` rows,
+        then one seed-vectorized MAP solve per response.  The counter is
+        charged ``k * n_seeds`` runs under ``proposed_statistical:<cell>``.
 
         Parameters
         ----------
@@ -415,16 +408,10 @@ class StatisticalCharacterizer:
             explicit condition list.
         rng:
             Random source for automatic condition selection.
-        solver:
-            Parameter-extraction solver for this run: ``"batched"`` (the
-            seed-vectorized Levenberg-Marquardt solver of
-            :mod:`repro.core.batch_map`, default) or ``"scipy"`` (one
-            trust-region solve per seed and response; kept for parity
-            testing).  ``None`` uses the constructor's choice.
         """
-        solver = self._solver if solver is None else solver
-        if solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
+        # Deferred: library_flow imports this module.
+        from repro.core.library_flow import characterize_fused_jobs
+
         if isinstance(conditions, int):
             conditions = self._space.sample_lhs(conditions,
                                                 ensure_rng(rng) if rng is not None
@@ -436,162 +423,17 @@ class StatisticalCharacterizer:
         if self._variation is None:
             self._variation = self._technology.variation.sample(self._n_seeds,
                                                                 self._rng)
-        variation = self._variation
-        inverter = reduce_cell_cached(self._cell, self._technology,
-                                      arc=self._arc, variation=variation)
-
-        ledger = self._ledger
-        runs_before = self._counter.total if self._counter is not None else 0
-        with (ledger.stage("simulate") if ledger is not None else nullcontext()), \
-             (ledger.caches() if ledger is not None else nullcontext()):
-            measurements = sweep_conditions(
-                self._cell, self._technology, [c.as_tuple() for c in conditions],
-                arc=self._arc, variation=variation, counter=self._counter,
-                counter_label=f"proposed_statistical:{self._cell.name}",
-                engine=self._transient_engine,
-                max_bytes=self._max_bytes,
-                ledger=ledger,
-            )
-        runs = ((self._counter.total - runs_before) if self._counter is not None
-                else len(conditions) * variation.n_seeds)
-        if ledger is not None:
-            ledger.add_simulations(
-                runs, label=f"proposed_statistical:{self._cell.name}")
-
-        delay_matrix = np.stack([np.asarray(m.delay).reshape(-1)
-                                 for m in measurements], axis=0)
-        slew_matrix = np.stack([np.asarray(m.output_slew).reshape(-1)
-                                for m in measurements], axis=0)
-        return self._extract(conditions, inverter, delay_matrix, slew_matrix,
-                             runs, solver)
-
-    def characterize_from_measurements(
-        self,
-        conditions: Sequence[InputCondition],
-        delay_matrix: np.ndarray,
-        slew_matrix: np.ndarray,
-        solver: Optional[str] = None,
-        simulation_runs: Optional[int] = None,
-    ) -> StatisticalCharacterization:
-        """Extraction-only flow: inject presimulated per-seed measurements.
-
-        The fused library pipeline (and any caller that obtained the
-        transient samples elsewhere -- a replayed cache, an external
-        simulator, a shared mega-batch) hands the measured matrices straight
-        to the MAP extraction, skipping the simulate stage entirely.  The
-        result is indistinguishable from :meth:`characterize` run on the
-        same samples.
-
-        Parameters
-        ----------
-        conditions:
-            The ``k`` fitting conditions the matrices were measured at.
-        delay_matrix, slew_matrix:
-            Measured responses of shape ``(k, n_seeds)`` (condition-major),
-            SI seconds, with ``n_seeds`` matching the characterizer's seed
-            batch.
-        solver:
-            Extraction solver override (as in :meth:`characterize`).
-        simulation_runs:
-            Run count recorded on the result; defaults to ``k * n_seeds``
-            (what measuring the matrices costs), letting orchestrators that
-            account runs themselves keep the per-arc bookkeeping identical.
-
-        Raises
-        ------
-        ValueError
-            If no seed batch is pinned (call :meth:`use_variation` first --
-            the per-seed effective currents require the concrete seeds) or
-            on shape mismatches.
-        """
-        solver = self._solver if solver is None else solver
-        if solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
-        conditions = list(conditions)
-        if not conditions:
-            raise ValueError("at least one fitting condition is required")
-        if self._variation is None:
-            raise ValueError(
-                "characterize_from_measurements needs a pinned seed batch; "
-                "call use_variation() with the seeds the measurements were "
-                "simulated with")
-        delay_matrix = np.asarray(delay_matrix, dtype=float)
-        slew_matrix = np.asarray(slew_matrix, dtype=float)
-        expected = (len(conditions), self._variation.n_seeds)
-        if delay_matrix.shape != expected or slew_matrix.shape != expected:
-            raise ValueError(
-                f"measurement matrices must have shape {expected}, got "
-                f"{delay_matrix.shape} and {slew_matrix.shape}")
-        inverter = reduce_cell_cached(self._cell, self._technology,
-                                      arc=self._arc, variation=self._variation)
-        runs = (int(simulation_runs) if simulation_runs is not None
-                else len(conditions) * self._variation.n_seeds)
-        return self._extract(conditions, inverter, delay_matrix, slew_matrix,
-                             runs, solver)
-
-    def _extract(self, conditions: List[InputCondition],
-                 inverter: EquivalentInverter, delay_matrix: np.ndarray,
-                 slew_matrix: np.ndarray, runs: int,
-                 solver: str) -> StatisticalCharacterization:
-        """The shared extract stage behind both characterization entry points."""
-        ledger = self._ledger
-        delay_obs, slew_obs = arc_observation_pair(
-            self._technology, inverter, conditions, self._delay_prior,
-            self._slew_prior, delay_matrix, slew_matrix, space=self._space)
-
-        n_seeds = delay_obs.n_seeds
-        delay_converged: Optional[np.ndarray] = None
-        slew_converged: Optional[np.ndarray] = None
-        with (ledger.stage("extract") if ledger is not None else nullcontext()):
-            if solver == "batched":
-                # One seed-vectorized Levenberg-Marquardt solve per response:
-                # every seed is a row of the (n_seeds, k) observation matrices.
-                delay_result = map_estimate_batch(
-                    self._delay_prior, delay_obs, model=self._model,
-                    max_bytes=self._max_bytes)
-                slew_result = map_estimate_batch(
-                    self._slew_prior, slew_obs, model=self._model,
-                    max_bytes=self._max_bytes)
-                delay_params = delay_result.parameters
-                slew_params = slew_result.parameters
-                delay_converged = delay_result.converged
-                slew_converged = slew_result.converged
-                if ledger is not None:
-                    ledger.add_metric(
-                        "solver_iterations",
-                        int(delay_result.n_iterations.sum()
-                            + slew_result.n_iterations.sum()))
-            else:
-                delay_params = np.empty((n_seeds, 4))
-                slew_params = np.empty((n_seeds, 4))
-                for seed in range(n_seeds):
-                    seed_delay = MapObservations(
-                        sin=delay_obs.sin, cload=delay_obs.cload,
-                        vdd=delay_obs.vdd, ieff=delay_obs.ieff[seed],
-                        response=delay_obs.response[seed], beta=delay_obs.beta)
-                    seed_slew = MapObservations(
-                        sin=slew_obs.sin, cload=slew_obs.cload,
-                        vdd=slew_obs.vdd, ieff=slew_obs.ieff[seed],
-                        response=slew_obs.response[seed], beta=slew_obs.beta)
-                    delay_params[seed] = map_estimate(self._delay_prior, seed_delay,
-                                                      model=self._model).params.as_array()
-                    slew_params[seed] = map_estimate(self._slew_prior, seed_slew,
-                                                     model=self._model).params.as_array()
-                if ledger is not None:
-                    ledger.add_metric("extraction_solves", 2 * n_seeds)
-
-        return StatisticalCharacterization(
-            cell_name=self._cell.name,
-            arc_name=self._arc.name,
-            delay_parameters=delay_params,
-            slew_parameters=slew_params,
-            inverter=inverter,
-            fitting_conditions=tuple(conditions),
-            simulation_runs=runs,
-            solver=solver,
-            delay_converged=delay_converged,
-            slew_converged=slew_converged,
-        )
+        stepper = resolve_stepper(resolve_transient_engine(self._transient_engine))
+        (result,), _failures = characterize_fused_jobs(
+            self._technology, [(self._cell, self._arc)], [conditions],
+            self._delay_prior, self._slew_prior, self._variation, "batched",
+            get_executor("serial"),
+            self._ledger if self._ledger is not None else RunLedger(),
+            self._max_bytes, stepper=stepper)
+        if self._counter is not None:
+            self._counter.add(result.simulation_runs,
+                              label=f"proposed_statistical:{self._cell.name}")
+        return result
 
     #: Alias so the statistical flow matches the nominal characterizer's
     #: ``fit()`` entry point.

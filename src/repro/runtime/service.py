@@ -14,7 +14,7 @@ Four disciplines, one per failure mode of a naive serving loop:
 * **Single-flight coalescing.**  Every requested ``(cell, arc)`` at a fixed
   condition set is keyed by a content digest over everything that shapes
   its numbers (technology and variation fingerprints, both priors, the
-  solver, the transient stepper signature, the conditions).  Within a
+  transient stepper signature, the conditions).  Within a
   batch, N requests for the same key become ONE fused-pipeline job whose
   solved model is delivered to all of them; across batches, clean solved
   models land in a service-level LRU (a degraded one is delivered with its
@@ -286,8 +286,6 @@ class CharacterizationService:
         The shared characterization context every request is served
         against (one service = one context; the single-flight digests
         include its fingerprints, so distinct contexts never alias).
-    solver:
-        Extraction solver forwarded to the fused pipeline.
     executor:
         A runtime executor instance, or ``None`` for the serial executor
         (the scheduler thread is already the concurrency boundary).
@@ -314,7 +312,7 @@ class CharacterizationService:
     """
 
     def __init__(self, technology, delay_prior, slew_prior, variation,
-                 solver: str = "batched", executor=None, stepper=None,
+                 executor=None, stepper=None,
                  queue_depth: Optional[int] = None,
                  batch_window_s: Optional[float] = None,
                  shed_policy: Optional[str] = None,
@@ -326,7 +324,9 @@ class CharacterizationService:
         self.delay_prior = delay_prior
         self.slew_prior = slew_prior
         self.variation = variation
-        self.solver = solver
+        #: The fused pipeline's one extraction solver, for callers that
+        #: forward it to ``characterize_fused_jobs``'s ``solver`` slot.
+        self.solver = "batched"
         self.stepper = stepper
         # Imported here: the runtime package never imports the engines.
         from repro.spice.stepper import resolve_stepper
@@ -362,7 +362,6 @@ class CharacterizationService:
                             variation.fingerprint(),
                             delay_prior.fingerprint(),
                             slew_prior.fingerprint(),
-                            solver,
                             self._stepper.signature())
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)

@@ -1,10 +1,23 @@
-"""Per-arc library characterization: one StatisticalCharacterizer per arc.
+"""Per-arc statistical characterization: one sweep and two MAP solves per arc.
 
-The reference for :func:`repro.core.library_flow.characterize_library`.  It
-draws the seed batch and every arc's fitting conditions exactly as the
-library flow does, then characterizes each arc on its own -- one transient
-sweep and two MAP solves per arc -- with a per-arc ledger merged in job
-order.  Entries, counter charges and ledger run counts must equal the fused
+The reference for the fused pipeline
+(:func:`repro.core.library_flow.characterize_fused_jobs`), which runs both
+:func:`~repro.core.library_flow.characterize_library` and the one-arc
+:class:`~repro.core.statistical_flow.StatisticalCharacterizer`.
+
+* :func:`sweep_arc` is the simulate stage of one arc:
+  :func:`~repro.spice.sweep.sweep_conditions` over its ``k`` fitting
+  conditions, turned into the (delay, slew) MAP observation blocks by
+  :func:`~repro.core.statistical_flow.arc_observation_pair`.
+* :func:`sweep_and_extract` adds the extract stage, one
+  :func:`~repro.core.batch_map.map_estimate_batch` per response, with
+  ``simulate`` / ``extract`` ledger stages.
+* :func:`characterize_library_per_arc` draws the seed batch and every arc's
+  fitting conditions exactly as the library flow does, then runs
+  :func:`sweep_and_extract` arc by arc with a per-arc ledger merged in job
+  order.
+
+Entries, counter charges and ledger run counts must equal the fused
 pipeline's.
 """
 
@@ -17,14 +30,90 @@ import numpy as np
 from repro.cells.equivalent_inverter import reduce_cell_cached
 from repro.cells.library import StandardCellLibrary, Transition
 from repro.characterization.input_space import InputSpace
+from repro.core.batch_map import map_estimate_batch
 from repro.core.library_flow import (
     LibraryArcCharacterization,
     LibraryCharacterization,
 )
-from repro.core.statistical_flow import StatisticalCharacterizer
+from repro.core.statistical_flow import (
+    StatisticalCharacterization,
+    arc_observation_pair,
+)
 from repro.runtime.accounting import RunLedger
+from repro.spice.sweep import sweep_conditions
 from repro.spice.testbench import SimulationCounter
 from repro.utils.rng import ensure_rng
+
+
+def sweep_arc(technology, cell, arc, delay_prior, slew_prior, conditions,
+              variation, counter: Optional[SimulationCounter] = None,
+              ledger: Optional[RunLedger] = None,
+              max_bytes: Optional[int] = None,
+              transient_engine: Optional[str] = None):
+    """Simulate one arc: ``(inverter, delay_obs, slew_obs, runs)``.
+
+    The counter is charged ``k * n_seeds`` runs under
+    ``proposed_statistical:<cell>``.
+    """
+    conditions = list(conditions)
+    ledger = ledger if ledger is not None else RunLedger()
+    inverter = reduce_cell_cached(cell, technology, arc=arc,
+                                  variation=variation)
+    runs_before = counter.total if counter is not None else 0
+    with ledger.stage("simulate"), ledger.caches():
+        measurements = sweep_conditions(
+            cell, technology, [c.as_tuple() for c in conditions],
+            arc=arc, variation=variation, counter=counter,
+            counter_label=f"proposed_statistical:{cell.name}",
+            engine=transient_engine, max_bytes=max_bytes, ledger=ledger)
+    runs = ((counter.total - runs_before) if counter is not None
+            else len(conditions) * variation.n_seeds)
+    ledger.add_simulations(runs, label=f"proposed_statistical:{cell.name}")
+
+    delay_matrix = np.stack([np.asarray(m.delay).reshape(-1)
+                             for m in measurements], axis=0)
+    slew_matrix = np.stack([np.asarray(m.output_slew).reshape(-1)
+                            for m in measurements], axis=0)
+    delay_obs, slew_obs = arc_observation_pair(
+        technology, inverter, conditions, delay_prior, slew_prior,
+        delay_matrix, slew_matrix)
+    return inverter, delay_obs, slew_obs, runs
+
+
+def sweep_and_extract(technology, cell, arc, delay_prior, slew_prior,
+                      conditions, variation,
+                      counter: Optional[SimulationCounter] = None,
+                      ledger: Optional[RunLedger] = None,
+                      max_bytes: Optional[int] = None,
+                      transient_engine: Optional[str] = None
+                      ) -> StatisticalCharacterization:
+    """Characterize one arc: :func:`sweep_arc`, then one seed-vectorized
+    MAP solve per response."""
+    conditions = list(conditions)
+    ledger = ledger if ledger is not None else RunLedger()
+    inverter, delay_obs, slew_obs, runs = sweep_arc(
+        technology, cell, arc, delay_prior, slew_prior, conditions,
+        variation, counter=counter, ledger=ledger, max_bytes=max_bytes,
+        transient_engine=transient_engine)
+    with ledger.stage("extract"):
+        delay_result = map_estimate_batch(delay_prior, delay_obs,
+                                          max_bytes=max_bytes)
+        slew_result = map_estimate_batch(slew_prior, slew_obs,
+                                         max_bytes=max_bytes)
+        ledger.add_metric("solver_iterations",
+                          int(delay_result.n_iterations.sum()
+                              + slew_result.n_iterations.sum()))
+    return StatisticalCharacterization(
+        cell_name=cell.name,
+        arc_name=arc.name,
+        delay_parameters=delay_result.parameters,
+        slew_parameters=slew_result.parameters,
+        inverter=inverter,
+        fitting_conditions=tuple(conditions),
+        simulation_runs=runs,
+        delay_converged=delay_result.converged,
+        slew_converged=slew_result.converged,
+    )
 
 
 def characterize_library_per_arc(
@@ -39,7 +128,6 @@ def characterize_library_per_arc(
     variation=None,
     rng=None,
     counter: Optional[SimulationCounter] = None,
-    solver: str = "batched",
     ledger: Optional[RunLedger] = None,
     max_bytes: Optional[int] = None,
     transient_engine: Optional[str] = None,
@@ -70,12 +158,10 @@ def characterize_library_per_arc(
     with run_ledger.stage("characterize_library"):
         for (cell, arc), arc_conditions in zip(jobs, job_conditions):
             arc_ledger = RunLedger()
-            characterizer = StatisticalCharacterizer(
-                technology, cell, delay_prior, slew_prior, arc=arc,
-                n_seeds=variation.n_seeds, solver=solver, ledger=arc_ledger,
+            result = sweep_and_extract(
+                technology, cell, arc, delay_prior, slew_prior,
+                arc_conditions, variation, ledger=arc_ledger,
                 max_bytes=max_bytes, transient_engine=transient_engine)
-            characterizer.use_variation(variation)
-            result = characterizer.characterize(list(arc_conditions))
             run_ledger.merge(arc_ledger)
             if counter is not None:
                 counter.add(result.simulation_runs,
@@ -97,7 +183,6 @@ def characterize_library_per_arc(
         slew_range=tuple(technology.slew_range),
         cload_range=tuple(technology.cload_range),
         n_seeds=variation.n_seeds,
-        solver=solver,
         concurrency="serial",
         simulation_runs=total_runs,
         entries=tuple(entries),

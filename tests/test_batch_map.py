@@ -1,16 +1,18 @@
 """Tests for the batched seed-parallel MAP solver (repro.core.batch_map).
 
 The contract under test: `map_estimate_batch` minimizes exactly the Eq. 15
-objective of the scalar `map_estimate`, seed by seed, so the two must agree
-to solver tolerance across parameter regimes (interior optima, bound-active
-optima, strong/weak priors) for both responses and output polarities --
-while doing the whole seed batch in a handful of vectorized LM iterations.
+objective of the scalar `map_estimate`, seed by seed, so it must agree with
+the per-seed oracle (:func:`oracles.map.map_estimate_per_seed`) to solver
+tolerance across parameter regimes (interior optima, bound-active optima,
+strong/weak priors) for both responses and output polarities -- while doing
+the whole seed batch in a handful of vectorized LM iterations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.map import map_estimate_per_seed
 
 from repro.bayes import GaussianDensity
 from repro.core.batch_map import (
@@ -18,7 +20,6 @@ from repro.core.batch_map import (
     BatchMapResult,
     map_estimate_batch,
 )
-from repro.core.map_estimation import MapObservations, map_estimate
 from repro.core.timing_model import (
     CompactTimingModel,
     DEFAULT_LOWER_BOUNDS,
@@ -48,17 +49,6 @@ def make_batch(truth: np.ndarray, n_seeds: int, k: int, seed: int,
     if noise:
         response *= 1.0 + noise * rng.standard_normal(response.shape)
     return sin, cload, vdd, ieff, response
-
-
-def scipy_reference(prior, sin, cload, vdd, ieff, response, beta) -> np.ndarray:
-    """Per-seed scipy MAP extraction (the parity reference)."""
-    params = np.empty((response.shape[0], 4))
-    for j in range(response.shape[0]):
-        observations = MapObservations(sin=sin, cload=cload, vdd=vdd, ieff=ieff,
-                                       response=response[j], beta=beta)
-        params[j] = map_estimate(prior, observations,
-                                 **_REFERENCE_TOLS).params.as_array()
-    return params
 
 
 class TestBatchMapObservations:
@@ -117,11 +107,11 @@ class TestParityGrid:
         sin, cload, vdd, ieff, response = make_batch(
             truth, n_seeds=40, k=5, seed=seed, noise=0.01)
         prior = GaussianDensity(truth, np.diag([0.05, 0.3, 0.05, 0.08]) ** 2)
-        beta = np.full(5, 1e4)
-        reference = scipy_reference(prior, sin, cload, vdd, ieff, response, beta)
-        result = map_estimate_batch(
-            prior, BatchMapObservations(sin=sin, cload=cload, vdd=vdd, ieff=ieff,
-                                        response=response, beta=beta))
+        observations = BatchMapObservations(sin=sin, cload=cload, vdd=vdd,
+                                            ieff=ieff, response=response,
+                                            beta=np.full(5, 1e4))
+        reference = map_estimate_per_seed(prior, observations, **_REFERENCE_TOLS)
+        result = map_estimate_batch(prior, observations)
         assert result.converged.all()
         np.testing.assert_allclose(result.parameters, reference,
                                    rtol=1e-6, atol=5e-8)
@@ -133,18 +123,11 @@ class TestParityGrid:
         rng = np.random.default_rng(1)
         ieff_matrix = ieff * (1.0 + 0.05 * rng.standard_normal((25, 4)))
         prior = GaussianDensity(truth, np.diag([0.05, 0.3, 0.05, 0.08]) ** 2)
-        beta = np.full(4, 1e4)
-        params = np.empty((25, 4))
-        for j in range(25):
-            observations = MapObservations(sin=sin, cload=cload, vdd=vdd,
-                                           ieff=ieff_matrix[j],
-                                           response=response[j], beta=beta)
-            params[j] = map_estimate(prior, observations,
-                                     **_REFERENCE_TOLS).params.as_array()
-        result = map_estimate_batch(
-            prior, BatchMapObservations(sin=sin, cload=cload, vdd=vdd,
-                                        ieff=ieff_matrix, response=response,
-                                        beta=beta))
+        observations = BatchMapObservations(sin=sin, cload=cload, vdd=vdd,
+                                            ieff=ieff_matrix, response=response,
+                                            beta=np.full(4, 1e4))
+        params = map_estimate_per_seed(prior, observations, **_REFERENCE_TOLS)
+        result = map_estimate_batch(prior, observations)
         assert result.converged.all()
         np.testing.assert_allclose(result.parameters, params,
                                    rtol=1e-6, atol=5e-8)
@@ -154,11 +137,11 @@ class TestParityGrid:
         sin, cload, vdd, ieff, response = make_batch(truth, n_seeds=30, k=8,
                                                      seed=3, noise=0.005)
         prior = GaussianDensity(np.array([0.6, 2.5, 0.0, 0.5]), 0.5 * np.eye(4))
-        beta = np.full(8, 1e6)
-        reference = scipy_reference(prior, sin, cload, vdd, ieff, response, beta)
-        result = map_estimate_batch(
-            prior, BatchMapObservations(sin=sin, cload=cload, vdd=vdd, ieff=ieff,
-                                        response=response, beta=beta))
+        observations = BatchMapObservations(sin=sin, cload=cload, vdd=vdd,
+                                            ieff=ieff, response=response,
+                                            beta=np.full(8, 1e6))
+        reference = map_estimate_per_seed(prior, observations, **_REFERENCE_TOLS)
+        result = map_estimate_batch(prior, observations)
         assert result.converged.all()
         np.testing.assert_allclose(result.parameters, reference,
                                    rtol=1e-6, atol=5e-8)
@@ -168,18 +151,12 @@ class TestParityGrid:
         sin, cload, vdd, ieff, response = make_batch(truth, n_seeds=10, k=4,
                                                      seed=8, noise=0.01)
         prior = GaussianDensity(truth, np.diag([0.05, 0.3, 0.05, 0.08]) ** 2)
-        beta = np.full(4, 1e4)
-        params = np.empty((10, 4))
-        for j in range(10):
-            observations = MapObservations(sin=sin, cload=cload, vdd=vdd,
-                                           ieff=ieff, response=response[j],
-                                           beta=beta)
-            params[j] = map_estimate(prior, observations, prior_weight=3.0,
-                                     **_REFERENCE_TOLS).params.as_array()
-        result = map_estimate_batch(
-            prior, BatchMapObservations(sin=sin, cload=cload, vdd=vdd, ieff=ieff,
-                                        response=response, beta=beta),
-            prior_weight=3.0)
+        observations = BatchMapObservations(sin=sin, cload=cload, vdd=vdd,
+                                            ieff=ieff, response=response,
+                                            beta=np.full(4, 1e4))
+        params = map_estimate_per_seed(prior, observations, prior_weight=3.0,
+                                       **_REFERENCE_TOLS)
+        result = map_estimate_batch(prior, observations, prior_weight=3.0)
         np.testing.assert_allclose(result.parameters, params,
                                    rtol=1e-6, atol=5e-8)
 
@@ -194,11 +171,11 @@ class TestBounds:
         # Prior mean outside the box pulls several seeds onto the bounds.
         prior = GaussianDensity(np.array([0.4, 0.0, -0.65, -0.05]),
                                 np.diag([0.05, 0.2, 0.05, 0.05]) ** 2)
-        beta = np.full(5, 1e5)
-        reference = scipy_reference(prior, sin, cload, vdd, ieff, response, beta)
-        result = map_estimate_batch(
-            prior, BatchMapObservations(sin=sin, cload=cload, vdd=vdd, ieff=ieff,
-                                        response=response, beta=beta))
+        observations = BatchMapObservations(sin=sin, cload=cload, vdd=vdd,
+                                            ieff=ieff, response=response,
+                                            beta=np.full(5, 1e5))
+        reference = map_estimate_per_seed(prior, observations, **_REFERENCE_TOLS)
+        result = map_estimate_batch(prior, observations)
         assert result.converged.all()
         lower = DEFAULT_LOWER_BOUNDS
         # The scenario must actually exercise the bounds to be meaningful.
@@ -277,57 +254,56 @@ class TestReporting:
 
 
 class TestStatisticalFlowSolverSwitch:
-    """The characterizer produces matching ensembles through both solvers."""
+    """The characterizer's batched solve matches the per-seed scipy oracle."""
 
     @pytest.fixture(scope="class")
     def characterized(self, tech28, inv_cell, delay_prior, slew_prior):
+        from oracles.library import sweep_arc
+
+        from repro.cells.equivalent_inverter import default_arc
+        from repro.characterization.input_space import InputSpace
         from repro.core.statistical_flow import StatisticalCharacterizer
 
         variation = tech28.variation.sample(16, rng=21)
-        conditions = None
-        results = {}
-        for solver in ("batched", "scipy"):
-            flow = StatisticalCharacterizer(tech28, inv_cell, delay_prior,
-                                            slew_prior, n_seeds=16,
-                                            solver=solver)
-            flow.use_variation(variation)
-            if conditions is None:
-                from repro.characterization.input_space import InputSpace
-
-                conditions = InputSpace(tech28).sample_lhs(
-                    3, np.random.default_rng(4))
-            results[solver] = flow.characterize(conditions)
-        return results
-
-    def test_solver_recorded(self, characterized):
-        assert characterized["batched"].solver == "batched"
-        assert characterized["scipy"].solver == "scipy"
+        conditions = InputSpace(tech28).sample_lhs(
+            3, np.random.default_rng(4))
+        flow = StatisticalCharacterizer(tech28, inv_cell, delay_prior,
+                                        slew_prior, n_seeds=16)
+        flow.use_variation(variation)
+        batched = flow.characterize(conditions)
+        _, delay_obs, slew_obs, _ = sweep_arc(
+            tech28, inv_cell, default_arc(inv_cell), delay_prior, slew_prior,
+            conditions, variation)
+        per_seed = (map_estimate_per_seed(delay_prior, delay_obs),
+                    map_estimate_per_seed(slew_prior, slew_obs))
+        return batched, per_seed
 
     def test_parameter_parity_end_to_end(self, characterized):
-        np.testing.assert_allclose(
-            characterized["batched"].delay_parameters,
-            characterized["scipy"].delay_parameters, rtol=1e-4, atol=1e-6)
-        np.testing.assert_allclose(
-            characterized["batched"].slew_parameters,
-            characterized["scipy"].slew_parameters, rtol=1e-4, atol=1e-6)
+        batched, (delay, slew) = characterized
+        np.testing.assert_allclose(batched.delay_parameters, delay,
+                                   rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(batched.slew_parameters, slew,
+                                   rtol=1e-4, atol=1e-6)
 
     def test_convergence_flags_only_on_batched(self, characterized):
-        assert characterized["batched"].delay_converged is not None
-        assert characterized["batched"].delay_converged.all()
-        assert characterized["scipy"].delay_converged is None
-        assert characterized["scipy"].unconverged_seeds().size == 0
+        batched, _ = characterized
+        assert batched.delay_converged is not None
+        assert batched.delay_converged.all()
+        assert batched.slew_converged.all()
+        assert batched.unconverged_seeds().size == 0
 
     def test_invalid_solver_rejected(self, tech28, inv_cell, delay_prior,
                                      slew_prior):
         from repro.core.statistical_flow import StatisticalCharacterizer
 
-        with pytest.raises(ValueError):
+        # One extraction solver: the retired solver switch is not accepted.
+        with pytest.raises(TypeError, match="solver"):
             StatisticalCharacterizer(tech28, inv_cell, delay_prior, slew_prior,
-                                     solver="magic")
+                                     solver="scipy")
         flow = StatisticalCharacterizer(tech28, inv_cell, delay_prior,
                                         slew_prior, n_seeds=4)
-        with pytest.raises(ValueError):
-            flow.characterize(2, solver="magic")
+        with pytest.raises(TypeError, match="solver"):
+            flow.characterize(2, solver="scipy")
 
 
 class TestStackedSolve:

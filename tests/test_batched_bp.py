@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles.bp import run_per_graph
+from oracles.bp import run_per_graph, scalar_star
 
 from repro.bayes import (
     BatchedFactorGraph,
     GaussianBatch,
     GaussianDensity,
-    GaussianFactorGraph,
 )
 
 RTOL = 1e-12
@@ -139,6 +138,29 @@ class TestBatchedMatchesLoop:
             "center", {"leaf": random_density(rng)}, np.eye(3))
         beliefs = graph.run_belief_propagation()
         assert beliefs["center"].batch_size == 1
+
+    def test_star_infers_batch_from_link_stack(self):
+        density = GaussianDensity([0.0, 1.0], np.eye(2))
+        links = np.stack([0.1 * np.eye(2), 0.2 * np.eye(2), 0.3 * np.eye(2)])
+        graph = BatchedFactorGraph.star("c", {"a": density, "b": density},
+                                        links)
+        assert graph.batch_size == 3
+        assert_batches_close(graph.run_belief_propagation(),
+                             run_per_graph(graph))
+        with pytest.raises(ValueError, match="batch size"):
+            BatchedFactorGraph.star("c", {"a": [density] * 2, "b": density},
+                                    links)
+
+    def test_chain_infers_batch_from_link_stack(self):
+        density = GaussianDensity([0.0, 1.0], np.eye(2))
+        links = np.stack([0.1 * np.eye(2), 0.2 * np.eye(2), 0.3 * np.eye(2)])
+        graph = BatchedFactorGraph.chain(["a", "b", "c"],
+                                         {"a": density, "c": density}, links)
+        assert graph.batch_size == 3
+        assert_batches_close(graph.run_belief_propagation(),
+                             run_per_graph(graph))
+        with pytest.raises(ValueError, match="batch size"):
+            BatchedFactorGraph.chain(["a", "b"], {"a": [density] * 4}, links)
 
 
 class TestClosedForm:
@@ -308,12 +330,11 @@ class TestValidation:
             graph.run_belief_propagation()
 
     def test_scalar_graph_matches_batched_star(self):
-        """The scalar engine and a B=1 batched star agree bit-for-bit."""
+        """The scalar oracle loop and a B=1 batched star agree."""
         rng = np.random.default_rng(41)
         leaves = {f"leaf{i}": random_density(rng) for i in range(3)}
         link = random_spd(rng)
-        scalar = GaussianFactorGraph.star("center", leaves, link)
-        scalar_beliefs = scalar.run_belief_propagation()
+        scalar_beliefs = scalar_star("center", leaves, link)
         batched = BatchedFactorGraph.star("center", leaves, link)
         batched_beliefs = batched.run_belief_propagation()
         for name, density in scalar_beliefs.items():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.bayes import (
+    BatchedFactorGraph,
     GaussianDensity,
-    GaussianFactorGraph,
     PrecisionModel,
     gaussian_linear_update,
     posterior_of_mean,
@@ -93,6 +93,8 @@ class TestPrecisionLearning:
 
 
 class TestGaussianFactorGraph:
+    """Gaussian BP semantics on one graph: a batched graph of size 1."""
+
     def test_star_matches_closed_form_fusion(self):
         """BP on a star of direct observations equals the conjugate update."""
         dim = 2
@@ -102,8 +104,9 @@ class TestGaussianFactorGraph:
             "tech_c": GaussianDensity([0.5, 0.5], 0.1 * np.eye(dim)),
         }
         drift = 0.2 * np.eye(dim)
-        graph = GaussianFactorGraph.star("global", observations, drift)
-        beliefs = graph.run_belief_propagation()
+        graph = BatchedFactorGraph.star("global", observations, drift)
+        assert graph.batch_size == 1
+        belief = graph.run_belief_propagation()["global"].density(0)
         # Closed form: the global variable sees each leaf through evidence
         # covariance + drift covariance.
         flat_prior = GaussianDensity([0.0, 0.0], 1e6 * np.eye(dim))
@@ -111,15 +114,15 @@ class TestGaussianFactorGraph:
         values = np.concatenate([d.mean for d in observations.values()])
         noise_precision = np.repeat([1.0 / 0.3] * 3, dim)
         expected = gaussian_linear_update(flat_prior, design, values, noise_precision)
-        assert np.allclose(beliefs["global"].mean, expected.mean, atol=1e-4)
-        assert np.allclose(beliefs["global"].covariance, expected.covariance,
-                           atol=1e-3)
+        assert np.allclose(belief.mean, expected.mean, atol=1e-4)
+        assert np.allclose(belief.covariance, expected.covariance, atol=1e-3)
 
     def test_chain_propagates_information_to_unobserved_end(self):
         evidence = {"n45": GaussianDensity([1.0], [[0.01]])}
-        graph = GaussianFactorGraph.chain(["n45", "n28", "n14"], evidence,
-                                          np.array([[0.05]]))
-        beliefs = graph.run_belief_propagation()
+        graph = BatchedFactorGraph.chain(["n45", "n28", "n14"], evidence,
+                                         np.array([[0.05]]))
+        beliefs = {name: batch.density(0) for name, batch
+                   in graph.run_belief_propagation().items()}
         assert beliefs["n14"].mean[0] == pytest.approx(1.0, abs=1e-6)
         # Information degrades (variance grows) along the chain.
         assert (beliefs["n14"].covariance[0, 0]
@@ -127,31 +130,31 @@ class TestGaussianFactorGraph:
                 > beliefs["n45"].covariance[0, 0])
 
     def test_variable_without_information_raises(self):
-        graph = GaussianFactorGraph()
+        graph = BatchedFactorGraph(1)
         graph.add_variable("lonely", 2)
         with pytest.raises(RuntimeError):
             graph.run_belief_propagation()
 
     def test_duplicate_variable_rejected(self):
-        graph = GaussianFactorGraph()
+        graph = BatchedFactorGraph(1)
         graph.add_variable("x", 1)
         with pytest.raises(ValueError):
             graph.add_variable("x", 1)
 
     def test_evidence_dimension_checked(self):
-        graph = GaussianFactorGraph()
+        graph = BatchedFactorGraph(1)
         graph.add_variable("x", 2)
         with pytest.raises(ValueError):
             graph.add_evidence("x", GaussianDensity([0.0], [[1.0]]))
 
     def test_smoothness_requires_known_variables(self):
-        graph = GaussianFactorGraph()
+        graph = BatchedFactorGraph(1)
         graph.add_variable("x", 1)
         with pytest.raises(KeyError):
             graph.add_smoothness("x", "y", np.array([[1.0]]))
 
     def test_loopy_graph_converges_with_damping(self):
-        graph = GaussianFactorGraph()
+        graph = BatchedFactorGraph(1)
         for name in ("a", "b", "c"):
             graph.add_variable(name, 1)
             graph.add_evidence(name, GaussianDensity([float(ord(name) - 97)], [[1.0]]))
@@ -160,4 +163,4 @@ class TestGaussianFactorGraph:
         graph.add_smoothness("c", "a", np.array([[0.5]]))
         beliefs = graph.run_belief_propagation(max_iterations=300, damping=0.3)
         # The loop pulls every belief toward the common average.
-        assert 0.0 < beliefs["a"].mean[0] < 2.0
+        assert 0.0 < beliefs["a"].mean[0, 0] < 2.0

@@ -9,13 +9,17 @@ from repro import (
     BayesianCharacterizer,
     InputCondition,
     InputSpace,
+    LseCharacterizer,
+    LutCharacterizer,
     SimulationCounter,
     StatisticalCharacterizer,
+    StatisticalLutCharacterizer,
     mean_relative_error,
     nominal_baseline,
     statistical_baseline,
 )
 from repro.cells import Transition
+from repro.cells.equivalent_inverter import default_arc
 
 
 class TestBayesianCharacterizer:
@@ -134,6 +138,12 @@ class TestStatisticalCharacterizer:
         params = characterization.mean_parameters("delay")
         assert 0.1 < params.kd < 2.0
 
+    def test_mean_parameters_rejects_unknown_response(self,
+                                                      statistical_setup):
+        _, characterization, _ = statistical_setup
+        with pytest.raises(ValueError, match="response"):
+            characterization.mean_parameters("Delay")
+
     def test_seed_count_validation(self, tech28, inv_cell, delay_prior, slew_prior):
         with pytest.raises(ValueError):
             StatisticalCharacterizer(tech28, inv_cell, delay_prior, slew_prior,
@@ -145,3 +155,53 @@ class TestStatisticalCharacterizer:
                                         n_seeds=5)
         with pytest.raises(ValueError):
             flow.characterize([])
+
+
+def _run_flow(flow, tech28, cell, priors, arc):
+    """One cheap run of a characterization flow, as a tuple of arrays."""
+    delay_prior, slew_prior = priors
+    conditions = InputSpace(tech28).sample_lhs(2, np.random.default_rng(6))
+    probes = InputSpace(tech28).sample_lhs(3, np.random.default_rng(7))
+    variation = tech28.variation.sample(4, rng=8)
+    if flow == "bayesian":
+        model = BayesianCharacterizer(tech28, cell, delay_prior, slew_prior,
+                                      arc=arc)
+        model.fit(conditions)
+        return model.predict_delay(probes), model.predict_slew(probes)
+    if flow == "statistical":
+        model = StatisticalCharacterizer(tech28, cell, delay_prior, slew_prior,
+                                         arc=arc, n_seeds=4)
+        model.use_variation(variation)
+        result = model.characterize(conditions)
+        return result.delay_parameters, result.slew_parameters
+    if flow == "lse":
+        model = LseCharacterizer(tech28, cell, arc=arc)
+        model.fit(InputSpace(tech28).sample_lhs(6, np.random.default_rng(6)))
+        return model.predict_delay(probes), model.predict_slew(probes)
+    if flow == "lut":
+        model = LutCharacterizer(tech28, cell, arc=arc).build(8)
+        return model.predict_delay(probes), model.predict_slew(probes)
+    if flow == "statistical_lut":
+        model = StatisticalLutCharacterizer(tech28, cell, variation,
+                                            arc=arc).build(8)
+        return tuple(model.predict_statistics(probes).values())
+    if flow == "nominal_baseline":
+        result = nominal_baseline(cell, tech28, conditions, arc=arc)
+        return result.delay, result.slew
+    result = statistical_baseline(cell, tech28, conditions, variation, arc=arc)
+    return tuple(result.statistics().values())
+
+
+@pytest.mark.parametrize("flow", [
+    "bayesian", "statistical", "lse", "lut", "statistical_lut",
+    "nominal_baseline", "statistical_baseline"])
+def test_arc_none_is_the_default_arc(flow, tech28, nand2_cell, delay_prior,
+                                     slew_prior):
+    """Every flow reads ``arc=None`` as first pin, falling output."""
+    priors = (delay_prior, slew_prior)
+    implicit = _run_flow(flow, tech28, nand2_cell, priors, None)
+    explicit = _run_flow(flow, tech28, nand2_cell, priors,
+                         default_arc(nand2_cell))
+    assert default_arc(nand2_cell).output_transition is Transition.FALL
+    for left, right in zip(implicit, explicit):
+        np.testing.assert_array_equal(left, right)

@@ -1,11 +1,13 @@
 """Tests for the fused library characterization pipeline.
 
 The fused pipeline must be *indistinguishable* from the per-arc oracle
-(:func:`oracles.library.characterize_library_per_arc`, one
-:class:`StatisticalCharacterizer` per arc) in everything but wall clock:
+(:func:`oracles.library.characterize_library_per_arc`, one sweep and two
+MAP solves per arc) in everything but wall clock:
 ``LibraryCharacterization`` entries equal at ``rtol 1e-12``, identical
 :class:`SimulationCounter` charges and identical ledger run counts, under
-every executor mode, plus cache reuse when a fused pass is rerun warm.
+every executor mode, plus cache reuse when a fused pass is rerun warm.  The
+one-arc :class:`StatisticalCharacterizer`, a one-job fused pass, equals the
+oracle's :func:`oracles.library.sweep_and_extract` bit for bit.
 """
 
 from __future__ import annotations
@@ -14,14 +16,17 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles.library import characterize_library_per_arc
+from oracles.library import characterize_library_per_arc, sweep_and_extract
 
 import repro.runtime as runtime
 from repro import RunLedger, SimulationCounter, get_technology, make_cell
 from repro.analysis import format_ledger
 from repro.cells.equivalent_inverter import reduce_cell_cached
 from repro.cells.library import StandardCellLibrary, Transition
-from repro.core.library_flow import characterize_library
+from repro.characterization.input_space import InputSpace
+from repro.core.library_flow import characterize_fused_jobs, characterize_library
+from repro.core.statistical_flow import StatisticalCharacterizer
+from repro.runtime.executor import get_executor
 from repro.spice import sweep as sweep_module
 from repro.spice.sweep import sweep_conditions
 from repro.spice.testbench import get_simulation_cache
@@ -166,15 +171,6 @@ class TestFusedParity:
         assert l_per_arc.simulations_by_label() == \
             l_fused.simulations_by_label()
 
-    def test_scipy_solver_parity(self, tech28_module, priors_module):
-        library = [make_cell("INV_X1")]
-        fused, _, _ = run_library(tech28_module, library, priors_module,
-                                  solver="scipy")
-        per_arc, _, _ = run_library(tech28_module, library, priors_module,
-                                    oracle=True, solver="scipy")
-        assert fused.solver == "scipy"
-        assert_entries_equal(fused, per_arc, exact=False)
-
     def test_memory_budget_preserves_results(self, tech28_module,
                                              twin_library, priors_module):
         reference, _, _ = run_library(
@@ -183,12 +179,67 @@ class TestFusedParity:
             tech28_module, twin_library, priors_module, max_bytes=64 * 1024)
         assert_entries_equal(reference, budgeted, exact=False)
 
+    def test_fused_jobs_accept_only_the_batched_solver(self, tech28_module,
+                                                       priors_module):
+        cell = make_cell("INV_X1")
+        conditions = InputSpace(tech28_module).sample_lhs(
+            2, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="batched"):
+            characterize_fused_jobs(
+                tech28_module, [(cell, cell.timing_arcs()[0])], [conditions],
+                priors_module[0], priors_module[1],
+                tech28_module.variation.sample(4, rng=1), "scipy",
+                get_executor("serial"), RunLedger(), None)
+
     def test_invalid_pipeline_rejected(self, tech28_module, twin_library,
                                        priors_module):
         # One pipeline: the retired pipeline switch is not accepted.
         with pytest.raises(TypeError, match="pipeline"):
             characterize_library(tech28_module, twin_library, priors_module[0],
                                  priors_module[1], pipeline="per_arc")
+
+
+class TestCharacterizerIsOneJob:
+    @pytest.mark.parametrize("cell_name", ["INV_X1", "NAND2_X1"])
+    @pytest.mark.parametrize("transition", [Transition.FALL, Transition.RISE])
+    def test_characterizer_matches_per_arc_oracle(self, tech28, delay_prior,
+                                                  slew_prior, cell_name,
+                                                  transition):
+        """One arc through the fused pipeline equals the sweep-and-solve
+        oracle bit for bit, with the same charges by label."""
+        cell = make_cell(cell_name)
+        arc = cell.arc(cell.input_pins[0], transition)
+        variation = tech28.variation.sample(30, rng=21)
+        conditions = InputSpace(tech28).sample_lhs(4, np.random.default_rng(22))
+
+        get_simulation_cache().clear()
+        counter, ledger = SimulationCounter(), RunLedger()
+        flow = StatisticalCharacterizer(tech28, cell, delay_prior, slew_prior,
+                                        arc=arc, counter=counter, ledger=ledger)
+        flow.use_variation(variation)
+        result = flow.characterize(conditions)
+
+        get_simulation_cache().clear()
+        oracle_counter, oracle_ledger = SimulationCounter(), RunLedger()
+        expected = sweep_and_extract(
+            tech28, cell, arc, delay_prior, slew_prior, conditions, variation,
+            counter=oracle_counter, ledger=oracle_ledger)
+
+        assert result.arc_name == expected.arc_name == arc.name
+        assert result.fitting_conditions == expected.fitting_conditions
+        np.testing.assert_array_equal(result.delay_parameters,
+                                      expected.delay_parameters)
+        np.testing.assert_array_equal(result.slew_parameters,
+                                      expected.slew_parameters)
+        np.testing.assert_array_equal(result.delay_converged,
+                                      expected.delay_converged)
+        np.testing.assert_array_equal(result.slew_converged,
+                                      expected.slew_converged)
+        assert result.simulation_runs == expected.simulation_runs == 4 * 30
+        assert counter.by_label() == oracle_counter.by_label() == {
+            f"proposed_statistical:{cell.name}": 4 * 30}
+        assert ledger.simulations_by_label() == \
+            oracle_ledger.simulations_by_label()
 
 
 class TestSignatureGrouping:

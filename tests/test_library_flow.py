@@ -65,7 +65,6 @@ class TestCharacterizeLibrary:
             "NAND2_X1:A->Z(fall)", "NAND2_X1:A->Z(rise)",
         ]
         assert result.n_seeds == 10
-        assert result.solver == "batched"
 
     def test_simulation_run_accounting(self, library_result):
         result, counter = library_result
@@ -108,9 +107,10 @@ class TestCharacterizeLibrary:
         with pytest.raises(ValueError):
             characterize_library(tech28_module, small_library, delay_prior,
                                  slew_prior, concurrency="threads")
-        with pytest.raises(ValueError):
+        # One extraction solver: the retired solver switch is not accepted.
+        with pytest.raises(TypeError, match="solver"):
             characterize_library(tech28_module, small_library, delay_prior,
-                                 slew_prior, solver="magic")
+                                 slew_prior, solver="batched")
         with pytest.raises(ValueError):
             characterize_library(tech28_module, small_library, delay_prior,
                                  slew_prior, input_pins="last")

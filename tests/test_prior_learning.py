@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles.bp import learn_class_priors_scalar, learn_priors_scalar
+from oracles.bp import learn_class_priors_scalar, learn_priors_scalar, scalar_prior
 from oracles.historical import characterize_historical_library_per_arc
 
 from repro.core.prior_learning import (
@@ -61,6 +61,18 @@ class TestHistoricalLibraryData:
         assert max(kd_values) - min(kd_values) < 0.2
 
 
+@pytest.fixture(scope="module")
+def four_node_history(reference_conditions, inv_cell, nor2_cell):
+    from repro import get_technology
+    from repro.cells.library import Transition
+
+    return [characterize_historical_library(
+                get_technology(name), [inv_cell, nor2_cell],
+                unit_conditions=reference_conditions,
+                transitions=(Transition.FALL,))
+            for name in ("n45_bulk", "n32_soi", "n28_bulk", "n20_planar")]
+
+
 class TestLearnPrior:
     def test_bp_prior_structure(self, delay_prior, historical_data):
         assert isinstance(delay_prior, TimingPrior)
@@ -103,6 +115,23 @@ class TestLearnPrior:
             learn_prior(historical_data, response="power")
         with pytest.raises(ValueError):
             learn_prior(historical_data, response="delay", prior_widening=0.0)
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4])
+    @pytest.mark.parametrize("response", ["delay", "slew"])
+    def test_matches_scalar_star_oracle(self, four_node_history, n_nodes,
+                                        response):
+        """A batch-of-one star reproduces the scalar message loop exactly."""
+        historical = four_node_history[:n_nodes]
+        prior = learn_prior(historical, response=response, prior_widening=2.0)
+        expected = scalar_prior(
+            historical, response,
+            [data.parameter_matrix(response) for data in historical],
+            prior_widening=2.0)
+        assert prior.method == expected.method == "bp"
+        np.testing.assert_array_equal(prior.density.mean,
+                                      expected.density.mean)
+        np.testing.assert_array_equal(prior.density.covariance,
+                                      expected.density.covariance)
 
     def test_learn_priors_returns_both_responses(self, historical_data):
         priors = learn_priors(historical_data)

@@ -141,7 +141,11 @@ class TestBasics:
             make_service(context, queue_depth=0)
         with pytest.raises(ValueError):
             make_service(context, shed_policy="panic")
+        # One extraction solver: the retired solver switch is not accepted.
+        with pytest.raises(TypeError, match="solver"):
+            make_service(context, solver="batched")
         service = make_service(context, start=False)
+        assert service.solver == "batched"
         with pytest.raises(ValueError):
             service.submit(inv_cell, (), conditions)
         with pytest.raises(ValueError):
