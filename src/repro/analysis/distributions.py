@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,8 @@ def _validate_samples(samples) -> np.ndarray:
 
 def summarize(samples) -> DistributionSummary:
     """Compute a :class:`DistributionSummary` for an ensemble."""
+    from scipy import stats  # deferred: SciPy loads on first use
+
     samples = _validate_samples(samples)
     quantiles = np.quantile(samples, [0.01, 0.50, 0.99])
     return DistributionSummary(
@@ -132,6 +133,8 @@ def kde_pdf(samples, evaluation_points=None, n_points: int = 200
     n_points:
         Number of grid points when ``evaluation_points`` is not given.
     """
+    from scipy import stats  # deferred: SciPy loads on first use
+
     samples = _validate_samples(samples)
     if np.std(samples) == 0.0:
         raise ValueError("kernel density estimation requires non-degenerate samples")
@@ -147,6 +150,8 @@ def kde_pdf(samples, evaluation_points=None, n_points: int = 200
 def gaussian_pdf(mean: float, std: float, evaluation_points
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Density of a Gaussian with the given moments (the statistical-LUT view)."""
+    from scipy import stats  # deferred: SciPy loads on first use
+
     if std <= 0.0:
         raise ValueError("std must be positive")
     evaluation_points = np.asarray(evaluation_points, dtype=float)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.bayes.gaussian import GaussianDensity
 from repro.core.prior_learning import TimingPrior
@@ -134,6 +133,8 @@ def map_estimate(
     FitResult
         Extracted parameters plus training-residual statistics.
     """
+    from scipy.optimize import least_squares  # deferred: SciPy loads on first use
+
     if prior_weight <= 0.0:
         raise ValueError("prior_weight must be positive; use fit_least_squares for "
                          "a prior-free extraction")

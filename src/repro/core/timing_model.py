@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.utils.units import FEMTO, PICO
 
@@ -285,6 +284,8 @@ def fit_least_squares(
     ValueError
         On shape mismatches or non-positive responses.
     """
+    from scipy.optimize import least_squares  # deferred: SciPy loads on first use
+
     model = model or CompactTimingModel()
     sin = np.asarray(sin, dtype=float).reshape(-1)
     cload = np.asarray(cload, dtype=float).reshape(-1)

@@ -1,8 +1,10 @@
 """Gate-level netlists, their compiled form, and benchmark circuit generators.
 
 A netlist is a directed acyclic graph of gate instances connected by named
-nets.  Every net has at most one driver (a gate output or a primary input);
-combinational loops are rejected at construction time.  Three generators
+nets.  Every net has at most one driver (a gate output or a primary input),
+which :meth:`Netlist.add_gate` enforces; undriven nets and combinational
+loops are rejected by :meth:`Netlist.validate` / :meth:`Netlist.compile`,
+not at construction.  Three generators
 provide the circuits used by the examples and tests: an inverter chain (the
 classic ring-oscillator-style delay line), a balanced NAND/NOR reduction
 tree, and the ISCAS-85 C17 benchmark.
@@ -24,7 +26,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.runtime import register_runtime_cache
@@ -184,44 +185,6 @@ class Netlist:
         return list(names)
 
     # ------------------------------------------------------------------
-    # Graph view
-    # ------------------------------------------------------------------
-    def gate_graph(self) -> nx.DiGraph:
-        """Directed graph with gate names as nodes (edges follow nets)."""
-        graph = nx.DiGraph()
-        for gate in self._gates.values():
-            graph.add_node(gate.name)
-        for gate in self._gates.values():
-            for consumer in self.fanout_gates(gate.output_net):
-                graph.add_edge(gate.name, consumer.name)
-        return graph
-
-    def topological_gates(self) -> List[Gate]:
-        """Gates in topological (input-to-output) order.
-
-        Raises
-        ------
-        ValueError
-            If the netlist contains a combinational loop.
-        """
-        graph = self.gate_graph()
-        if not nx.is_directed_acyclic_graph(graph):
-            raise ValueError(f"netlist {self._name!r} contains a combinational loop")
-        return [self._gates[name] for name in nx.topological_sort(graph)]
-
-    def validate(self) -> None:
-        """Check that every gate input and primary output has a driver."""
-        known = set(self._primary_inputs) | set(self._driver_of)
-        for gate in self._gates.values():
-            for net in gate.input_nets:
-                if net not in known:
-                    raise ValueError(f"net {net!r} (input of {gate.name}) has no driver")
-        for net in self._primary_outputs:
-            if net not in known:
-                raise ValueError(f"primary output {net!r} has no driver")
-        self.topological_gates()
-
-    # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
     def compile(self) -> "CompiledNetlist":
@@ -242,6 +205,16 @@ class Netlist:
             compiled = compile_netlist(self)
             _COMPILE_CACHE.put(key, compiled, nbytes=compiled.nbytes)
         return compiled
+
+    def validate(self) -> None:
+        """Check that every net read has a driver and the gates form a DAG.
+
+        Runs :meth:`compile`, whose array levelization raises ``ValueError``
+        for an undriven gate input or primary output and for a combinational
+        loop.  The compilation is cached like any other :meth:`compile`
+        call, so an analyzer built next on the unchanged netlist reuses it.
+        """
+        self.compile()
 
 
 @dataclass(frozen=True)

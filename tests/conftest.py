@@ -23,6 +23,11 @@ from repro.core.prior_learning import (
 )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running test; deselect with -m 'not slow'")
+
+
 @pytest.fixture(scope="session")
 def tech14():
     """The 14 nm FinFET target technology."""

@@ -6,14 +6,15 @@ which build the compiled netlist with array operations and propagate one
 array pass per level.  :func:`compile_loop` levelizes with Kahn's algorithm
 one gate at a time and must equal the array compile field for field.  The
 propagation loops visit every gate as one Python iteration and one
-timing-view query, in topological order; every net's load comes from the
-same precomputed load vector.  Reports must agree with the batched
-analyzers at ``rtol 1e-12``.
+timing-view query, in :func:`compile_loop`'s level-major order (any
+topological order gives the same results), and take every net's load from
+:func:`compile_loop`'s arrays too, so they never run the production
+compile.  Reports must agree with the batched analyzers at ``rtol 1e-12``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -128,17 +129,19 @@ def compile_loop(netlist) -> CompiledNetlist:
     )
 
 
-def _loads(netlist, view) -> Dict[str, float]:
-    compiled = netlist.compile()
+def _levelized(netlist, view) -> Tuple[list, Dict[str, float]]:
+    """:func:`compile_loop`'s level-major gates and every net's load."""
+    compiled = compile_loop(netlist)
     loads = compiled.net_loads(view.input_capacitances())
-    return {name: float(loads[index])
-            for index, name in enumerate(compiled.net_names)}
+    return ([netlist.gate(name) for name in compiled.gate_names],
+            {name: float(loads[index])
+             for index, name in enumerate(compiled.net_names)})
 
 
 def sta_loop(netlist, view, primary_input_slew: float = 5e-12,
              primary_input_arrival: float = 0.0) -> PathReport:
     """Deterministic STA, one gate at a time."""
-    loads = _loads(netlist, view)
+    gates, loads = _levelized(netlist, view)
     arrivals: Dict[str, float] = {}
     slews: Dict[str, float] = {}
     worst_input_gate: Dict[str, Optional[str]] = {}
@@ -148,7 +151,7 @@ def sta_loop(netlist, view, primary_input_slew: float = 5e-12,
         slews[net] = primary_input_slew
         worst_input_gate[net] = None
 
-    for gate in netlist.topological_gates():
+    for gate in gates:
         input_arrival = max(arrivals[net] for net in gate.input_nets)
         worst_net = max(gate.input_nets, key=lambda net: arrivals[net])
         input_slew = slews[worst_net]
@@ -180,7 +183,7 @@ def sta_loop(netlist, view, primary_input_slew: float = 5e-12,
 def ssta_loop(netlist, view, primary_input_slew: float = 5e-12,
               primary_input_arrival: float = 0.0) -> SstaReport:
     """Monte Carlo SSTA, one gate (and one per-seed timing query) at a time."""
-    loads = _loads(netlist, view)
+    gates, loads = _levelized(netlist, view)
     n_seeds = view.n_seeds
     seed_index = np.arange(n_seeds)
     arrivals: Dict[str, np.ndarray] = {}
@@ -190,7 +193,7 @@ def ssta_loop(netlist, view, primary_input_slew: float = 5e-12,
         arrivals[net] = np.full(n_seeds, primary_input_arrival)
         slews[net] = np.full(n_seeds, primary_input_slew)
 
-    for gate in netlist.topological_gates():
+    for gate in gates:
         stacked = np.stack([arrivals[net] for net in gate.input_nets], axis=0)
         input_arrival = stacked.max(axis=0)
         # Seed-wise worst input; each seed's driving slew comes from that
