@@ -73,13 +73,11 @@ class LseCharacterizer:
         if not conditions:
             raise ValueError("at least one fitting condition is required")
 
-        runs_before = self._counter.total if self._counter is not None else 0
         measurements = sweep_conditions(
             self._cell, self._technology, [c.as_tuple() for c in conditions],
             arc=self._arc, counter=self._counter,
             counter_label=f"lse_fit:{self._cell.name}")
-        self._simulation_runs = ((self._counter.total - runs_before)
-                                 if self._counter is not None else len(conditions))
+        self._simulation_runs = len(conditions)
 
         sin, cload, vdd = conditions_to_arrays(conditions)
         ieff = self._effective_currents(vdd)

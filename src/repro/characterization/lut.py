@@ -207,13 +207,11 @@ class LutCharacterizer:
         """Build the tables from an explicit full-factorial condition list."""
         conditions = list(conditions)
         axes = _grid_axes(conditions)
-        runs_before = self._counter.total if self._counter is not None else 0
         measurements = sweep_conditions(
             self._cell, self._technology, [c.as_tuple() for c in conditions],
             arc=self._arc, counter=self._counter,
             counter_label=f"lut:{self._cell.name}")
-        self._simulation_runs = ((self._counter.total - runs_before)
-                                 if self._counter is not None else len(conditions))
+        self._simulation_runs = len(conditions)
         delays = np.array([m.nominal_delay() for m in measurements])
         slews = np.array([m.nominal_slew() for m in measurements])
         self._delay_lut = LutGrid(*axes, _values_to_grid(conditions, delays, axes))
@@ -269,14 +267,11 @@ class StatisticalLutCharacterizer:
         """Build mean/sigma tables from an explicit full-factorial grid."""
         conditions = list(conditions)
         axes = _grid_axes(conditions)
-        runs_before = self._counter.total if self._counter is not None else 0
         measurements = sweep_conditions(
             self._cell, self._technology, [c.as_tuple() for c in conditions],
             arc=self._arc, variation=self._variation, counter=self._counter,
             counter_label=f"lut_statistical:{self._cell.name}")
-        self._simulation_runs = ((self._counter.total - runs_before)
-                                 if self._counter is not None
-                                 else len(conditions) * self._variation.n_seeds)
+        self._simulation_runs = len(conditions) * self._variation.n_seeds
         stats = {
             "mu_delay": np.array([np.mean(m.delay) for m in measurements]),
             "sigma_delay": np.array([np.std(m.delay) for m in measurements]),

@@ -6,11 +6,11 @@ nominal experiments, and full Monte Carlo over process seeds for the
 statistical experiments.  These functions provide exactly that, with
 simulation-run accounting so speedups can be computed against them.
 
-Both baselines run on the batched transient engine: every requested
-condition is integrated in one ``(n_conditions, n_seeds)`` RK4 pass of
-:func:`repro.spice.batch.simulate_arc_transitions` (via
-:func:`repro.spice.sweep.sweep_conditions`), and previously simulated
-operating points are served from the global simulation cache.  The
+Both baselines run on the batched transient engine through
+:func:`repro.spice.sweep.sweep_conditions`: the requested conditions are
+integrated as ``(n_rows, n_seeds)`` passes tiled at the memory budget, and
+previously simulated operating points are served from the global
+simulation cache.  The
 simulation-run counters are unaffected by either optimization -- they keep
 counting the runs the flow *requires*, as the paper does.
 """
@@ -91,18 +91,16 @@ def nominal_baseline(
     if not conditions:
         raise ValueError("at least one condition is required")
     arc = arc if arc is not None else default_arc(cell)
-    runs_before = counter.total if counter is not None else 0
     measurements = sweep_conditions(
         cell, technology, [c.as_tuple() for c in conditions], arc=arc,
         counter=counter, counter_label=f"baseline_nominal:{cell.name}")
-    runs = (counter.total - runs_before) if counter is not None else len(conditions)
     return BaselineCharacterization(
         cell_name=cell.name,
         arc_name=arc.name,
         conditions=conditions,
         delay=np.array([m.nominal_delay() for m in measurements]),
         slew=np.array([m.nominal_slew() for m in measurements]),
-        simulation_runs=runs,
+        simulation_runs=len(conditions),
     )
 
 
@@ -121,13 +119,10 @@ def statistical_baseline(
     if variation.n_seeds < 2:
         raise ValueError("statistical baseline needs at least 2 seeds")
     arc = arc if arc is not None else default_arc(cell)
-    runs_before = counter.total if counter is not None else 0
     measurements = sweep_conditions(
         cell, technology, [c.as_tuple() for c in conditions], arc=arc,
         variation=variation, counter=counter,
         counter_label=f"baseline_statistical:{cell.name}")
-    runs = ((counter.total - runs_before) if counter is not None
-            else len(conditions) * variation.n_seeds)
     delay_samples = np.stack([np.asarray(m.delay).reshape(-1) for m in measurements],
                              axis=0)
     slew_samples = np.stack([np.asarray(m.output_slew).reshape(-1)
@@ -138,5 +133,5 @@ def statistical_baseline(
         conditions=conditions,
         delay_samples=delay_samples,
         slew_samples=slew_samples,
-        simulation_runs=runs,
+        simulation_runs=len(conditions) * variation.n_seeds,
     )

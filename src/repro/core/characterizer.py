@@ -141,14 +141,11 @@ class BayesianCharacterizer:
         if not conditions:
             raise ValueError("at least one fitting condition is required")
 
-        runs_before = self._counter.total if self._counter is not None else 0
         measurements = sweep_conditions(
             self._cell, self._technology,
             [c.as_tuple() for c in conditions], arc=self._arc,
             counter=self._counter, counter_label=f"proposed_fit:{self._cell.name}",
         )
-        runs = ((self._counter.total - runs_before) if self._counter is not None
-                else len(conditions))
 
         sin, cload, vdd = conditions_to_arrays(conditions)
         ieff = self._effective_currents(vdd)
@@ -172,7 +169,7 @@ class BayesianCharacterizer:
             delay_fit=delay_fit,
             slew_fit=slew_fit,
             fitting_conditions=tuple(conditions),
-            simulation_runs=runs,
+            simulation_runs=len(conditions),
         )
         return self._result
 

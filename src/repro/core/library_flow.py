@@ -397,20 +397,10 @@ def characterize_fused_jobs(
     # ------------------------------------------------------------------
     job_kept: List[Optional[List[int]]] = []
     for job, (cell, arc) in enumerate(jobs):
-        bad = plan.quarantined_rows.get(job)
-        if not bad:
-            job_kept.append(list(range(len(job_conditions[job]))))
-            continue
-        kept = [cond for cond in range(len(job_conditions[job]))
-                if cond not in set(bad)]
-        detail = (f"{len(bad)} of {len(job_conditions[job])} fitting "
-                  f"conditions quarantined (indices {bad})")
-        if not kept:
-            detail += "; no conditions survived, arc dropped"
-        failures.append(FailureReport(unit=f"{cell.name}:{arc.name}",
-                                      stage="simulate", error=detail,
-                                      error_type="QuarantinedRows"))
-        job_kept.append(kept if kept else None)
+        kept, report = plan.kept_conditions(job, f"{cell.name}:{arc.name}")
+        if report is not None:
+            failures.append(report)
+        job_kept.append(kept)
 
     # ------------------------------------------------------------------
     # Extract: stack every arc's seed batch into one block-diagonal MAP

@@ -266,19 +266,11 @@ def _characterize_fused_historical(
     failures: List[FailureReport] = []
     job_kept: List[Optional[List[int]]] = []
     for job, (cell, arc) in enumerate(arcs):
-        bad = plan.quarantined_rows.get(job)
-        if not bad:
-            job_kept.append(list(range(n_cond)))
-            continue
-        kept = [cond for cond in range(n_cond) if cond not in set(bad)]
-        detail = (f"{len(bad)} of {n_cond} reference conditions quarantined "
-                  f"(indices {bad})")
-        if not kept:
-            detail += "; no conditions survived, arc dropped"
-        failures.append(FailureReport(
-            unit=f"{technology.name}:{cell.name}:{arc.name}",
-            stage="simulate", error=detail, error_type="QuarantinedRows"))
-        job_kept.append(kept if kept else None)
+        kept, report = plan.kept_conditions(
+            job, f"{technology.name}:{cell.name}:{arc.name}")
+        if report is not None:
+            failures.append(report)
+        job_kept.append(kept)
 
     sin = physical[:, 0]
     cload = physical[:, 1]

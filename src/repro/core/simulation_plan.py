@@ -1,32 +1,39 @@
 """Global simulation planning over one flat row table.
 
-The front half of the fused characterization pipelines: flatten every
-``(cell, arc, condition)`` of a workload into one global plan, consult the
-simulation cache per row, dedup physically identical rows, and integrate
-what is left in one transient pass per plan.  Each row is keyed by its
-*equivalent-inverter simulation signature* (footprint-equivalent cells
-reduce to bit-identical inverters) plus its operating point: rows with
-equal keys are the same simulation and integrate once for all of them.
-The signature is only that dedup key and never splits the pass: every
-cache-missing, deduplicated row of the plan goes into one *row table* (one
-equivalent inverter per row; see :mod:`repro.spice.batch`), so rows of
-different cells and output polarities share one integration.
+The one simulation path of the library: flatten every ``(cell, arc,
+condition)`` of a workload into one global plan, consult the simulation
+cache per row, dedup physically identical rows, and integrate what is left
+in one transient pass per plan.  It has three callers -- the fused library
+pipeline (:mod:`repro.core.library_flow`, which also serves the
+characterization service), historical characterization for prior learning
+(:mod:`repro.core.prior_learning`) and the condition sweep
+(:func:`repro.spice.sweep.sweep_conditions`, a one-job plan) -- and it is
+the only code that keys the simulation cache, tiles a pass and picks the
+transient engine.  Each row is keyed by its *equivalent-inverter simulation
+signature* (footprint-equivalent cells reduce to bit-identical inverters)
+plus its operating point: rows with equal keys are the same simulation and
+integrate once for all of them.  The signature is only that dedup key and
+never splits the pass: every cache-missing, deduplicated row of the plan
+goes into one *row table* (one equivalent inverter per row; see
+:mod:`repro.spice.batch`), so rows of different cells and output polarities
+share one integration.
 
 A plan has one technology, one variation sample and one stepper, so the
 whole table is one pass, tiled on the flat row axis only by the memory
 budget and the executor's shard hint.  The budget is the configured
 ``runtime`` ``max_bytes`` or, when none is configured,
 :data:`DEFAULT_PASS_BYTES` measured with
-:func:`~repro.spice.batch.transient_item_bytes` -- up to 26 rows at 200
-seeds, so a historical node (one seed) or a service batch (32 seeds) is a
-single pass and a 200-seed library a handful.  Rows are independent, so
-any tiling is bit-identical to any other.
+:func:`~repro.spice.batch.transient_item_bytes` at the stepper's step count
+-- up to 26 rows at 200 seeds and the default 400 steps, so a historical
+node (one seed) or a service batch (32 seeds) is a single pass and a
+200-seed library a handful.  Rows are independent, so any tiling is
+bit-identical to any other.
 
-Library characterization and historical-library characterization for prior
-learning (:mod:`repro.core.prior_learning`) both run this row shape, so it
-lives here, importable by both flows without creating an import cycle
-(:mod:`repro.core.library_flow` imports :mod:`repro.core.prior_learning`
-for :class:`~repro.core.prior_learning.TimingPrior`).
+The plan lives in :mod:`repro.core` so both fused flows import it without
+an import cycle (:mod:`repro.core.library_flow` imports
+:mod:`repro.core.prior_learning` for
+:class:`~repro.core.prior_learning.TimingPrior`); the sweep, one layer
+down in :mod:`repro.spice`, imports it where it is called.
 
 The :class:`SimulationPlan` protocol is three phases, with the caller owning
 the :class:`~repro.runtime.accounting.RunLedger` stage windows (stage names
@@ -46,12 +53,14 @@ historical characterization):
    ``(job, condition)`` row.
 
 After ``finalize``, ``plan.job_delays[job][cond]`` / ``job_slews`` hold one
-``(n_seeds,)`` array per row (cached rows are filled during planning).
+``(n_seeds,)`` array per row (cached rows are filled during planning), and
+:meth:`SimulationPlan.kept_conditions` turns a job's quarantined rows into
+the conditions it keeps plus a failure report.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,10 +71,9 @@ from repro.runtime.accounting import RunLedger
 from repro.runtime.chunking import plan_chunks
 from repro.spice.adaptive import simulate_arc_transitions_adaptive
 from repro.spice.batch import simulate_arc_transitions, transient_item_bytes
-from repro.spice.stepper import StepperSpec, resolve_stepper
-from repro.spice.sweep import record_integration_stats
+from repro.runtime.resilience import FailureReport
+from repro.spice.stepper import IntegrationStats, StepperSpec, resolve_stepper
 from repro.spice.testbench import SimulationCache, get_simulation_cache
-from repro.spice.transient import DEFAULT_STEPS
 from repro.technology.node import TechnologyNode
 from repro.technology.variation import VariationSample
 
@@ -74,6 +82,23 @@ from repro.technology.variation import VariationSample
 #: with its rows, so an unbounded pass over a large library would cost far
 #: more memory than the per-call overhead it saves.
 DEFAULT_PASS_BYTES = 64 * 2**20
+
+
+def record_integration_stats(ledger: Optional[RunLedger],
+                             stats: Optional[IntegrationStats]) -> None:
+    """Add one batch's integration cost to a ledger's metrics (if both exist).
+
+    The three metrics sum across batches, chunks and merged worker ledgers,
+    so a flow-level ledger reports the total integration effort of the run:
+    ``transient_steps`` / ``transient_steps_rejected`` count per-condition
+    step attempts and ``transient_rhs_evals`` counts scalar derivative
+    evaluations (directly comparable across engines).
+    """
+    if ledger is None or stats is None:
+        return
+    ledger.add_metric("transient_steps", stats.steps_taken)
+    ledger.add_metric("transient_steps_rejected", stats.steps_rejected)
+    ledger.add_metric("transient_rhs_evals", stats.rhs_evals)
 
 
 def simulate_rows_job(payload: tuple):
@@ -111,7 +136,7 @@ class SimulationPlan:
 
     def __init__(self, technology: TechnologyNode,
                  variation: Optional[VariationSample] = None,
-                 n_steps: int = DEFAULT_STEPS,
+                 cache: bool = True,
                  integrate_stage: str = "fused:integrate",
                  on_failure: str = "raise",
                  stepper: Optional[StepperSpec] = None) -> None:
@@ -120,13 +145,12 @@ class SimulationPlan:
                              f"got {on_failure!r}")
         self.technology = technology
         self.variation = variation
-        self.n_steps = int(n_steps)
-        #: Integration scheme of every batched call (and the engine part of
-        #: every simulation-cache key); ``None`` resolves the configured
-        #: transient engine's stepper at ``n_steps``
-        #: (``runtime.configure(transient_engine=...)``).
+        #: Integration scheme of every batched call, the engine part of
+        #: every simulation-cache key and the step count tiles are sized
+        #: by; ``None`` resolves the configured transient engine's default
+        #: stepper (``runtime.configure(transient_engine=...)``).
         self.stepper = (stepper if stepper is not None else resolve_stepper(
-            resolve_transient_engine(None), n_steps=self.n_steps))
+            resolve_transient_engine(None)))
         self.n_seeds = variation.n_seeds if variation is not None else 1
         self.integrate_stage = integrate_stage
         #: Fault handling forwarded to every batched transient call; with
@@ -136,7 +160,9 @@ class SimulationPlan:
         #: After ``finalize``: job index -> sorted condition indices whose
         #: simulation was quarantined (NaN delay/slew, not cached).
         self.quarantined_rows: Dict[int, List[int]] = {}
-        self._cache = get_simulation_cache()
+        #: The global simulation cache, or ``None`` with ``cache=False``
+        #: (no lookups, no puts).
+        self._cache = get_simulation_cache() if cache else None
         self._variation_fp = (variation.fingerprint() if variation is not None
                               else "nominal")
         #: Equivalent-inverter reduction per job, in job order.
@@ -182,7 +208,7 @@ class SimulationPlan:
         slews: List[Optional[np.ndarray]] = [None] * len(triples)
         for cond, triple in enumerate(triples):
             key = SimulationCache.condition_key(prefix, *triple, self.stepper)
-            cached = self._cache.get(key)
+            cached = self._cache.get(key) if self._cache is not None else None
             if cached is not None:
                 delays[cond], slews[cond] = cached
                 continue
@@ -265,8 +291,8 @@ class SimulationPlan:
                        for triple, targets in points.items()]
         n_rows = len(self._table)
         self._tiles = plan_chunks(
-            n_rows, transient_item_bytes(self.n_seeds, self.n_steps), budget,
-            min_chunks=executor.shard_hint(n_rows))
+            n_rows, transient_item_bytes(self.n_seeds, self.stepper.n_steps),
+            budget, min_chunks=executor.shard_hint(n_rows))
         payloads = []
         for tile in self._tiles:
             rows = self._table[tile]
@@ -284,8 +310,9 @@ class SimulationPlan:
                     for _job, _cond, key in targets:
                         self._cache.put(key, delay_row, slew_row)
 
-        self._results = executor.map_accounted(simulate_rows_job, payloads,
-                                               ledger=ledger, on_result=fill)
+        self._results = executor.map_accounted(
+            simulate_rows_job, payloads, ledger=ledger,
+            on_result=fill if self._cache is not None else None)
 
     def _tile_rows(self, tile: slice, result):
         """``(delay_row, slew_row, quarantined, targets)`` per tile row."""
@@ -316,3 +343,30 @@ class SimulationPlan:
                         self.quarantined_rows.setdefault(job, []).append(cond)
         for conds in self.quarantined_rows.values():
             conds.sort()
+
+    def kept_conditions(self, job: int, unit: str
+                        ) -> Tuple[Optional[List[int]],
+                                   Optional[FailureReport]]:
+        """One job's surviving condition indices and its quarantine report.
+
+        A job none of whose rows was quarantined keeps every condition and
+        has no report.  Otherwise it keeps the conditions whose rows
+        simulated cleanly -- ``None`` when none did, and the caller drops
+        the arc -- and the report is a ``QuarantinedRows``
+        :class:`~repro.runtime.resilience.FailureReport` for ``unit`` at
+        stage ``simulate``.
+        """
+        n_conditions = len(self.job_delays[job])
+        bad = self.quarantined_rows.get(job)
+        if not bad:
+            return list(range(n_conditions)), None
+        quarantined = set(bad)
+        kept = [cond for cond in range(n_conditions)
+                if cond not in quarantined]
+        detail = (f"{len(bad)} of {n_conditions} conditions quarantined "
+                  f"(indices {bad})")
+        if not kept:
+            detail += "; no conditions survived, arc dropped"
+        return kept or None, FailureReport(
+            unit=unit, stage="simulate", error=detail,
+            error_type="QuarantinedRows")

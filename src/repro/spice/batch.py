@@ -11,9 +11,8 @@ cells alike.
 Design notes:
 
 * **The row table.**  A pass is either one equivalent inverter driven at
-  every row (the classic single-arc call of
-  :func:`repro.spice.sweep.sweep_conditions`) or one reduction *per row*, so
-  rows of different cells and output polarities share one pass.  Device
+  every row (the single-arc call) or one reduction *per row*, so rows of
+  different cells and output polarities share one pass.  Device
   parameters, capacitances, post-ramp windows and output polarity are then
   carried per row; values every reduction agrees on keep their shared
   shape (scalars or ``(n_seeds,)`` vectors, notably the ``pow`` exponent),
@@ -21,7 +20,8 @@ Design notes:
   arrays.  Each row therefore computes exactly what a pass over its own
   reduction computes, bit for bit, while the interpreted loop is paid once
   for the whole table.  :class:`~repro.core.simulation_plan.SimulationPlan`
-  builds these tables from a workload's cache-missing rows.
+  builds these tables from a workload's cache-missing rows; it is the one
+  caller in the library, sweeps included.
 * **Per-condition time normalization.**  Every row keeps its own ramp
   duration and its own post-ramp window, but all rows advance through a
   shared *normalized step index*: step ``i`` of the batch integrates step
@@ -141,11 +141,12 @@ def transient_item_bytes(n_seeds: int, n_steps: int = DEFAULT_STEPS) -> int:
     """Peak bytes one condition row costs inside the batched integrator.
 
     The shared time matrix plus the ``(len, n_seeds)`` voltage and input
-    matrices and the RK4 stage/derivative buffers.  Both
-    :func:`repro.spice.sweep.sweep_conditions` and the fused library
-    pipeline plan their flat-axis chunks from this single estimate, so a
-    ``runtime.configure(max_bytes=...)`` budget means the same thing at
-    every batching level.
+    matrices and the RK4 stage/derivative buffers.
+    :class:`~repro.core.simulation_plan.SimulationPlan` -- the one
+    simulation path, which :func:`repro.spice.sweep.sweep_conditions` also
+    runs -- sizes every tile from this single estimate at its stepper's
+    step count, so a ``runtime.configure(max_bytes=...)`` budget means the
+    same thing for every flow.
     """
     ramp_steps, tail_steps = _phase_steps(n_steps)
     base_len = ramp_steps + 1 + tail_steps

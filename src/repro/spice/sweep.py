@@ -2,13 +2,16 @@
 
 The paper batches per-seed simulations with SPICE ``.ALTER`` statements so
 each netlist is elaborated once and re-simulated for every process seed.  In
-this reproduction the analogue goes one step further: the cell is reduced to
-its equivalent inverter once per seed batch (memoized across sweeps) and
-*every* requested ``(Sin, Cload, Vdd)`` condition is integrated in a single
-pass of the batched transient engine (:mod:`repro.spice.batch`), with the
-per-condition results memoized in the global
-:class:`~repro.spice.testbench.SimulationCache` so repeated operating points
-are never simulated twice.
+this reproduction a sweep is a one-job
+:class:`~repro.core.simulation_plan.SimulationPlan` on the serial executor:
+the cell is reduced to its equivalent inverter once per seed batch
+(memoized across sweeps), every requested ``(Sin, Cload, Vdd)`` condition
+is looked up in the global :class:`~repro.spice.testbench.SimulationCache`,
+repeated operating points collapse into one row, and the remaining rows are
+integrated by the batched transient engine (:mod:`repro.spice.batch`) in
+tiles of the plan's memory budget.  The plan is the one simulation path of
+the library, so a sweep keys, tiles and dispatches exactly as the fused
+library, historical and service flows do.
 """
 
 from __future__ import annotations
@@ -17,49 +20,16 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.cells.equivalent_inverter import default_arc, reduce_cell_cached
+from repro.cells.equivalent_inverter import default_arc
 from repro.cells.library import Cell, TimingArc
-from repro.runtime import (
-    TRANSIENT_ENGINES,
-    resolve_max_bytes,
-    resolve_transient_engine,
-)
+from repro.runtime import resolve_transient_engine
 from repro.runtime.accounting import RunLedger
-from repro.runtime.chunking import plan_chunks
-from repro.spice.adaptive import simulate_arc_transitions_adaptive
-from repro.spice.batch import simulate_arc_transitions, transient_item_bytes
-from repro.spice.stepper import IntegrationStats, StepperSpec, resolve_stepper
-from repro.spice.testbench import (
-    SimulationCache,
-    SimulationCounter,
-    TimingMeasurement,
-    get_simulation_cache,
-)
+from repro.runtime.executor import SerialExecutor
+from repro.spice.stepper import StepperSpec, resolve_stepper
+from repro.spice.testbench import SimulationCounter, TimingMeasurement
 from repro.spice.transient import DEFAULT_STEPS
 from repro.technology.node import TechnologyNode
 from repro.technology.variation import VariationSample
-
-#: Engines selectable in :func:`sweep_conditions` (the runtime layer owns
-#: the canonical tuple so ``runtime.configure(transient_engine=...)`` can
-#: validate without importing the engines).
-ENGINES = TRANSIENT_ENGINES
-
-
-def record_integration_stats(ledger: Optional[RunLedger],
-                             stats: Optional[IntegrationStats]) -> None:
-    """Add one batch's integration cost to a ledger's metrics (if both exist).
-
-    The three metrics sum across batches, chunks and merged worker ledgers,
-    so a flow-level ledger reports the total integration effort of the run:
-    ``transient_steps`` / ``transient_steps_rejected`` count per-condition
-    step attempts and ``transient_rhs_evals`` counts scalar derivative
-    evaluations (directly comparable across engines).
-    """
-    if ledger is None or stats is None:
-        return
-    ledger.add_metric("transient_steps", stats.steps_taken)
-    ledger.add_metric("transient_steps_rejected", stats.steps_rejected)
-    ledger.add_metric("transient_rhs_evals", stats.rhs_evals)
 
 
 def sweep_conditions(
@@ -84,32 +54,35 @@ def sweep_conditions(
     cell, technology, arc, variation, n_steps:
         As in :func:`repro.spice.testbench.characterize_arc`.
     conditions:
-        Sequence of ``(sin, cload, vdd)`` triples.
+        Sequence of ``(sin, cload, vdd)`` triples.  A condition repeated in
+        the list is integrated once; each of its measurements still owns
+        its arrays.
     counter, counter_label:
         Optional simulation-run accounting; each condition charges one run
         per seed.  Runs are charged even when the simulation cache hits --
         counters measure what a flow *requires*, the cache only saves
         wall-clock time.
     engine:
-        ``"batched"`` integrates every condition in one 2-D fixed-step RK4
-        pass; ``"adaptive"`` integrates every condition in one batched
-        error-controlled RK45 pass (:mod:`repro.spice.adaptive`).  ``None``
-        (default) defers to ``runtime.configure(transient_engine=...)`` /
+        ``"batched"`` integrates with the 2-D fixed-step RK4 engine;
+        ``"adaptive"`` with the batched error-controlled RK45 engine
+        (:mod:`repro.spice.adaptive`).  ``None`` (default) defers to
+        ``runtime.configure(transient_engine=...)`` /
         ``REPRO_TRANSIENT_ENGINE``, falling back to ``"batched"``.
     cache:
-        Whether to consult/fill the global simulation cache.  Keys embed
-        the full stepper signature, so fixed-step and adaptive results
-        never collide.  A sweep whose conditions all hit short-circuits
-        straight to measurement assembly -- no equivalent-inverter
-        reduction, no batched simulation plan.
+        Whether to consult/fill the global simulation cache (``False``: no
+        lookups, no puts).  Keys embed the full stepper signature, so
+        fixed-step and adaptive results never collide.  Each finished tile
+        goes into the cache, and through it to the durable tier when one is
+        attached.
     max_bytes:
-        Memory budget for the batched engines' waveform matrices; uncached
-        conditions are split into deterministic chunks integrated one after
-        the other (conditions are independent, so the per-condition results
-        are identical to the one-pass batch -- for the adaptive engine each
-        row's step-size controller is fully row-local, so this holds
-        bit-for-bit there too).  ``None`` defers to
-        ``repro.runtime.configure(max_bytes=...)``.
+        Memory budget of one integration tile; the uncached rows are split
+        into deterministic tiles integrated one after the other (rows are
+        independent, so the results are identical to one pass -- for the
+        adaptive engine each row's step-size controller is fully row-local,
+        so this holds bit-for-bit there too).  ``None`` defers to
+        ``repro.runtime.configure(max_bytes=...)`` and, when none is
+        configured, to the plan's 64 MiB default tile
+        (:data:`~repro.core.simulation_plan.DEFAULT_PASS_BYTES`).
     stepper:
         Explicit :class:`~repro.spice.stepper.StepperSpec` overriding the
         resolved engine's default scheme (e.g. adaptive at non-default
@@ -117,14 +90,19 @@ def sweep_conditions(
         the adaptive engine, ``"rk4"`` otherwise.
     ledger:
         Optional :class:`~repro.runtime.accounting.RunLedger`; integration
-        cost (steps taken/rejected, scalar RHS evaluations) of the
-        conditions actually simulated is accumulated into its metrics.
+        cost (steps taken/rejected, scalar RHS evaluations) of the rows
+        actually simulated is accumulated into its metrics.  It receives no
+        stage time and no cache activity: a caller that wants those opens
+        its own windows around the sweep.
 
     Returns
     -------
     list of TimingMeasurement
         One measurement per condition, in the input order.
     """
+    # Deferred: repro.core imports repro.spice.
+    from repro.core.simulation_plan import SimulationPlan
+
     engine = resolve_transient_engine(engine)
     if stepper is None:
         stepper = resolve_stepper(engine, n_steps=n_steps)
@@ -144,68 +122,24 @@ def sweep_conditions(
     label = counter_label or f"sweep:{cell.name}"
     resolved_arc = arc if arc is not None else default_arc(cell)
 
-    simulation_cache = get_simulation_cache() if cache else None
-    variation_fp = (variation.fingerprint() if variation is not None
-                    else "nominal")
-
-    n_conditions = len(conditions)
-    delays: List[Optional[np.ndarray]] = [None] * n_conditions
-    slews: List[Optional[np.ndarray]] = [None] * n_conditions
-    keys: List[Optional[tuple]] = [None] * n_conditions
-
-    missing: List[int] = list(range(n_conditions))
-    if simulation_cache is not None:
-        # One arc-identity prefix for the whole sweep; only the operating
-        # point varies per key.
-        prefix = SimulationCache.arc_prefix(cell, technology, resolved_arc,
-                                            variation_fp)
-        missing = []
-        for index, (sin, cload, vdd) in enumerate(conditions):
-            key = SimulationCache.condition_key(prefix, sin, cload, vdd,
-                                                stepper)
-            keys[index] = key
-            cached = simulation_cache.get(key)
-            if cached is not None:
-                delays[index], slews[index] = cached
-            else:
-                missing.append(index)
-
-    if missing:
-        # A full cache hit never reaches this point: the equivalent-inverter
-        # reduction and the batched simulation plan are only built when at
-        # least one condition actually needs integrating.
-        inverter = reduce_cell_cached(cell, technology, arc=resolved_arc,
-                                      variation=variation)
-        triples = np.array([conditions[i] for i in missing], dtype=float)
-        n_seeds = variation.n_seeds if variation is not None else 1
-        item_bytes = transient_item_bytes(n_seeds, stepper.n_steps)
-        # Chunks integrate one after the other and scatter their results
-        # immediately, so each chunk's waveform matrices are freed before
-        # the next one allocates (the point of the budget).
-        for rows in plan_chunks(len(missing), item_bytes,
-                                resolve_max_bytes(max_bytes)):
-            if engine == "adaptive":
-                result = simulate_arc_transitions_adaptive(
-                    inverter, triples[rows, 0], triples[rows, 1],
-                    triples[rows, 2], stepper=stepper)
-            else:
-                result = simulate_arc_transitions(
-                    inverter, triples[rows, 0], triples[rows, 1],
-                    triples[rows, 2], n_steps=stepper.n_steps)
-            record_integration_stats(ledger, result.stats)
-            batch_delay = result.delay()
-            batch_slew = result.output_slew()
-            for row, index in enumerate(missing[rows]):
-                delays[index] = np.asarray(batch_delay[row], dtype=float)
-                slews[index] = np.asarray(batch_slew[row], dtype=float)
-        if simulation_cache is not None:
-            for index in missing:
-                simulation_cache.put(keys[index], delays[index], slews[index])
+    plan = SimulationPlan(technology, variation=variation, cache=cache,
+                          stepper=stepper)
+    plan.add_job(cell, resolved_arc, conditions)
+    if plan.needs_simulation:
+        # The plan's ledger also times its tiles and counts its cache puts;
+        # the caller's ledger takes only the integration metrics.
+        plan_ledger = RunLedger()
+        plan.simulate(SerialExecutor(), plan_ledger, max_bytes=max_bytes)
+        plan.finalize()
+        if ledger is not None:
+            for name, value in plan_ledger.metrics().items():
+                ledger.add_metric(name, value)
 
     measurements: List[TimingMeasurement] = []
     for index, (sin, cload, vdd) in enumerate(conditions):
-        delay = delays[index].reshape(-1)
-        slew = slews[index].reshape(-1)
+        # Copies: repeated conditions share one plan row.
+        delay = np.array(plan.job_delays[0][index], dtype=float).reshape(-1)
+        slew = np.array(plan.job_slews[0][index], dtype=float).reshape(-1)
         if counter is not None:
             counter.add(delay.size, label=label)
         measurements.append(

@@ -95,9 +95,10 @@ class SimulationCache(LruCache):
     are the measured per-seed delay and slew arrays; copies are stored and
     returned so callers can never corrupt the cache.
 
-    The global instance (:func:`get_simulation_cache`) is consulted by
-    :func:`repro.spice.sweep.sweep_conditions` and everything layered on top
-    of it.  Set the environment variable ``REPRO_SIM_CACHE=0`` to disable
+    The global instance (:func:`get_simulation_cache`) is keyed, consulted
+    and filled only by :class:`~repro.core.simulation_plan.SimulationPlan`,
+    the one simulation path that :func:`repro.spice.sweep.sweep_conditions`
+    and the fused library, historical and service flows all run.  Set the environment variable ``REPRO_SIM_CACHE=0`` to disable
     caching process-wide, ``REPRO_SIM_CACHE_SIZE`` to change the entry limit
     (default 4096 conditions) and ``REPRO_SIM_CACHE_BYTES`` to change the
     byte bound; ``repro.runtime.configure(cache_bytes=...)`` re-bounds the
@@ -289,7 +290,7 @@ def characterize_cell_nominal(
     """Nominal characterization of one arc over a list of operating points.
 
     ``conditions`` is a sequence of ``(sin, cload, vdd)`` triples, all
-    simulated in one pass of the batched transient engine.
+    simulated by one :func:`~repro.spice.sweep.sweep_conditions` call.
     """
     from repro.spice.sweep import sweep_conditions  # deferred: avoids cycle
 

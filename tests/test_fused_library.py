@@ -24,10 +24,10 @@ from repro.analysis import format_ledger
 from repro.cells.equivalent_inverter import reduce_cell_cached
 from repro.cells.library import StandardCellLibrary, Transition
 from repro.characterization.input_space import InputSpace
+from repro.core import simulation_plan
 from repro.core.library_flow import characterize_fused_jobs, characterize_library
 from repro.core.statistical_flow import StatisticalCharacterizer
 from repro.runtime.executor import get_executor
-from repro.spice import sweep as sweep_module
 from repro.spice.sweep import sweep_conditions
 from repro.spice.testbench import get_simulation_cache
 
@@ -350,9 +350,11 @@ class TestSweepShortCircuit:
         def exploding(*args, **kwargs):
             raise AssertionError("full cache hit must not reach the engine")
 
-        monkeypatch.setattr(sweep_module, "simulate_arc_transitions",
+        # A sweep is a one-job plan: its engines are looked up there.
+        monkeypatch.setattr(simulation_plan, "simulate_arc_transitions",
                             exploding)
-        monkeypatch.setattr(sweep_module, "reduce_cell_cached", exploding)
+        monkeypatch.setattr(simulation_plan,
+                            "simulate_arc_transitions_adaptive", exploding)
         replay = sweep_conditions(cell, tech28_module, conditions,
                                   variation=variation)
         for a, b in zip(warm, replay):

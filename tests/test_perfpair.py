@@ -28,6 +28,11 @@ def line(correct=True, **values):
                                    for name, value in values.items()}})
 
 
+def info(*setup_runs_s):
+    return json.dumps({"info": {"workload": "paper_flow",
+                                "setup_runs_s": list(setup_runs_s)}})
+
+
 def traced(**counts):
     values = {name: 1.0 for name in perfpair.TRACED_COUNTS}
     values.update(counts)
@@ -112,3 +117,48 @@ def test_traced_counts_judged_only_where_the_parent_repeats():
         [traced(**{"spice.integrate_calls": 0.104})])
     assert noisy.status == 0
     assert "not judged" in noisy.format()
+
+
+def test_setup_split_is_reported_from_info_lines():
+    parent = [line(setup_s=s, latency_p50_ms=1.0) for s in (2.0, 2.2, 2.4)]
+    change = [line(setup_s=s, latency_p50_ms=1.0) for s in (1.0, 1.1, 1.2)]
+    spec = {"end_to_end": [
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "latency_p50_ms", "unit": "ms", "better": "lower",
+         "bound": 0.25}]}
+    # Each run's set-up passes are the median of its setup_runs_s.
+    parent_info = [info(0.5, 0.3, 0.4), info(0.4, 0.4, 0.6),
+                   info(0.5, 0.5, 0.5)]
+    # The second change run printed no info line.
+    change_info = [info(0.2, 0.2, 0.2), None, info(0.3, 0.1, 0.4)]
+    summary = perfpair.summarize(spec, parent, change,
+                                 parent_info=parent_info,
+                                 change_info=change_info)
+    split = {part.name: part for part in summary.splits}
+    assert split["import part"].parent == pytest.approx((1.7, 1.8, 1.85))
+    assert split["set-up passes"].parent == pytest.approx((0.4, 0.4, 0.45))
+    assert split["import part"].change == pytest.approx((0.825, 0.85, 0.875))
+    assert split["set-up passes"].change == pytest.approx((0.225, 0.25, 0.275))
+    text = summary.format()
+    assert "setup_s split (reported, not judged):" in text
+    assert "import part" in text and "set-up passes" in text
+    # Reported only: the exit status is the one without info lines.
+    assert summary.status == perfpair.summarize(spec, parent, change).status
+    assert perfpair.summarize(spec, parent, change).splits == ()
+
+
+def test_setup_split_needs_both_lines():
+    result = line(setup_s=1.0)
+    assert perfpair.setup_split(info(0.25, 0.75), result) == (0.5, 0.5)
+    assert perfpair.setup_split(None, result) is None
+    assert perfpair.setup_split(info(), result) is None
+    assert perfpair.setup_split(info(0.25), None) is None
+    assert perfpair.setup_split(info(0.25), line(latency_p50_ms=1.0)) is None
+    assert perfpair.setup_split("not json", result) is None
+    # A side whose runs all lack an info line reads n/a.
+    summary = perfpair.summarize(
+        {"end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower",
+                         "bound": 0.25}]},
+        [result], [result], parent_info=[info(0.25)], change_info=[None])
+    assert summary.splits[0].change is None
+    assert "n/a" in summary.format()

@@ -20,6 +20,11 @@ worse).  A metric is marked ``resolved`` when the change wins at least nine
 tenths of the pairs and the medians differ by more than the distance
 between the parent's quartiles.
 
+Each run's ``info`` line is kept with its result.  Per side, the script
+also reports the two parts of ``setup_s``: the import part (``setup_s``
+minus the median of ``info.setup_runs_s``) and the set-up passes (that
+median).  They are reported only and judge nothing.
+
 Traced runs then diff the counts a refactor must keep: integration calls,
 lane RHS evaluations, plan rows in total and simulated, and MAP solve
 calls.  The parent's traced run is made twice, and only a count that
@@ -119,10 +124,20 @@ class CountSummary:
 
 
 @dataclass(frozen=True)
+class SplitSummary:
+    """One part of ``setup_s`` per side, over the runs that report it."""
+
+    name: str
+    parent: Optional[Tuple[float, float, float]]    # (q1, median, q3)
+    change: Optional[Tuple[float, float, float]]
+
+
+@dataclass(frozen=True)
 class Summary:
     metrics: Tuple[MetricSummary, ...]
     counts: Tuple[CountSummary, ...]
     problems: Tuple[str, ...]
+    splits: Tuple[SplitSummary, ...] = ()
 
     @property
     def status(self) -> int:
@@ -146,6 +161,14 @@ class Summary:
                 f"{_quartile_text(m.change):<34}"
                 f"{f'{m.wins}/{m.pairs}':>7}{m.change_pct:>+9.1f}%"
                 f"{m.bound_share:>+10.2f}  {' '.join(flags)}".rstrip())
+        if self.splits:
+            lines.append("setup_s split (reported, not judged):")
+            for split in self.splits:
+                parent, change = ("n/a" if side is None
+                                  else _quartile_text(side)
+                                  for side in (split.parent, split.change))
+                lines.append(f"  {split.name:<20}parent {parent:<28}"
+                             f"change {change}")
         if self.counts:
             lines.append("traced counts (per operation):")
             for count in self.counts:
@@ -195,6 +218,24 @@ def parse_result(line: Optional[str]) -> Optional[dict]:
     return result if isinstance(result, dict) and "metrics" in result else None
 
 
+def setup_split(info_line: Optional[str], result_line: Optional[str]
+                ) -> Optional[Tuple[float, float]]:
+    """``(import part, set-up passes)`` of one run: ``setup_s`` minus the
+    median of ``info.setup_runs_s``, and that median (``None`` when the run
+    lacks either line)."""
+    result = parse_result(result_line)
+    try:
+        info = json.loads(info_line)["info"] if info_line else None
+    except (json.JSONDecodeError, KeyError, TypeError):
+        info = None
+    if (result is None or not isinstance(info, dict)
+            or not info.get("setup_runs_s")
+            or "setup_s" not in result["metrics"]):
+        return None
+    passes = statistics.median(info["setup_runs_s"])
+    return result["metrics"]["setup_s"]["value"] - passes, passes
+
+
 def _values(results: Sequence[Optional[dict]], name: str) -> List[float]:
     return [result["metrics"][name]["value"] for result in results
             if result is not None and name in result["metrics"]]
@@ -203,9 +244,15 @@ def _values(results: Sequence[Optional[dict]], name: str) -> List[float]:
 def summarize(spec: dict, parent_lines: Sequence[Optional[str]],
               change_lines: Sequence[Optional[str]],
               parent_traced: Sequence[Optional[str]] = (),
-              change_traced: Sequence[Optional[str]] = ()) -> Summary:
+              change_traced: Sequence[Optional[str]] = (),
+              parent_info: Sequence[Optional[str]] = (),
+              change_info: Sequence[Optional[str]] = ()) -> Summary:
     """Judge paired result lines (pair ``i`` is ``parent_lines[i]`` with
-    ``change_lines[i]``) against the end-to-end metrics of ``spec``."""
+    ``change_lines[i]``) against the end-to-end metrics of ``spec``.
+
+    ``parent_info`` / ``change_info`` are the runs' ``info`` lines in the
+    same order (``None`` for a run without one); they feed the reported
+    ``setup_s`` split only."""
     problems = []
     runs = {"parent": [parse_result(line) for line in parent_lines],
             "change": [parse_result(line) for line in change_lines],
@@ -246,7 +293,20 @@ def summarize(spec: dict, parent_lines: Sequence[Optional[str]],
                 name=name,
                 parent=tuple(_values(runs["parent traced"], name)),
                 change=tuple(_values(runs["change traced"], name))))
-    return Summary(tuple(metrics), tuple(counts), tuple(problems))
+    splits = {side: [split for split in map(setup_split, infos, results)
+                     if split is not None]
+              for side, infos, results in (
+                  ("parent", parent_info, parent_lines),
+                  ("change", change_info, change_lines))}
+    split_summaries = []
+    if splits["parent"] or splits["change"]:
+        for part, name in enumerate(("import part", "set-up passes")):
+            parent, change = (
+                quartiles([split[part] for split in splits[side]])
+                if splits[side] else None for side in ("parent", "change"))
+            split_summaries.append(SplitSummary(name, parent, change))
+    return Summary(tuple(metrics), tuple(counts), tuple(problems),
+                   tuple(split_summaries))
 
 
 # ----------------------------------------------------------------------
@@ -268,8 +328,10 @@ def prepare_parent(rev: str, destination: Path) -> Path:
     return destination
 
 
-def run_once(tree: Path, args: argparse.Namespace, trace: int) -> Optional[str]:
-    """One ``perfbench/run.py`` run in ``tree``; its last output line."""
+def run_once(tree: Path, args: argparse.Namespace, trace: int
+             ) -> Tuple[Optional[str], Optional[str]]:
+    """One ``perfbench/run.py`` run in ``tree``: its ``info`` line and its
+    last output line (either ``None`` when the run gave none)."""
     completed = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"),
          "--workload", args.workload, "--seed", str(args.seed),
@@ -278,8 +340,10 @@ def run_once(tree: Path, args: argparse.Namespace, trace: int) -> Optional[str]:
     lines = [line for line in completed.stdout.splitlines() if line.strip()]
     if completed.returncode != 0 or not lines:
         sys.stderr.write(completed.stderr[-2000:])
-        return None
-    return lines[-1]
+        return None, None
+    info = next((line for line in reversed(lines[:-1])
+                 if line.startswith('{"info"')), None)
+    return info, lines[-1]
 
 
 def _progress(label: str, line: Optional[str], names: Sequence[str]) -> None:
@@ -316,6 +380,7 @@ def main(argv=None) -> int:
         args.seconds = float(spec["run_seconds"])
     names = [entry["name"] for entry in spec["end_to_end"]]
     lines: Dict[str, List[Optional[str]]] = {"parent": [], "change": []}
+    infos: Dict[str, List[Optional[str]]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="perfpair-") as workdir:
         trees = {"parent": prepare_parent(args.parent,
                                           Path(workdir) / "parent"),
@@ -324,17 +389,19 @@ def main(argv=None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change",
                                                                "parent")
             for side in order:
-                line = run_once(trees[side], args, trace=0)
+                info, line = run_once(trees[side], args, trace=0)
                 _progress(f"pair {pair + 1}/{args.pairs} {side}", line, names)
                 lines[side].append(line)
-        traced = {side: [run_once(trees[side], args, trace=1)
+                infos[side].append(info)
+        traced = {side: [run_once(trees[side], args, trace=1)[1]
                          for _ in range(2 if side == "parent" else 1)]
                   for side in ("parent", "change")}
         for side, side_lines in traced.items():
             for line in side_lines:
                 _progress(f"traced {side}", line, TRACED_COUNTS)
     summary = summarize(spec, lines["parent"], lines["change"],
-                        traced["parent"], traced["change"])
+                        traced["parent"], traced["change"],
+                        infos["parent"], infos["change"])
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds:g} s runs; parent {args.parent} against the "
           f"working tree")
