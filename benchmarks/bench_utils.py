@@ -67,11 +67,9 @@ RESULTS_DIR = Path(os.environ.get("REPRO_BENCH_RESULTS_DIR", "").strip()
 #: ``REPRO_BENCH_PRIORS_CLASSES``    arc classes in the prior-learning fleet (50)
 #: ``REPRO_BENCH_PRIORS_MIN_SPEEDUP`` assertion floor, batched/per-graph-oracle BP (3.0)
 #:
-#: Separately, ``REPRO_SIM_CACHE`` / ``REPRO_SIM_CACHE_SIZE`` /
-#: ``REPRO_SIM_CACHE_BYTES`` control the library's global simulation cache
-#: (see ``repro.spice.testbench``), and ``REPRO_DISK_CACHE`` /
-#: ``REPRO_DISK_CACHE_BYTES`` enable its durable on-disk tier
-#: (see ``repro.runtime.persist``).
+#: Separately, ``REPRO_DISK_CACHE`` / ``REPRO_DISK_CACHE_BYTES`` enable the
+#: library's durable on-disk cache tier (see ``repro.runtime``); the global
+#: simulation cache itself is set in code (``repro.spice.testbench``).
 
 
 def env_int(name: str, default: int) -> int:

@@ -26,10 +26,9 @@ Run with::
 
     python examples/characterization_service.py
 
-Environment knobs (see ``repro.runtime.service``):
-``REPRO_SERVICE_QUEUE_DEPTH``, ``REPRO_SERVICE_BATCH_WINDOW_S``,
-``REPRO_SERVICE_SHED_POLICY``, ``REPRO_SERVICE_BREAKER_THRESHOLD``,
-``REPRO_SERVICE_BREAKER_COOLDOWN_S``.
+The service is tuned by its constructor arguments only (``queue_depth``,
+``batch_window_s``, ``shed_policy``, ``breaker``; see
+``repro.runtime.service``); each scenario below sets the ones it exercises.
 """
 
 from __future__ import annotations

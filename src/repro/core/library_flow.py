@@ -78,7 +78,6 @@ from repro.core.statistical_flow import (
 )
 from repro.liberty.tables import NldmTable
 from repro.liberty.writer import CellTimingData, LibertyWriter, TimingTableSet
-from repro.runtime import resolve_transient_engine
 from repro.runtime.accounting import RunLedger
 from repro.runtime.executor import EXECUTOR_MODES, get_executor
 from repro.runtime.resilience import FailureReport, RetryPolicy, resolve_strict
@@ -631,7 +630,7 @@ def characterize_library(
 
     strict_mode = resolve_strict(strict)
     run_ledger = ledger if ledger is not None else RunLedger()
-    stepper = resolve_stepper(resolve_transient_engine(transient_engine))
+    stepper = resolve_stepper(transient_engine)
 
     executor = get_executor(concurrency, max_workers=max_workers,
                             retry_policy=retry_policy)

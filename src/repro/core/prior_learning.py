@@ -417,7 +417,6 @@ def characterize_historical_library(
     strict_mode = resolve_strict(strict)
     local_counter = counter if counter is not None else SimulationCounter()
     run_ledger = ledger if ledger is not None else RunLedger()
-    runs_before = local_counter.total
 
     arcs = [(cell, cell.arc(cell.input_pins[0], Transition(transition)))
             for cell in cells for transition in transitions]
@@ -457,7 +456,10 @@ def characterize_historical_library(
     else:
         delay_residuals = np.mean(delay_matrix, axis=0)
         slew_residuals = np.mean(slew_matrix, axis=0)
-    runs = local_counter.total - runs_before
+    # Every arc charges each of its conditions, quarantined or not; read
+    # from the inputs, so runs another flow charges to a shared counter
+    # never leak into this node's count.
+    runs = len(arcs) * len(conditions)
     run_ledger.add_simulations(runs, label=f"priors:{technology.name}")
 
     return HistoricalLibraryData(

@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.cells.equivalent_inverter import reduce_cell_cached
 from repro.cells.library import Cell, TimingArc
-from repro.runtime import resolve_max_bytes, resolve_transient_engine
+from repro.runtime import resolve_max_bytes
 from repro.runtime.accounting import RunLedger
 from repro.runtime.chunking import plan_chunks
 from repro.spice.adaptive import simulate_arc_transitions_adaptive
@@ -149,8 +149,7 @@ class SimulationPlan:
         #: every simulation-cache key and the step count tiles are sized
         #: by; ``None`` resolves the configured transient engine's default
         #: stepper (``runtime.configure(transient_engine=...)``).
-        self.stepper = (stepper if stepper is not None else resolve_stepper(
-            resolve_transient_engine(None)))
+        self.stepper = stepper if stepper is not None else resolve_stepper()
         self.n_seeds = variation.n_seeds if variation is not None else 1
         self.integrate_stage = integrate_stage
         #: Fault handling forwarded to every batched transient call; with

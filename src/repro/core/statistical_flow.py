@@ -40,7 +40,7 @@ from repro.characterization.input_space import (
 from repro.core.batch_map import BatchMapObservations
 from repro.core.prior_learning import TimingPrior, _check_response
 from repro.core.timing_model import CompactTimingModel, TimingModelParameters
-from repro.runtime import register_runtime_cache, resolve_transient_engine
+from repro.runtime import register_runtime_cache
 from repro.runtime.accounting import RunLedger
 from repro.runtime.cache import LruCache
 from repro.runtime.executor import get_executor
@@ -423,7 +423,7 @@ class StatisticalCharacterizer:
         if self._variation is None:
             self._variation = self._technology.variation.sample(self._n_seeds,
                                                                 self._rng)
-        stepper = resolve_stepper(resolve_transient_engine(self._transient_engine))
+        stepper = resolve_stepper(self._transient_engine)
         (result,), _failures = characterize_fused_jobs(
             self._technology, [(self._cell, self._arc)], [conditions],
             self._delay_prior, self._slew_prior, self._variation, "batched",

@@ -20,7 +20,8 @@ extraction, timing graph):
   with it the one way to resume a killed run: run it again against the same
   ``disk_cache_dir``.
 
-Process-wide knobs live in :func:`configure`::
+Process-wide knobs live in one :class:`RuntimeConfig`, set through
+:func:`configure`::
 
     import repro.runtime as runtime
 
@@ -31,15 +32,17 @@ Process-wide knobs live in :func:`configure`::
 
 ``configure`` applies to the current process only; process-pool workers
 start from defaults, so flows that must honor a budget everywhere thread
-``max_bytes`` explicitly (the library orchestrator does).  The durable
-tier can also be enabled from the environment: ``REPRO_DISK_CACHE=<dir>``
-attaches a :class:`~repro.runtime.persist.DiskStore` under ``<dir>`` to
-every durable registered cache, and ``REPRO_DISK_CACHE_BYTES`` budgets it.
-``REPRO_TRANSIENT_ENGINE=<batched|adaptive>`` selects the default
-transient integration engine (unknown values are ignored), and
-``REPRO_TRANSIENT_RTOL`` / ``REPRO_TRANSIENT_ATOL`` override the adaptive
-engine's default tolerances (relative, and absolute as a fraction of the
-supply).
+``max_bytes`` explicitly (the library orchestrator does).
+
+The environment only seeds :class:`RuntimeConfig`, once, at import:
+``REPRO_DISK_CACHE`` (``disk_cache_dir``), ``REPRO_DISK_CACHE_BYTES``
+(``disk_cache_bytes``), ``REPRO_TRANSIENT_ENGINE`` (``transient_engine``),
+``REPRO_TRANSIENT_RTOL`` (``transient_rtol``) and ``REPRO_TRANSIENT_ATOL``
+(``transient_atol_frac``).  An empty variable counts as unset, and a value
+that :func:`configure` would reject is ignored.  A setting resolves as:
+explicit argument > :func:`configure` > environment > default.  The one
+variable read per call is ``REPRO_STRICT``, the default ``strict=`` of the
+library flows (:func:`~repro.runtime.resilience.resolve_strict`).
 """
 
 from __future__ import annotations
@@ -99,6 +102,9 @@ TRANSIENT_ENGINES = ("batched", "adaptive")
 @dataclass
 class RuntimeConfig:
     """Process-wide runtime settings (mutate through :func:`configure`).
+
+    The one configuration surface of a process: the ``REPRO_*`` environment
+    only seeds these fields, once, at import (see the module docstring).
 
     Attributes
     ----------
@@ -286,35 +292,33 @@ def resolve_transient_engine(engine: Optional[str]) -> str:
     return "batched"
 
 
-def _bootstrap_from_env() -> None:
-    """Pick up ``REPRO_DISK_CACHE`` / ``REPRO_DISK_CACHE_BYTES`` at import.
+#: The ``REPRO_*`` variables that seed :class:`RuntimeConfig`: (variable,
+#: field, parser).
+_ENV_SEEDS = (
+    ("REPRO_TRANSIENT_ENGINE", "transient_engine", str),
+    ("REPRO_TRANSIENT_RTOL", "transient_rtol", float),
+    ("REPRO_TRANSIENT_ATOL", "transient_atol_frac", float),
+    ("REPRO_DISK_CACHE_BYTES", "disk_cache_bytes", int),
+    ("REPRO_DISK_CACHE", "disk_cache_dir", str),
+)
 
-    Lets scripts and CI enable the durable tier without code changes.  A
-    malformed byte budget is ignored rather than failing the import of the
-    whole runtime package.
+
+def _bootstrap_from_env() -> None:
+    """Seed :class:`RuntimeConfig` from the ``REPRO_*`` environment at import.
+
+    Lets scripts and CI set a default without code changes.  An empty
+    variable counts as unset; a malformed value, or one :func:`configure`
+    rejects, is ignored rather than failing the import of the whole
+    runtime package.
     """
-    engine = os.environ.get("REPRO_TRANSIENT_ENGINE", "").strip()
-    if engine in TRANSIENT_ENGINES:
-        configure(transient_engine=engine)
-    for env_name, knob in (("REPRO_TRANSIENT_RTOL", "transient_rtol"),
-                           ("REPRO_TRANSIENT_ATOL", "transient_atol_frac")):
+    for env_name, knob, parse in _ENV_SEEDS:
         raw = os.environ.get(env_name, "").strip()
-        if raw:
-            try:
-                configure(**{knob: float(raw)})
-            except ValueError:
-                pass
-    root = os.environ.get("REPRO_DISK_CACHE", "").strip()
-    if not root:
-        return
-    budget = None
-    raw = os.environ.get("REPRO_DISK_CACHE_BYTES", "").strip()
-    if raw:
+        if not raw:
+            continue
         try:
-            budget = max(int(raw), 1)
+            configure(**{knob: parse(raw)})
         except ValueError:
-            budget = None
-    configure(disk_cache_dir=root, disk_cache_bytes=budget)
+            pass
 
 
 _bootstrap_from_env()

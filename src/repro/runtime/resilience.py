@@ -42,14 +42,13 @@ deadline holders follow the same rules:
   yanked out of a running one -- rows its batch already integrated still
   land in the caches for the next caller.
 
-Process-wide defaults come from environment knobs so operators can harden a
-deployment without touching call sites:
-
-* ``REPRO_MAX_RETRIES`` -- extra attempts after the first failure
-  (default 0, i.e. fail on the first error exactly as before);
-* ``REPRO_RETRY_BACKOFF`` -- base backoff delay in seconds (default 0.0);
-* ``REPRO_STRICT`` -- default strictness of the library flows
-  (default 1 / strict).
+A retry policy is always explicit: a flow retries only when its caller
+passes ``retry_policy=RetryPolicy(max_attempts=..., backoff_s=...)``.  The
+one environment variable read here is ``REPRO_STRICT``, the default
+strictness of the library flows (``0``, ``false``, ``no`` or ``off``
+degrades; anything else, and an unset or empty variable, is strict).  It is
+read on every :func:`resolve_strict` call, not once at import, so a process
+may set it after importing the library.
 """
 
 from __future__ import annotations
@@ -72,12 +71,10 @@ __all__ = [
     "run_with_retry",
 ]
 
-#: Environment knob names (documented in the README's resilient-runtime section).
-ENV_MAX_RETRIES = "REPRO_MAX_RETRIES"
-ENV_RETRY_BACKOFF = "REPRO_RETRY_BACKOFF"
+#: The environment variable behind ``strict=None`` (README, library behaviour).
 ENV_STRICT = "REPRO_STRICT"
 
-_FALSE_STRINGS = ("0", "false", "no", "off", "")
+_FALSE_STRINGS = ("0", "false", "no", "off")
 
 
 def deterministic_uniform(seed: int, *parts) -> float:
@@ -93,10 +90,13 @@ def deterministic_uniform(seed: int, *parts) -> float:
 
 
 def resolve_strict(strict: Optional[bool]) -> bool:
-    """Resolve a flow's ``strict`` switch (``None`` defers to ``REPRO_STRICT``)."""
+    """Resolve a flow's ``strict`` switch (``None`` defers to ``REPRO_STRICT``).
+
+    An unset or empty ``REPRO_STRICT`` means strict.
+    """
     if strict is not None:
         return bool(strict)
-    return os.environ.get(ENV_STRICT, "1").strip().lower() not in _FALSE_STRINGS
+    return os.environ.get(ENV_STRICT, "").strip().lower() not in _FALSE_STRINGS
 
 
 class DeadlineExceeded(TimeoutError):
@@ -181,22 +181,6 @@ class RetryPolicy:
             raise ValueError("jitter must be in [0, 1]")
         if self.deadline_s is not None and self.deadline_s <= 0.0:
             raise ValueError("deadline_s must be positive (or None)")
-
-    @classmethod
-    def from_env(cls, seed: int = 0) -> "RetryPolicy":
-        """Policy from ``REPRO_MAX_RETRIES`` / ``REPRO_RETRY_BACKOFF``.
-
-        With neither variable set this is the no-op single-attempt policy,
-        so default runs behave exactly as they did before the resilience
-        layer existed.
-        """
-        retries = int(os.environ.get(ENV_MAX_RETRIES, "0"))
-        if retries < 0:
-            raise ValueError(f"{ENV_MAX_RETRIES} must be non-negative")
-        backoff = float(os.environ.get(ENV_RETRY_BACKOFF, "0.0"))
-        if backoff < 0.0:
-            raise ValueError(f"{ENV_RETRY_BACKOFF} must be non-negative")
-        return cls(max_attempts=retries + 1, backoff_s=backoff, seed=seed)
 
     @property
     def is_noop(self) -> bool:

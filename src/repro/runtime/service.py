@@ -60,16 +60,15 @@ Fault sites (``service.*`` family; see :mod:`repro.runtime.faultinject`):
   batches for ``delay_s`` after admission (a request stuck behind a lost
   callback); its peers batch normally around it.
 
-Environment knobs (constructor arguments win; all ``REPRO_SERVICE_*``):
+Tuning is by constructor argument only; no environment variable reaches
+the service:
 
-* ``REPRO_SERVICE_QUEUE_DEPTH`` -- admission bound (default 64);
-* ``REPRO_SERVICE_BATCH_WINDOW_S`` -- how long the scheduler waits after
-  waking before building a batch, letting concurrent submitters coalesce
-  (default 0.05);
-* ``REPRO_SERVICE_SHED_POLICY`` -- ``reject`` or ``degrade`` (default
-  ``reject``);
-* ``REPRO_SERVICE_BREAKER_THRESHOLD`` / ``REPRO_SERVICE_BREAKER_COOLDOWN_S``
-  -- disk circuit-breaker tuning (defaults 3 and 5.0).
+* ``queue_depth`` -- admission bound (default 64);
+* ``batch_window_s`` -- how long the scheduler waits after waking before
+  building a batch, letting concurrent submitters coalesce (default 0.05);
+* ``shed_policy`` -- ``reject`` or ``degrade`` (default ``reject``);
+* ``breaker`` -- the disk circuit breaker (default
+  ``CircuitBreaker(failure_threshold=3, cooldown_s=5.0)``).
 
 This module is deliberately NOT imported by :mod:`repro.runtime`'s package
 ``__init__`` -- the service drives :func:`repro.core.library_flow.
@@ -81,13 +80,12 @@ the service directly::
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime import faultinject, resolve_transient_engine
+from repro.runtime import faultinject
 from repro.runtime.accounting import RunLedger
 from repro.runtime.cache import LruCache, registered_caches
 from repro.runtime.executor import get_executor
@@ -119,22 +117,6 @@ SITE_STUCK_REQUEST = faultinject.register_fault_site(
     "per-request hold-out after admission (slow kind sticks one request)")
 
 SHED_POLICIES = ("reject", "degrade")
-
-ENV_QUEUE_DEPTH = "REPRO_SERVICE_QUEUE_DEPTH"
-ENV_BATCH_WINDOW = "REPRO_SERVICE_BATCH_WINDOW_S"
-ENV_SHED_POLICY = "REPRO_SERVICE_SHED_POLICY"
-ENV_BREAKER_THRESHOLD = "REPRO_SERVICE_BREAKER_THRESHOLD"
-ENV_BREAKER_COOLDOWN = "REPRO_SERVICE_BREAKER_COOLDOWN_S"
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else default
 
 
 class ServiceClosed(RuntimeError):
@@ -296,10 +278,11 @@ class CharacterizationService:
         reconfiguration never changes what this service serves.  The
         ``stepper`` attribute keeps the value as passed.
     queue_depth, batch_window_s, shed_policy:
-        Admission bound, coalescing window, and shedding policy
-        (``None`` defers to the ``REPRO_SERVICE_*`` environment knobs).
+        Admission bound, coalescing window in seconds, and shedding policy
+        (one of ``SHED_POLICIES``).
     breaker:
-        Disk circuit breaker; ``None`` builds one from the env knobs.
+        Disk circuit breaker; ``None`` builds
+        ``CircuitBreaker(failure_threshold=3, cooldown_s=5.0)``.
     solved_cache_entries:
         Bound of the service-level solved-model LRU.
     max_bytes:
@@ -313,9 +296,9 @@ class CharacterizationService:
 
     def __init__(self, technology, delay_prior, slew_prior, variation,
                  executor=None, stepper=None,
-                 queue_depth: Optional[int] = None,
-                 batch_window_s: Optional[float] = None,
-                 shed_policy: Optional[str] = None,
+                 queue_depth: int = 64,
+                 batch_window_s: float = 0.05,
+                 shed_policy: str = "reject",
                  breaker: Optional[CircuitBreaker] = None,
                  solved_cache_entries: int = 4096,
                  max_bytes: Optional[int] = None,
@@ -331,27 +314,21 @@ class CharacterizationService:
         # Imported here: the runtime package never imports the engines.
         from repro.spice.stepper import resolve_stepper
         #: The stepper of every fused pass and of the context fingerprint.
-        self._stepper = (stepper if stepper is not None else
-                         resolve_stepper(resolve_transient_engine(None)))
+        self._stepper = stepper if stepper is not None else resolve_stepper()
         self.executor = executor if executor is not None else get_executor("serial")
         self.max_bytes = max_bytes
-        self.queue_depth = (queue_depth if queue_depth is not None
-                            else _env_int(ENV_QUEUE_DEPTH, 64))
+        self.queue_depth = queue_depth
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        self.batch_window_s = (batch_window_s if batch_window_s is not None
-                               else _env_float(ENV_BATCH_WINDOW, 0.05))
+        self.batch_window_s = batch_window_s
         if self.batch_window_s < 0.0:
             raise ValueError("batch_window_s must be >= 0")
-        self.shed_policy = (shed_policy if shed_policy is not None
-                            else os.environ.get(ENV_SHED_POLICY, "reject")
-                            .strip().lower() or "reject")
+        self.shed_policy = shed_policy
         if self.shed_policy not in SHED_POLICIES:
             raise ValueError(f"shed_policy must be one of {SHED_POLICIES}, "
                              f"got {self.shed_policy!r}")
         self.breaker = breaker if breaker is not None else CircuitBreaker(
-            failure_threshold=_env_int(ENV_BREAKER_THRESHOLD, 3),
-            cooldown_s=_env_float(ENV_BREAKER_COOLDOWN, 5.0))
+            failure_threshold=3, cooldown_s=5.0)
         #: Cross-batch single-flight memory: digest -> solved
         #: StatisticalCharacterization.  Values hold live inverter objects
         #: (process-local), so the cache is deliberately non-durable.

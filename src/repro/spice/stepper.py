@@ -18,6 +18,7 @@ the fused library pipeline can report integration cost in the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from repro.spice.transient import DEFAULT_STEPS
 
@@ -114,18 +115,25 @@ class StepperSpec:
                 float(self.pi_beta), int(self.max_rejects))
 
 
-def resolve_stepper(engine: str, n_steps: int = DEFAULT_STEPS) -> StepperSpec:
-    """An engine's effective default stepper under the runtime config.
+def resolve_stepper(engine: Optional[str] = None,
+                    n_steps: int = DEFAULT_STEPS) -> StepperSpec:
+    """A flow's effective default stepper under the runtime config.
 
-    Like :meth:`StepperSpec.for_engine`, but the adaptive engine's
-    tolerances honor ``runtime.configure(transient_rtol=...,
+    ``engine`` resolves like :func:`repro.runtime.resolve_transient_engine`:
+    an explicit name wins, ``None`` takes the configured engine
+    (``runtime.configure(transient_engine=...)`` /
+    ``REPRO_TRANSIENT_ENGINE``, else ``"batched"``), and an unknown name
+    raises ``ValueError``.  Like :meth:`StepperSpec.for_engine`, but the
+    adaptive engine's tolerances honor ``runtime.configure(transient_rtol=...,
     transient_atol_frac=...)`` / ``REPRO_TRANSIENT_RTOL`` /
     ``REPRO_TRANSIENT_ATOL``.  An explicit ``stepper=`` argument anywhere
     always wins over this resolution.
     """
-    from repro.runtime import runtime_config  # runtime never imports spice
+    # runtime never imports spice
+    from repro.runtime import resolve_transient_engine, runtime_config
 
-    spec = StepperSpec.for_engine(engine, n_steps=n_steps)
+    spec = StepperSpec.for_engine(resolve_transient_engine(engine),
+                                  n_steps=n_steps)
     if spec.method != "rk45":
         return spec
     config = runtime_config()

@@ -20,7 +20,6 @@ claims are about), while the cache only shortens wall-clock time.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -98,11 +97,12 @@ class SimulationCache(LruCache):
     The global instance (:func:`get_simulation_cache`) is keyed, consulted
     and filled only by :class:`~repro.core.simulation_plan.SimulationPlan`,
     the one simulation path that :func:`repro.spice.sweep.sweep_conditions`
-    and the fused library, historical and service flows all run.  Set the environment variable ``REPRO_SIM_CACHE=0`` to disable
-    caching process-wide, ``REPRO_SIM_CACHE_SIZE`` to change the entry limit
-    (default 4096 conditions) and ``REPRO_SIM_CACHE_BYTES`` to change the
-    byte bound; ``repro.runtime.configure(cache_bytes=...)`` re-bounds the
-    registered instance at run time.
+    and the fused library, historical and service flows all run.  It holds
+    at most 4096 conditions and 256 MiB by default;
+    ``repro.runtime.configure(cache_bytes=...)`` or :meth:`set_bounds`
+    re-bounds it, and ``get_simulation_cache().disable()`` turns caching
+    off process-wide (``sweep_conditions(cache=False)`` skips it for one
+    sweep).
     """
 
     def __init__(self, max_entries: int = 4096,
@@ -172,22 +172,15 @@ _SIMULATION_CACHE: Optional[SimulationCache] = None
 def get_simulation_cache() -> SimulationCache:
     """The process-wide :class:`SimulationCache` (lazily constructed).
 
-    The instance is registered in the runtime cache registry under the name
-    ``"simulation"``, so its statistics appear in
-    ``repro.runtime.cache_stats()`` and ``configure(cache_bytes=...)``
-    re-bounds it.
+    Built with the :class:`SimulationCache` defaults and registered in the
+    runtime cache registry under the name ``"simulation"``, so its
+    statistics appear in ``repro.runtime.cache_stats()``,
+    ``configure(cache_bytes=...)`` re-bounds it and a configured disk tier
+    attaches to it.
     """
     global _SIMULATION_CACHE
     if _SIMULATION_CACHE is None:
-        max_bytes_env = os.environ.get("REPRO_SIM_CACHE_BYTES")
-        cache = SimulationCache(
-            max_entries=int(os.environ.get("REPRO_SIM_CACHE_SIZE", "4096")),
-            max_bytes=(int(max_bytes_env) if max_bytes_env
-                       else DEFAULT_SIM_CACHE_BYTES))
-        if os.environ.get("REPRO_SIM_CACHE", "1") in ("0", "false", "off"):
-            cache.disable()
-        register_runtime_cache(cache)
-        _SIMULATION_CACHE = cache
+        _SIMULATION_CACHE = register_runtime_cache(SimulationCache())
     return _SIMULATION_CACHE
 
 

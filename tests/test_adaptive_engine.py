@@ -331,11 +331,14 @@ class TestRuntimeKnobs:
         assert runtime.resolve_transient_engine("adaptive") == "adaptive"
         runtime.configure(transient_engine="adaptive")
         assert runtime.resolve_transient_engine(None) == "adaptive"
+        assert resolve_stepper(None).method == "rk45"
         assert runtime.resolve_transient_engine("batched") == "batched"
         runtime.configure(transient_engine=None)
         assert runtime.resolve_transient_engine(None) == "batched"
         with pytest.raises(ValueError, match="engine"):
             runtime.resolve_transient_engine("rk4")
+        with pytest.raises(ValueError, match="engine"):
+            resolve_stepper("rk4")
         # The retired one-condition-at-a-time twin is no engine name.
         with pytest.raises(ValueError, match="engine"):
             runtime.resolve_transient_engine("serial")

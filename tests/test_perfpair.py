@@ -1,12 +1,14 @@
-"""The paired benchmark comparator's judgement (``tools/perfpair.py``).
+"""The paired benchmark comparator (``tools/perfpair.py``).
 
 Synthetic result lines stand in for ``perfbench/run.py`` runs, so these
-tests run no benchmark.
+tests run no benchmark.  The change side's copy of the working tree is
+checked on a small throwaway git checkout.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -162,3 +164,35 @@ def test_setup_split_needs_both_lines():
         [result], [result], parent_info=[info(0.25)], change_info=[None])
     assert summary.splits[0].change is None
     assert "n/a" in summary.format()
+
+
+def test_change_side_is_a_copy_of_the_working_tree(tmp_path):
+    source = tmp_path / "checkout"
+    (source / "pkg").mkdir(parents=True)
+    for name, text in ((".gitignore", "out/\n"), ("pkg/kept.py", "old\n"),
+                       ("pkg/edited.py", "committed\n"),
+                       ("pkg/deleted.py", "gone\n")):
+        (source / name).write_text(text)
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(source), "-c", "user.name=t",
+                        "-c", "user.email=t@t", *args], check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (source / "pkg" / "edited.py").write_text("working tree\n")
+    (source / "pkg" / "deleted.py").unlink()
+    (source / "pkg" / "new.py").write_text("untracked\n")
+    (source / "out").mkdir()
+    (source / "out" / "result.json").write_text("{}\n")
+
+    copy = perfpair.prepare_change(source, tmp_path / "change")
+    files = sorted(path.relative_to(copy).as_posix()
+                   for path in copy.rglob("*") if path.is_file())
+    assert files == [".gitignore", "pkg/edited.py", "pkg/kept.py",
+                     "pkg/new.py"]
+    assert (copy / "pkg" / "edited.py").read_text() == "working tree\n"
+    assert (copy / "pkg" / "new.py").read_text() == "untracked\n"
+    assert not (copy / ".git").exists()

@@ -503,6 +503,29 @@ class TestRuntimeWiring:
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["True", "True", "1048576"]
 
+    @pytest.mark.parametrize("raw", ["0", "-4096"])
+    def test_env_budget_configure_rejects_is_ignored(self, tmp_path, raw):
+        # configure(disk_cache_bytes=0) raises, so the same value from the
+        # environment is ignored: the store attaches unbounded and keeps
+        # what it writes (it is not clamped to a 1-byte budget).
+        script = (
+            "import numpy as np\n"
+            "from repro.spice.testbench import get_simulation_cache\n"
+            "cache = get_simulation_cache()\n"
+            "cache.put(('k',), np.zeros(4), np.ones(4))\n"
+            "stats = cache.disk_store.stats()\n"
+            "print(cache.disk_store.max_bytes, stats.writes, stats.entries,\n"
+            "      stats.evictions)\n"
+        )
+        env = dict(os.environ, REPRO_DISK_CACHE=str(tmp_path),
+                   REPRO_DISK_CACHE_BYTES=raw)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["None", "1", "1", "0"]
+
     def test_ledger_records_disk_tier_activity(self, tmp_path):
         cache = LruCache("persist_w4", max_entries=4, durable=True)
         try:

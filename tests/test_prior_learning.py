@@ -348,6 +348,32 @@ class TestFusedHistoricalCharacterization:
             "priors:n28_bulk": n, "priors:n45_bulk": n}
         assert counter.total == 2 * n
 
+    def test_run_count_comes_from_the_inputs(self, reference_conditions,
+                                             inv_cell, nor2_cell):
+        from repro import get_technology
+        from repro.runtime.accounting import RunLedger
+        from repro.spice.testbench import SimulationCounter
+
+        class SharedCounter(SimulationCounter):
+            """A counter that another flow charges during this pass."""
+
+            def add(self, runs, label="unlabelled"):
+                super().add(runs, label)
+                if label.startswith("historical:"):
+                    super().add(1, label="another flow")
+
+        counter = SharedCounter()
+        ledger = RunLedger()
+        data = characterize_historical_library(
+            get_technology("n45_bulk"), [inv_cell, nor2_cell],
+            unit_conditions=reference_conditions, counter=counter,
+            ledger=ledger)
+        # 2 cells x 2 transitions x 8 conditions, nominal.
+        expected = 2 * 2 * reference_conditions.shape[0]
+        assert data.simulation_runs == expected
+        assert ledger.simulations_by_label() == {"priors:n45_bulk": expected}
+        assert counter.by_label()["another flow"] == 4
+
     def test_configured_transient_engine_drives_historical(
             self, reference_conditions, inv_cell, nor2_cell):
         """``runtime.configure(transient_engine=...)`` reaches prior learning.

@@ -85,17 +85,6 @@ class TestRetryPolicy:
         for jittered, plain in zip(first, base):
             assert plain <= jittered <= 1.5 * plain
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
-        monkeypatch.delenv("REPRO_RETRY_BACKOFF", raising=False)
-        assert RetryPolicy.from_env().is_noop
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "2")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.25")
-        policy = RetryPolicy.from_env(seed=7)
-        assert policy.max_attempts == 3
-        assert policy.backoff_s == 0.25
-        assert policy.seed == 7
-
     def test_resolve_strict(self, monkeypatch):
         monkeypatch.delenv("REPRO_STRICT", raising=False)
         assert resolve_strict(None) is True
@@ -103,6 +92,14 @@ class TestRetryPolicy:
         monkeypatch.setenv("REPRO_STRICT", "0")
         assert resolve_strict(None) is False
         assert resolve_strict(True) is True
+
+    def test_empty_strict_variable_means_unset(self, monkeypatch):
+        # Every REPRO_* variable reads an empty value as unset.
+        for raw in ("", "  "):
+            monkeypatch.setenv("REPRO_STRICT", raw)
+            assert resolve_strict(None) is True
+        monkeypatch.setenv("REPRO_STRICT", " Off ")
+        assert resolve_strict(None) is False
 
     def test_deterministic_uniform_stable(self):
         value = deterministic_uniform(3, "site", 1)

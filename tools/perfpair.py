@@ -5,12 +5,16 @@ Usage, from the root of a checkout::
 
     python3 tools/perfpair.py --parent REV --workload serve_closed --seed 1 --pairs 10
 
-The change is this working tree.  The script clones the repository into a
-temporary directory, checks out REV there and copies this tree's
-``perfbench/`` and ``BENCHMARK.json`` over the clone's, so both sides run
-identical benchmark code.  It then runs ``perfbench/run.py`` on the two
-trees alternately, the parent first on even pairs, with the same
-``--seconds`` (default: ``run_seconds`` of ``BENCHMARK.json``).
+The change is this working tree.  Both sides run from fresh directories
+under one temporary root.  The script clones the repository there, checks
+out REV and copies this tree's ``perfbench/`` and ``BENCHMARK.json`` over
+the clone's, so both sides run identical benchmark code.  Beside it, it
+copies this working tree as it is: its tracked files, with their
+uncommitted edits, and its untracked files that git does not ignore, but
+no ignored output (``perfbench/out/``, caches), no file deleted in the
+tree and no ``.git``.  It then runs ``perfbench/run.py`` on the two trees
+alternately, the parent first on even pairs, with the same ``--seconds``
+(default: ``run_seconds`` of ``BENCHMARK.json``).
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles; the change's wins out of the pairs, where ties count
@@ -43,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import shutil
 import statistics
 import subprocess
@@ -328,6 +333,26 @@ def prepare_parent(rev: str, destination: Path) -> Path:
     return destination
 
 
+def prepare_change(source: Path, destination: Path) -> Path:
+    """Copy the working tree of the checkout at ``source`` to ``destination``.
+
+    The copy holds what ``git ls-files --cached --others
+    --exclude-standard`` lists: tracked files as they are on disk and
+    untracked files that are not ignored.  A tracked file deleted in the
+    tree is skipped, and ``.git`` is never listed.
+    """
+    listed = subprocess.run(
+        ["git", "-C", str(source), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], check=True, capture_output=True).stdout
+    for relative in map(os.fsdecode, filter(None, listed.split(b"\0"))):
+        if not os.path.lexists(source / relative):
+            continue        # tracked, but deleted in the tree
+        target = destination / relative
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source / relative, target, follow_symlinks=False)
+    return destination
+
+
 def run_once(tree: Path, args: argparse.Namespace, trace: int
              ) -> Tuple[Optional[str], Optional[str]]:
     """One ``perfbench/run.py`` run in ``tree``: its ``info`` line and its
@@ -384,7 +409,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="perfpair-") as workdir:
         trees = {"parent": prepare_parent(args.parent,
                                           Path(workdir) / "parent"),
-                 "change": ROOT}
+                 "change": prepare_change(ROOT, Path(workdir) / "change")}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change",
                                                                "parent")
