@@ -22,12 +22,13 @@ A plan has one technology, one variation sample and one stepper, so the
 whole table is one pass, tiled on the flat row axis only by the memory
 budget and the executor's shard hint.  The budget is the configured
 ``runtime`` ``max_bytes`` or, when none is configured,
-:data:`DEFAULT_PASS_BYTES` measured with
-:func:`~repro.spice.batch.transient_item_bytes` at the stepper's step count
--- up to 26 rows at 200 seeds and the default 400 steps, so a historical
-node (one seed) or a service batch (32 seeds) is a single pass and a
-200-seed library a handful.  Rows are independent, so any tiling is
-bit-identical to any other.
+:data:`DEFAULT_PASS_BYTES` measured per row at the stepper's step count --
+with :func:`~repro.spice.batch.transient_item_bytes` for the fixed-step
+engine (about 1,000 rows at 200 seeds and the default 400 steps, so a
+historical node, a service batch, a sweep and a 20-cell library pass are
+each a single pass) and with
+:func:`~repro.spice.adaptive.adaptive_item_bytes` for the adaptive one.
+Rows are independent, so any tiling is bit-identical to any other.
 
 The plan lives in :mod:`repro.core` so both fused flows import it without
 an import cycle (:mod:`repro.core.library_flow` imports
@@ -69,7 +70,10 @@ from repro.cells.library import Cell, TimingArc
 from repro.runtime import resolve_max_bytes
 from repro.runtime.accounting import RunLedger
 from repro.runtime.chunking import plan_chunks
-from repro.spice.adaptive import simulate_arc_transitions_adaptive
+from repro.spice.adaptive import (
+    adaptive_item_bytes,
+    simulate_arc_transitions_adaptive,
+)
 from repro.spice.batch import simulate_arc_transitions, transient_item_bytes
 from repro.runtime.resilience import FailureReport
 from repro.spice.stepper import IntegrationStats, StepperSpec, resolve_stepper
@@ -78,9 +82,11 @@ from repro.technology.node import TechnologyNode
 from repro.technology.variation import VariationSample
 
 #: Byte budget of one integration tile when no ``runtime`` ``max_bytes`` is
-#: configured (an explicit budget always wins).  Peak memory of a pass grows
-#: with its rows, so an unbounded pass over a large library would cost far
-#: more memory than the per-call overhead it saves.
+#: configured (an explicit budget always wins): about 1,000 fixed-step rows
+#: at 200 seeds (:func:`~repro.spice.batch.transient_item_bytes`), or 26
+#: adaptive ones.  Peak memory of a pass grows with its rows, so an
+#: unbounded pass over a large library would cost far more memory than the
+#: per-call overhead it saves.
 DEFAULT_PASS_BYTES = 64 * 2**20
 
 
@@ -126,9 +132,7 @@ def simulate_rows_job(payload: tuple):
                 inverters, triples[:, 0], triples[:, 1], triples[:, 2],
                 n_steps=stepper.n_steps, on_failure=on_failure)
         record_integration_stats(ledger, result.stats)
-        delay = np.asarray(result.delay(), dtype=float)
-        slew = np.asarray(result.output_slew(), dtype=float)
-    return (delay, slew, result.quarantined), ledger
+    return (result.delays, result.slews, result.quarantined), ledger
 
 
 class SimulationPlan:
@@ -289,8 +293,10 @@ class SimulationPlan:
                        for signature, points in self._rows.items()
                        for triple, targets in points.items()]
         n_rows = len(self._table)
+        item_bytes = (adaptive_item_bytes if self.stepper.method == "rk45"
+                      else transient_item_bytes)
         self._tiles = plan_chunks(
-            n_rows, transient_item_bytes(self.n_seeds, self.stepper.n_steps),
+            n_rows, item_bytes(self.n_seeds, self.stepper.n_steps),
             budget, min_chunks=executor.shard_hint(n_rows))
         payloads = []
         for tile in self._tiles:

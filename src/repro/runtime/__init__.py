@@ -183,7 +183,9 @@ def configure(max_bytes=_KEEP, cache_bytes=_KEEP,
         ``TRANSIENT_ENGINES``); ``None`` restores the historical default
         (``"batched"``).  Omit to keep the current value.
     transient_rtol, transient_atol_frac:
-        Process-wide default tolerances of the adaptive engine; ``None``
+        Process-wide default tolerances of the adaptive engine, each in
+        the open interval (0, 1) that
+        :class:`~repro.spice.stepper.StepperSpec` accepts; ``None``
         restores the engine defaults (1e-9).  Omit to keep the current
         values.
     """
@@ -191,8 +193,8 @@ def configure(max_bytes=_KEEP, cache_bytes=_KEEP,
                         ("transient_atol_frac", transient_atol_frac)):
         if value is _KEEP:
             continue
-        if value is not None and not float(value) > 0.0:
-            raise ValueError(f"{name} must be positive (or None)")
+        if value is not None and not 0.0 < float(value) < 1.0:
+            raise ValueError(f"{name} must be in (0, 1) (or None)")
         setattr(_CONFIG, name, None if value is None else float(value))
     if transient_engine is not _KEEP:
         if (transient_engine is not None

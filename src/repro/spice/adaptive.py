@@ -36,6 +36,11 @@ Design notes:
   allocated once up front at ``(n_conditions, n_seeds)``; the hot loop
   runs entirely on ``[:n_active]`` views with ``out=`` ufuncs, compacting
   the prefix only when rows retire.
+* **Past the ramps.**  Once no active row is on its ramp, every stage sees
+  each row's final input level and no Miller term, so the derivative takes
+  input columns formed once (again after each compaction) and the loop
+  skips the ramp-end clamp bookkeeping -- the fixed engine's tail-chunk
+  shortcut, bit-identical to evaluating the ramp at every stage.
 * **Failure semantics.**  A condition that reaches the fixed engines'
   maximum extended horizon without completing, underflows its step size,
   or rejects ``max_rejects`` consecutive attempts (a *rejection storm*,
@@ -47,6 +52,7 @@ Design notes:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -60,6 +66,7 @@ from repro.spice.batch import (
     _RowTable,
     _fused_params,
     _input_level,
+    _past_ramp_input,
     _signed_slope,
     _take,
     _take_device,
@@ -68,7 +75,7 @@ from repro.spice.batch import (
     _validated_conditions,
 )
 from repro.spice.stepper import IntegrationStats, StepperSpec
-from repro.spice.transient import TransientResult
+from repro.spice.transient import DEFAULT_STEPS, TransientResult, _phase_steps
 from repro.spice.waveform import WaveformBatch
 
 SITE_REJECT = faultinject.register_fault_site(
@@ -103,6 +110,47 @@ _H_UNDERFLOW_FRACTION = 1e-14
 #: Hard cap on controller iterations -- a backstop far above any real run
 #: (per-row guards retire broken rows long before this fires).
 _MAX_ITERATIONS = 1_000_000
+
+
+@dataclass(frozen=True, kw_only=True)
+class AdaptiveTransientResult(BatchTransientResult):
+    """An adaptive batch's delays and slews plus the waveforms behind them.
+
+    Attributes
+    ----------
+    input_waveforms, output_waveforms:
+        Input ramps and output responses of every condition on its own
+        non-uniform time grid, as
+        :class:`~repro.spice.waveform.WaveformBatch` objects; the output
+        batch carries the dense-output derivatives.
+    """
+
+    input_waveforms: WaveformBatch
+    output_waveforms: WaveformBatch
+
+    def condition(self, index: int) -> TransientResult:
+        """Extract one condition as a serial-engine-compatible result."""
+        return TransientResult(
+            input_waveform=self.input_waveforms.condition(index),
+            output_waveform=self.output_waveforms.condition(index),
+            vdd=float(self.vdd[index]),
+        )
+
+
+def adaptive_item_bytes(n_seeds: int, n_steps: int = DEFAULT_STEPS) -> int:
+    """Bytes one condition row is budgeted inside the adaptive engine.
+
+    The adaptive engine keeps every accepted sample -- its time, voltage
+    and dense-output derivative -- in stores that double as they fill and
+    are padded in place into the result's batches.  A row is budgeted a
+    recording of the fixed-step grid of ``n_steps``: ``ramp + tail + 1``
+    samples of one time column and four seed-wide arrays.  That is about
+    four times the measured tracemalloc peak at 50-150 accepted samples per
+    row (0.65 MB per row against 2.57 MB at 200 seeds), so a tile keeps
+    room for rows that need many more steps.
+    """
+    ramp_steps, tail_steps = _phase_steps(n_steps)
+    return 8 * (ramp_steps + 1 + tail_steps) * (4 * max(int(n_seeds), 1) + 2)
 
 
 class _AlphaPowerWorkspace:
@@ -173,7 +221,7 @@ def simulate_arc_transitions_adaptive(
     vdd,
     stepper: Optional[StepperSpec] = None,
     on_failure: str = "raise",
-) -> BatchTransientResult:
+) -> AdaptiveTransientResult:
     """Simulate every requested condition of one arc with the adaptive stepper.
 
     Parameters
@@ -192,9 +240,10 @@ def simulate_arc_transitions_adaptive(
 
     Returns
     -------
-    BatchTransientResult
-        Waveform batches on per-condition *non-uniform* time grids, with
-        dense-output derivatives attached to the output waveforms and an
+    AdaptiveTransientResult
+        Delays and slews measured on per-condition *non-uniform* time
+        grids, the waveform batches themselves (dense-output derivatives
+        attached to the output waveforms) and an
         :class:`~repro.spice.stepper.IntegrationStats` record in
         ``result.stats``.
     """
@@ -267,33 +316,45 @@ def simulate_arc_transitions_adaptive(
 
     stats = IntegrationStats(method="rk45")
 
+    def past_ramp_inputs(na: int) -> tuple:
+        """The input columns ``(vin, vdd - vin)`` of a prefix past its ramps."""
+        vin_col = _past_ramp_input(supply[:na], falling)[:, np.newaxis]
+        return vin_col, supply[:na, np.newaxis] - vin_col
+
     def rhs(na: int, t_vec: np.ndarray, state: np.ndarray, out: np.ndarray,
-            on_ramp: np.ndarray) -> np.ndarray:
+            on_ramp: np.ndarray, past: Optional[tuple] = None) -> np.ndarray:
         """Derivative of the active prefix into ``out`` (no allocation).
 
         ``on_ramp`` is the *step-level* mask: steps never straddle a ramp
         end, so one flag per row covers every stage time of the attempt.
+        ``past`` holds :func:`past_ramp_inputs` when no row is on its ramp:
+        every stage then sees the constant input and no Miller term.
         """
         stats.rhs_evals += na * n_seeds
-        sup = supply[:na]
-        frac = np.clip(t_vec / ramp[:na], 0.0, 1.0)
-        vin = sup * _input_level(frac, falling)
-        dvin = np.where(on_ramp, slope_signed[:na], 0.0)
-        vin_col = vin[:, np.newaxis]
-        sup_col = sup[:, np.newaxis]
+        sup_col = supply[:na, np.newaxis]
+        if past is None:
+            frac = np.clip(t_vec / ramp[:na], 0.0, 1.0)
+            vin = supply[:na] * _input_level(frac, falling)
+            dvin = np.where(on_ramp, slope_signed[:na], 0.0)
+            vin_col = vin[:, np.newaxis]
+            vin_p = sup_col - vin_col
+        else:
+            (vin_col, vin_p), dvin = past, None
         vc = vclamp[:na]
-        np.clip(state, clamp_low[:na], clamp_high[:na], out=vc)
+        # np.clip's elementwise operation, without its Python-level wrapper.
+        np.maximum(state, clamp_low[:na], out=vc)
+        np.minimum(vc, clamp_high[:na], out=vc)
         vdp = vds_p[:na]
         np.subtract(sup_col, vc, out=vdp)
         if kernel is not None:
-            kernel.currents(na, vin_col, vc, sup_col - vin_col, vdp,
+            kernel.currents(na, vin_col, vc, vin_p, vdp,
                             pull_down[:na], pull_up[:na])
             np.subtract(pull_up[:na], pull_down[:na], out=out)
         else:
             down = nmos.current(vin_col, vc)
-            up = pmos.current(sup_col - vin_col, vdp)
+            up = pmos.current(vin_p, vdp)
             np.subtract(up, down, out=out)
-        if np.any(dvin):
+        if dvin is not None and np.any(dvin):
             mill = tmp[:na]
             np.multiply(miller, dvin[:, np.newaxis], out=mill)
             out += mill
@@ -306,13 +367,23 @@ def simulate_arc_transitions_adaptive(
     deriv_store[:, 0] = k[0]
 
     first_failure = None  # (original index, reason) under on_failure="raise"
+    past = None  # past_ramp_inputs(na) once every active row is past its ramp
     for _ in range(_MAX_ITERATIONS):
         if na == 0 or first_failure is not None:
             break
-        on_ramp = t[:na] < ramp[:na]
-        remaining = ramp[:na] - t[:na]
-        hits_ramp_end = on_ramp & (h[:na] >= remaining)
-        h_eff = np.where(on_ramp, np.minimum(h[:na], remaining), h[:na])
+        if past is None:
+            on_ramp = t[:na] < ramp[:na]
+            if not on_ramp.any():
+                past = past_ramp_inputs(na)
+        if past is None:
+            remaining = ramp[:na] - t[:na]
+            hits_ramp_end = on_ramp & (h[:na] >= remaining)
+            h_eff = np.where(on_ramp, np.minimum(h[:na], remaining), h[:na])
+        else:
+            # Past every ramp no step is clamped to a ramp end (t only
+            # grows, and retirement only removes rows).
+            on_ramp = hits_ramp_end = None
+            h_eff = h[:na].copy()
         h_col = h_eff[:, np.newaxis]
 
         # Stages 2..6 (k1 carried over by FSAL).
@@ -326,7 +397,8 @@ def simulate_arc_transitions_adaptive(
                     acc += tmp[:na]
             acc *= h_col
             acc += y[:na]
-            rhs(na, t[:na] + c_frac * h_eff, acc, k[stage][:na], on_ramp)
+            rhs(na, t[:na] + c_frac * h_eff, acc, k[stage][:na], on_ramp,
+                past)
 
         # Fifth-order solution and the FSAL stage at its endpoint.
         yn = ynew[:na]
@@ -336,7 +408,7 @@ def simulate_arc_transitions_adaptive(
             yn += tmp[:na]
         yn *= h_col
         yn += y[:na]
-        rhs(na, t[:na] + h_eff, yn, k[6][:na], on_ramp)
+        rhs(na, t[:na] + h_eff, yn, k[6][:na], on_ramp, past)
 
         # Scaled embedded error, RMS over seeds, one scalar per condition.
         ev = ystage[:na]
@@ -374,25 +446,31 @@ def simulate_arc_transitions_adaptive(
         factor = np.where(finite, factor, stepper.min_factor)
         # A ramp-end clamp is not the controller's doing: accepted clamped
         # rows grow from the *unclamped* h so no memory is lost.
-        base = np.where(hits_ramp_end & accept, h[:na], h_eff)
+        if hits_ramp_end is None:
+            base = h_eff
+            t_next = t[:na] + h_eff
+        else:
+            base = np.where(hits_ramp_end & accept, h[:na], h_eff)
+            t_next = np.where(hits_ramp_end, ramp[:na], t[:na] + h_eff)
         h[:na] = base * factor
-
-        t_next = np.where(hits_ramp_end, ramp[:na], t[:na] + h_eff)
         t[:na] = np.where(accept, t_next, t[:na])
         rejects[:na] = np.where(accept, 0, rejects[:na] + 1)
         errold[:na] = np.where(accept, np.maximum(err, 1e-4), errold[:na])
 
         acc_idx = np.nonzero(accept)[0]
         if acc_idx.size:
-            y[acc_idx] = yn[acc_idx]
-            k[0][acc_idx] = k[6][acc_idx]
+            # Every row accepted is the common case: copy slices, not gathers.
+            sel = slice(None, na) if acc_idx.size == na else acc_idx
+            y[sel] = yn[sel]
+            k[0][sel] = k[6][sel]
             # Rows that just landed on their ramp end: the two one-sided
             # derivatives differ by exactly the Miller term, so the FSAL
             # stage is corrected in place of a fresh evaluation.  The
             # post-ramp value is also the dense-output derivative stored
             # for the boundary sample (crossings live in the tail).
-            crossed_idx = np.nonzero(accept & hits_ramp_end)[0]
-            if crossed_idx.size:
+            crossed_idx = (np.nonzero(accept & hits_ramp_end)[0]
+                           if hits_ramp_end is not None else ())
+            if len(crossed_idx):
                 k[0][crossed_idx] -= (_take(miller, crossed_idx)
                                       * slope_signed[crossed_idx, np.newaxis]
                                       / caps[crossed_idx])
@@ -406,18 +484,18 @@ def simulate_arc_transitions_adaptive(
                 grown_d = np.empty((n_cond, capacity, n_seeds))
                 grown_d[:, :deriv_store.shape[1]] = deriv_store
                 time_store, volt_store, deriv_store = grown_t, grown_v, grown_d
-            orig = ids[:na][acc_idx]
+            orig = ids[:na][sel]
             pos = counts[orig]
-            time_store[orig, pos] = t[:na][acc_idx]
-            volt_store[orig, pos] = y[acc_idx]
-            deriv_store[orig, pos] = k[0][acc_idx]
+            time_store[orig, pos] = t[:na][sel]
+            volt_store[orig, pos] = y[sel]
+            deriv_store[orig, pos] = k[0][sel]
             counts[orig] = pos + 1
 
         # Retirement: completed rows leave the batch; failed rows abort or
         # quarantine.  Completion uses the fixed engines' far-slew margins.
         complete = _transition_complete(y[:na], supply[:na, np.newaxis],
                                         falling)
-        done = complete & (t[:na] >= ramp[:na])
+        done = complete if past is not None else complete & (t[:na] >= ramp[:na])
         overran = (t[:na] >= tmax[:na]) & ~done
         storm = rejects[:na] >= stepper.max_rejects
         under = h[:na] < h_floor[:na]
@@ -449,6 +527,8 @@ def simulate_arc_transitions_adaptive(
             else:
                 nmos = _take_device(nmos, kidx)
                 pmos = _take_device(pmos, kidx)
+            if past is not None:
+                past = past_ramp_inputs(new_na)
             na = new_na
     else:
         raise RuntimeError("adaptive integration exceeded the iteration "
@@ -469,9 +549,10 @@ def simulate_arc_transitions_adaptive(
     # ------------------------------------------------------------------
     lengths = np.maximum(counts, 2)
     n_max = int(lengths.max())
-    time_matrix = np.array(time_store[:, :n_max])
-    volt_matrix = np.array(volt_store[:, :n_max])
-    deriv_matrix = np.array(deriv_store[:, :n_max])
+    # Views: the stores are not used again, so padding writes into them.
+    time_matrix = time_store[:, :n_max]
+    volt_matrix = volt_store[:, :n_max]
+    deriv_matrix = deriv_store[:, :n_max]
     for index in range(n_cond):
         length = int(counts[index])
         if length < 2:
@@ -496,14 +577,16 @@ def simulate_arc_transitions_adaptive(
     input_batch = WaveformBatch(time_matrix, vin_matrix, valid_len=lengths)
     output_batch = WaveformBatch(time_matrix, volt_matrix, valid_len=lengths,
                                  derivative=deriv_matrix)
-    return BatchTransientResult(
-        input_waveforms=input_batch,
-        output_waveforms=output_batch,
+    return AdaptiveTransientResult(
         sin=sin,
         cload=cload,
         vdd=vdd,
+        delays=output_batch.propagation_delay(input_batch, vdd),
+        slews=output_batch.transition_time(vdd),
         quarantined=quarantined if on_failure == "quarantine" else None,
         stats=stats,
+        input_waveforms=input_batch,
+        output_waveforms=output_batch,
     )
 
 

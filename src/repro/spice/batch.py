@@ -6,7 +6,7 @@ the Python-level RK4 loop ``n`` times over.  This module integrates *all*
 rows of a pass at once in a single 2-D state array of shape
 ``(n_rows, n_seeds)`` -- the software analogue of batching SPICE runs with
 ``.ALTER`` statements, applied across operating points, process seeds and
-cells alike.
+cells alike -- and returns each row's delay and slew, not its waveforms.
 
 Design notes:
 
@@ -34,7 +34,22 @@ Design notes:
   :func:`repro.spice.transient._phase_steps`), and every arithmetic operation
   is the elementwise-identical broadcast of the serial engine's scalar
   expression.  The two engines therefore agree to floating-point noise
-  (equivalence is enforced at ``rtol <= 1e-9`` by the test suite).
+  (equivalence is enforced at ``rtol <= 1e-9`` by the test suite).  Every
+  stage strictly after a row's ramp sees a constant input, so tail chunks
+  form the input level, its complement and each device's gate term once
+  per chunk and skip the ramp fraction, slope and Miller work; the one
+  stage at ``t = sin`` still adds the Miller term.
+* **Crossings inside the step loop.**  No waveform is stored.  After every
+  step, each trace's next output threshold (80/50/20 % of the supply for a
+  falling output, 20/50/80 % for a rising one) is tested against the new
+  sample; a trace that reaches it records the crossing time from the two
+  consecutive samples with the linear interpolation
+  :meth:`~repro.spice.waveform.WaveformBatch.crossing_time` applies to a
+  stored waveform.  The 50 % input crossing comes from the ramp chunk's
+  samples, so delays and slews equal a post-hoc measurement of the full
+  waveforms bit for bit (``tests/oracles/transient.py`` keeps that
+  recording engine as the reference).  Memory per row is a few
+  ``(n_seeds,)`` buffers instead of one per step (:func:`transient_item_bytes`).
 * **Active-set retirement.**  The completion check runs per row; the rows
   that finish are retired from the derivative evaluation while the
   geometric window extension continues only for the stragglers, so one slow
@@ -55,13 +70,10 @@ from repro.devices import AlphaPowerMOSFET, MOSFET
 from repro.runtime import faultinject
 from repro.spice import transient as _serial
 from repro.spice.stepper import IntegrationStats
-from repro.spice.transient import (
-    DEFAULT_STEPS,
-    TransientResult,
-    _extension_steps,
-    _phase_steps,
-)
+from repro.spice.transient import DEFAULT_STEPS, _extension_steps, _phase_steps
 from repro.spice.waveform import (
+    DELAY_THRESHOLD,
+    SLEW_DERATE,
     SLEW_HIGH_THRESHOLD,
     SLEW_LOW_THRESHOLD,
     WaveformBatch,
@@ -77,22 +89,23 @@ SITE_STATE = faultinject.register_fault_site(
 
 @dataclass(frozen=True)
 class BatchTransientResult:
-    """Waveforms of a batched multi-condition arc simulation.
+    """Delays and slews of a batched multi-condition arc simulation.
 
     Attributes
     ----------
-    input_waveforms, output_waveforms:
-        Input ramps and output responses for every condition, as
-        :class:`~repro.spice.waveform.WaveformBatch` objects.
     sin, cload, vdd:
         The simulated conditions, each of shape ``(n_conditions,)``.
+    delays, slews:
+        50 %-to-50 % propagation delay and derated 20 %-80 % output slew,
+        each of shape ``(n_conditions, n_seeds)``, in seconds (NaN on
+        quarantined rows).
     """
 
-    input_waveforms: WaveformBatch
-    output_waveforms: WaveformBatch
     sin: np.ndarray
     cload: np.ndarray
     vdd: np.ndarray
+    delays: np.ndarray
+    slews: np.ndarray
     #: Boolean mask of shape ``(n_conditions,)`` marking rows retired by
     #: per-row quarantine (``on_failure="quarantine"``): their integration
     #: went non-finite or never completed, and their delay/slew values are
@@ -111,7 +124,7 @@ class BatchTransientResult:
     @property
     def n_seeds(self) -> int:
         """Number of Monte Carlo seeds per condition."""
-        return self.output_waveforms.n_seeds
+        return self.delays.shape[1]
 
     def quarantined_indices(self) -> np.ndarray:
         """Condition indices retired by quarantine (empty when none were)."""
@@ -121,36 +134,33 @@ class BatchTransientResult:
 
     def delay(self) -> np.ndarray:
         """Propagation delay, shape ``(n_conditions, n_seeds)``, in seconds."""
-        return self.output_waveforms.propagation_delay(self.input_waveforms,
-                                                       self.vdd)
+        return self.delays
 
     def output_slew(self) -> np.ndarray:
         """Output transition time, shape ``(n_conditions, n_seeds)``, in seconds."""
-        return self.output_waveforms.transition_time(self.vdd)
-
-    def condition(self, index: int) -> TransientResult:
-        """Extract one condition as a serial-engine-compatible result."""
-        return TransientResult(
-            input_waveform=self.input_waveforms.condition(index),
-            output_waveform=self.output_waveforms.condition(index),
-            vdd=float(self.vdd[index]),
-        )
+        return self.slews
 
 
 def transient_item_bytes(n_seeds: int, n_steps: int = DEFAULT_STEPS) -> int:
-    """Peak bytes one condition row costs inside the batched integrator.
+    """Peak bytes one condition row costs inside the fixed-step engine.
 
-    The shared time matrix plus the ``(len, n_seeds)`` voltage and input
-    matrices and the RK4 stage/derivative buffers.
+    The engine stores no waveform, so a row costs what is live in one RK4
+    stage: about 36 seed-wide float arrays (the state and its successor,
+    the stage and four derivative buffers, the device kernel's
+    temporaries, the three crossing records) plus four arrays of the tail
+    chunk's length (its time samples, and the ramp samples measured for
+    the 50 % input crossing).  This covers the measured tracemalloc peak of
+    a mixed row table at 1, 32 and 200 seeds within a factor of two
+    (``tests/test_batch_transient.py``): at 200 seeds and the default 400
+    steps a row costs 66 kB, so a 64 MiB tile holds about 1,000 rows.
     :class:`~repro.core.simulation_plan.SimulationPlan` -- the one
     simulation path, which :func:`repro.spice.sweep.sweep_conditions` also
-    runs -- sizes every tile from this single estimate at its stepper's
+    runs -- sizes every fixed-step tile from this estimate at its stepper's
     step count, so a ``runtime.configure(max_bytes=...)`` budget means the
     same thing for every flow.
     """
-    ramp_steps, tail_steps = _phase_steps(n_steps)
-    base_len = ramp_steps + 1 + tail_steps
-    return 8 * base_len * (4 * max(int(n_seeds), 1) + 2)
+    _ramp_steps, tail_steps = _phase_steps(n_steps)
+    return 8 * (36 * max(int(n_seeds), 1) + 4 * (tail_steps + 1))
 
 
 def _scalarize(value) -> object:
@@ -314,6 +324,16 @@ def _input_level(fraction, falling):
     return np.where(mask, fraction, 1.0 - fraction)
 
 
+def _past_ramp_input(supply: np.ndarray, falling) -> np.ndarray:
+    """Input voltage of rows past their ramps, shape ``(n_rows,)``.
+
+    The per-stage expression with the ramp fraction at 1, which is what
+    ``clip(t / sin, 0, 1)`` gives at any ``t >= sin``; both engines form it
+    once instead of on every stage past the ramp.
+    """
+    return supply * _input_level(np.ones(supply.size), falling)
+
+
 def _signed_slope(supply: np.ndarray, ramp: np.ndarray, falling) -> np.ndarray:
     """Input ramp slope per row, positive for a rising input."""
     slope = supply / ramp
@@ -389,12 +409,20 @@ def _alpha_power_kernel(prepared: tuple):
     reassociated arithmetic differs from the reference implementation only
     at the last-ulp level, far inside the engine's ``rtol <= 1e-9``
     equivalence budget (enforced by the test suite).
+
+    Returns ``(gates, kernel)``: ``gates(vgs_n, vgs_p)`` forms each
+    device's gate term ``vgs - vth0`` and ``kernel(gate_n, gate_p, vds_n,
+    vds_p)`` the pull-down and pull-up currents from them, so a caller
+    whose input is constant forms the gate terms once.
     """
 
-    def one_device(p, vgs, vds_raw):
+    def gates(vgs_n, vgs_p):
+        return vgs_n - prepared[0]["vth0"], vgs_p - prepared[1]["vth0"]
+
+    def one_device(p, gate, vds_raw):
         vds = np.maximum(vds_raw, 0.0)
         x = p["dibl"] * vds
-        x += vgs - p["vth0"]
+        x += gate
         # softplus(x, smoothing) in the stable form, with buffer reuse
         t = np.abs(x)
         t *= p["neg_inv_smoothing"]
@@ -416,11 +444,11 @@ def _alpha_power_kernel(prepared: tuple):
         current *= vdsat
         return current
 
-    def kernel(vgs_n, vgs_p, vds_n, vds_p):
-        return (one_device(prepared[0], vgs_n, vds_n),
-                one_device(prepared[1], vgs_p, vds_p))
+    def kernel(gate_n, gate_p, vds_n, vds_p):
+        return (one_device(prepared[0], gate_n, vds_n),
+                one_device(prepared[1], gate_p, vds_p))
 
-    return kernel
+    return gates, kernel
 
 
 def _estimate_windows(inverter: EquivalentInverter, sin: np.ndarray,
@@ -459,6 +487,127 @@ def _validated_conditions(sin, cload, vdd, on_failure: str) -> tuple:
     return sin, cload, vdd
 
 
+class _Crossings:
+    """First threshold crossings of every output trace, recorded step by step.
+
+    A falling output that has reached 20 % of its supply has passed 50 % and
+    80 % too, and a rising one the reverse, so each trace waits on one
+    threshold at a time: 80/50/20 % of the supply in turn when falling,
+    20/50/80 % when rising.  ``times[k]`` holds every trace's ``k``-th
+    crossing of that order (NaN until it happens).  Each crossing is
+    interpolated from the two consecutive samples bracketing it with the
+    arithmetic of :meth:`~repro.spice.waveform.WaveformBatch.crossing_time`,
+    so it equals the first crossing measured on the stored waveform.
+
+    :meth:`watch` gathers a chunk's active rows and each trace's pending
+    threshold once; :meth:`step` then costs one comparison and one ``any``
+    per step.  A mixed-polarity chunk compares sign-flipped samples
+    (negation is exact, so ``-v >= -u`` is ``v <= u``).
+    """
+
+    def __init__(self, vdd: np.ndarray, falling, n_seeds: int):
+        n_rows = vdd.size
+        # The thresholds WaveformBatch.crossing_time would be given; the
+        # NaN fourth level is never passed, so a finished trace stops.
+        low = SLEW_LOW_THRESHOLD * vdd
+        mid = DELAY_THRESHOLD * vdd
+        high = SLEW_HIGH_THRESHOLD * vdd
+        done = np.full(n_rows, np.nan)
+        down = np.stack([high, mid, low, done], axis=1)
+        up = np.stack([low, mid, high, done], axis=1)
+        if isinstance(falling, bool):
+            self.all_levels = down if falling else up
+        else:
+            self.all_levels = np.where(falling[:, np.newaxis], down, up)
+        self.all_falling = falling
+        self.level = np.zeros((n_rows, n_seeds), dtype=np.int8)
+        self.times = np.full((3, n_rows, n_seeds), np.nan)
+
+    def watch(self, idx: np.ndarray) -> None:
+        """Start a chunk over the active rows ``idx``."""
+        self.rows = idx
+        self.levels = self.all_levels[idx]
+        falling = self.all_falling
+        self.falling = falling if isinstance(falling, bool) else falling[idx]
+        self.pending = np.take_along_axis(self.levels, self.level[idx],
+                                          axis=1)
+        self.flag = np.empty(self.pending.shape, dtype=bool)
+        self.sign = None
+        if not isinstance(self.falling, bool):
+            self.sign = np.where(self.falling, -1.0, 1.0)[:, np.newaxis]
+            self.pending *= self.sign
+            self.flipped = np.empty(self.pending.shape)
+
+    def step(self, old: np.ndarray, new: np.ndarray, t_old: np.ndarray,
+             t_new: np.ndarray) -> None:
+        """Record every crossing between consecutive samples ``old``, ``new``."""
+        flag = self.flag
+        if self.sign is not None:
+            np.multiply(new, self.sign, out=self.flipped)
+            np.greater_equal(self.flipped, self.pending, out=flag)
+        elif self.falling:
+            np.less_equal(new, self.pending, out=flag)
+        else:
+            np.greater_equal(new, self.pending, out=flag)
+        if not flag.any():
+            return
+        r, s = np.nonzero(flag)
+        rows = self.rows[r]
+        v0 = old[r, s]
+        v1 = new[r, s]
+        t0 = t_old[r]
+        t1 = t_new[r]
+        level = self.level[rows, s]
+        while True:
+            span = v1 - v0
+            fraction = ((self.levels[r, level] - v0)
+                        / np.where(span == 0.0, 1.0, span))
+            self.times[level, rows, s] = np.where(
+                span == 0.0, t1, t0 + fraction * (t1 - t0))
+            level = level + 1
+            self.level[rows, s] = level
+            following = self.levels[r, level]
+            if self.sign is None:
+                self.pending[r, s] = following
+                more = (v1 <= following) if self.falling else (v1 >= following)
+            else:
+                self.pending[r, s] = following * self.sign[r, 0]
+                more = np.where(self.falling[r], v1 <= following,
+                                v1 >= following)
+            # The same sample may pass the next threshold as well.
+            if not more.any():
+                return
+            r, s, rows, v0, v1, t0, t1, level = (
+                value[more] for value in (r, s, rows, v0, v1, t0, t1, level))
+
+    def timing(self, input_crossing: np.ndarray) -> tuple:
+        """``(delay, slew)`` per trace against the input's 50 % crossing."""
+        first, middle, last = self.times
+        falling = self.all_falling
+        if isinstance(falling, bool):
+            low, high = (last, first) if falling else (first, last)
+        else:
+            column = falling[:, np.newaxis]
+            low = np.where(column, last, first)
+            high = np.where(column, first, last)
+        return middle - input_crossing, np.abs(high - low) / SLEW_DERATE
+
+
+def _input_crossings(sin: np.ndarray, vdd: np.ndarray, falling,
+                     ramp_steps: int) -> np.ndarray:
+    """50 % crossing of every row's input ramp, shape ``(n_rows, 1)``.
+
+    The input reaches its far rail at ``t = sin``, so its first crossing
+    lies among the ramp chunk's samples: those samples, with the
+    expression of :meth:`~repro.spice.stimulus.RampStimulus.voltage`,
+    measured by :meth:`~repro.spice.waveform.WaveformBatch.crossing_time`.
+    """
+    times = np.linspace(np.zeros(sin.size), sin, ramp_steps + 1, axis=1)
+    fraction = np.clip(times / sin[:, np.newaxis], 0.0, 1.0)
+    vin = vdd[:, np.newaxis] * _input_level(fraction, falling)
+    return WaveformBatch(times, vin).crossing_time(DELAY_THRESHOLD * vdd)
+
+
 def simulate_arc_transitions(
     inverter: Union[EquivalentInverter, Sequence[EquivalentInverter]],
     sin,
@@ -489,15 +638,14 @@ def simulate_arc_transitions(
         retires such conditions per row: after each tail chunk, rows with
         non-finite RK4 state (and, at exhaustion, rows that never
         completed) are marked in ``BatchTransientResult.quarantined`` and
-        dropped from further integration; their delay/slew evaluate to
-        NaN while every healthy row is computed bit-identically to a
-        fail-fast run.
+        dropped from further integration; their delay/slew are NaN while
+        every healthy row is computed bit-identically to a fail-fast run.
 
     Returns
     -------
     BatchTransientResult
-        Input and output waveform batches, vectorized over
-        ``(n_conditions, n_seeds)``.
+        Delays and slews of every ``(condition, seed)``; per-condition
+        waveforms come from :func:`repro.spice.simulate_arc_transition`.
 
     Raises
     ------
@@ -521,22 +669,23 @@ def simulate_arc_transitions(
     total_cap = cload[:, np.newaxis] + table.parasitic
     fused = _fused_params(table.nmos, table.pmos)
     stats = IntegrationStats(method="rk4")
+    crossings = _Crossings(vdd, table.falling, n_seeds)
 
     def integrate_chunk(t_begin: np.ndarray, t_end: np.ndarray, steps: int,
-                        state: np.ndarray, idx: np.ndarray,
-                        time_out: np.ndarray, volt_out: np.ndarray
-                        ) -> np.ndarray:
+                        state: np.ndarray, idx: np.ndarray, on_ramp: bool,
+                        ramp_end: bool = False) -> np.ndarray:
         """Lockstep RK4 over per-condition intervals ``[t_begin, t_end]``.
 
         Everything that is constant across the chunk -- the active rows of
         the condition arrays and of the row table, the clamp bounds, the
         signed ramp slopes -- is gathered once here rather than on every
-        RK4 stage evaluation.  Samples are written straight into the
-        caller-provided ``time_out`` / ``volt_out`` views (shapes
-        ``(n_active, steps + 1[, n_seeds])``), and the RK4 combination runs
-        in place on the stage buffers, so the hot loop allocates nothing
-        beyond the derivative evaluations.  ``state`` is advanced in place
-        and returned.
+        RK4 stage evaluation, and the RK4 combination runs in place on the
+        stage buffers.  ``on_ramp`` marks the ramp chunk, whose stages
+        follow the input ramp; every other chunk lies past its rows' ramps
+        and forms the constant input terms once.  ``ramp_end`` marks the
+        first tail chunk, whose first stage sits at ``t = sin`` and still
+        adds the Miller term.  Each step's crossings go to ``crossings``;
+        the final state is returned.
         """
         ramp = sin[idx]
         supply = vdd[idx]
@@ -548,119 +697,121 @@ def simulate_arc_transitions(
         cap = total_cap[idx]
         miller = _take(table.miller, idx)
         if fused is not None:
-            kernel = _alpha_power_kernel(
+            gates, kernel = _alpha_power_kernel(
                 tuple(_take_params(params, idx) for params in fused))
         else:
             nmos = _take_device(table.nmos, idx)
             pmos = _take_device(table.pmos, idx)
 
-        def derivative(t: np.ndarray, vout: np.ndarray) -> np.ndarray:
+        def input_terms(vin):
+            """What the devices take of the ``(n_active, 1)`` input level."""
+            vin_p = supply_col - vin
+            return gates(vin, vin_p) if fused is not None else (vin, vin_p)
+
+        def ramp_input(t):
             fraction = np.clip(t / ramp, 0.0, 1.0)
-            on_ramp = (t >= 0.0) & (t <= ramp)
+            dvin = np.where((t >= 0.0) & (t <= ramp), slope, 0.0)
             vin = supply * _input_level(fraction, falling)
-            dvin = np.where(on_ramp, slope, 0.0)
-            vin = vin[:, np.newaxis]
+            # Adding an all-zero Miller term is exact, so it is skipped.
+            kick = miller * dvin[:, np.newaxis] if np.any(dvin) else None
+            return input_terms(vin[:, np.newaxis]), kick
+
+        def derivative(inputs, vout: np.ndarray) -> np.ndarray:
+            terms, kick = inputs
             vout_clamped = np.minimum(np.maximum(vout, clamp_low), clamp_high)
             if fused is not None:
-                pull_down, pull_up = kernel(vin, supply_col - vin,
-                                            vout_clamped,
+                pull_down, pull_up = kernel(terms[0], terms[1], vout_clamped,
                                             supply_col - vout_clamped)
                 out = pull_up
                 out -= pull_down
-                # Adding an all-zero Miller term is exact, so it can be
-                # skipped entirely once every active ramp has finished.
-                if np.any(dvin):
-                    out += miller * dvin[:, np.newaxis]
-                out /= cap
-                return out
-            pull_down = nmos.current(vin, vout_clamped)
-            pull_up = pmos.current(supply_col - vin, supply_col - vout_clamped)
-            return (pull_up - pull_down + miller * dvin[:, np.newaxis]) / cap
+            else:
+                pull_down = nmos.current(terms[0], vout_clamped)
+                pull_up = pmos.current(terms[1], supply_col - vout_clamped)
+                out = pull_up - pull_down
+            if kick is not None:
+                out += kick
+            out /= cap
+            return out
 
         times = np.linspace(t_begin, t_end, steps + 1, axis=1)
-        time_out[:] = times
         dt = times[:, 1] - times[:, 0]
         half = dt / 2.0
+        if on_ramp:
+            def stage_inputs(index):
+                t = times[:, index]
+                return ramp_input(t), ramp_input(t + half), ramp_input(t + dt)
+        else:
+            # Past the ramp the input level is its end value (the ramp
+            # fraction clips to 1) and its slope is zero.
+            steady = (input_terms(
+                _past_ramp_input(supply, falling)[:, np.newaxis]), None)
+            opening = ((steady[0], miller * slope[:, np.newaxis]) if ramp_end
+                       else steady)
+
+            def stage_inputs(index):
+                return opening if index == 0 else steady, steady, steady
+
         half_col = half[:, np.newaxis]
         dt_col = dt[:, np.newaxis]
         sixth_col = (dt / 6.0)[:, np.newaxis]
         stage = np.empty((idx.size, n_seeds))
+        following = np.empty((idx.size, n_seeds))
+        crossings.watch(idx)
         # Fixed-step accounting: every step is "accepted" and costs four
         # RK4 stage evaluations per (condition, seed).
         stats.steps_taken += steps * idx.size
         stats.rhs_evals += 4 * steps * idx.size * n_seeds
-        volt_out[:, 0] = state
         for index in range(steps):
-            t = times[:, index]
-            k1 = derivative(t, state)
+            start, middle, end = stage_inputs(index)
+            k1 = derivative(start, state)
             np.multiply(half_col, k1, out=stage)
             stage += state
-            k2 = derivative(t + half, stage)
+            k2 = derivative(middle, stage)
             np.multiply(half_col, k2, out=stage)
             stage += state
-            k3 = derivative(t + half, stage)
+            k3 = derivative(middle, stage)
             np.multiply(dt_col, k3, out=stage)
             stage += state
-            k4 = derivative(t + dt, stage)
-            # state += dt/6 * (k1 + 2*k2 + 2*k3 + k4), accumulated in k1.
+            k4 = derivative(end, stage)
+            # state + dt/6 * (k1 + 2*k2 + 2*k3 + k4), accumulated in k1.
             k2 *= 2.0
             k1 += k2
             k3 *= 2.0
             k1 += k3
             k1 += k4
             k1 *= sixth_col
-            state += k1
-            volt_out[:, index + 1] = state
+            np.add(state, k1, out=following)
+            crossings.step(state, following, times[:, index],
+                           times[:, index + 1])
+            state, following = following, state
         return state
 
     initial_value = np.where(table.falling, vdd, 0.0)[:, np.newaxis]
     vout = np.broadcast_to(initial_value, (n_cond, n_seeds)).copy()
 
-    # Every condition records at least ramp + first tail window; those two
-    # chunks are written straight into preallocated matrices (the tail chunk
-    # overwrites the shared boundary sample with identical values).  Only the
-    # rare extension chunks go through temporary buffers.
-    ramp_steps, tail_steps = _phase_steps(n_steps)
-    base_len = ramp_steps + 1 + tail_steps
-    time_matrix = np.empty((n_cond, base_len))
-    volt_matrix = np.empty((n_cond, base_len, n_seeds))
-
     # Phase A: the input ramps.  All conditions are active; chunk boundaries
     # align with each condition's own ramp end (see the serial engine).
+    ramp_steps, tail_steps = _phase_steps(n_steps)
     all_idx = np.arange(n_cond)
     vout = integrate_chunk(np.zeros(n_cond), sin, ramp_steps, vout, all_idx,
-                           time_matrix[:, :ramp_steps + 1],
-                           volt_matrix[:, :ramp_steps + 1])
+                           on_ramp=True)
     # Identity without an active injector; under injection, NaN-poisoned
     # rows flow into phase B and are caught by the quarantine check below.
     vout = faultinject.corrupt_rows(SITE_STATE, vout)
 
     # Phase B: per-condition tail windows with geometric extension.  Finished
     # conditions retire from the active set; stragglers keep extending.
-    # Extension records are (active indices, times, voltages); active sets
-    # are nested, so every condition's chunks are a prefix of the sequence
-    # and share offsets with the other conditions still running.
     window = table.windows(sin, cload, vdd)
     t_start = sin.copy()
     active = all_idx
-    extension_records = []
-    lengths = np.full(n_cond, base_len, dtype=int)
     quarantined = np.zeros(n_cond, dtype=bool)
-    max_extensions = _serial._MAX_EXTENSIONS
-    for extension in range(max_extensions):
-        if extension == 0:
-            chunk_steps = tail_steps
-            times = time_matrix[:, ramp_steps:]
-            voltages = volt_matrix[:, ramp_steps:]
-        else:
-            chunk_steps = _extension_steps(tail_steps)
-            times = np.empty((active.size, chunk_steps + 1))
-            voltages = np.empty((active.size, chunk_steps + 1, n_seeds))
-            extension_records.append((active, times, voltages))
-            lengths[active] += chunk_steps
-        state = integrate_chunk(t_start[active], t_start[active] + window[active],
-                                chunk_steps, vout[active], active, times,
-                                voltages)
+    for extension in range(_serial._MAX_EXTENSIONS):
+        chunk_steps = (tail_steps if extension == 0
+                       else _extension_steps(tail_steps))
+        t_end = t_start[active] + window[active]
+        state = integrate_chunk(t_start[active], t_end, chunk_steps,
+                                vout[active], active, on_ramp=False,
+                                ramp_end=extension == 0)
         vout[active] = state
 
         done = _transition_complete(state, vdd[active, np.newaxis],
@@ -669,13 +820,12 @@ def simulate_arc_transitions(
             # A non-finite state row can never satisfy the completion
             # thresholds (NaN comparisons are False), so without quarantine
             # it would extend to exhaustion and abort the batch.  Retire it
-            # now: its stored samples are already NaN, so its delay/slew
-            # evaluate to NaN downstream.
+            # now; its delay/slew are set to NaN below.
             broken = ~np.all(np.isfinite(state), axis=1)
             if np.any(broken):
                 quarantined[active[broken]] = True
                 done = done | broken
-        t_start[active] = times[:, -1]
+        t_start[active] = t_end
         still_active = active[~done]
         if still_active.size == 0:
             active = still_active
@@ -685,8 +835,7 @@ def simulate_arc_transitions(
     else:
         if on_failure == "quarantine":
             # Window extensions exhausted: quarantine the stragglers
-            # instead of aborting every healthy condition with them (their
-            # samples are poisoned to NaN after the extension merge below).
+            # instead of aborting every healthy condition with them.
             quarantined[active] = True
         else:
             first = int(active[0])
@@ -698,47 +847,18 @@ def simulate_arc_transitions(
                 "incomplete)"
             )
 
-    if extension_records:
-        # Stragglers needed extra chunks: grow the matrices once, scatter the
-        # extension samples in, and pad retired conditions by holding their
-        # last sample.
-        n_max = int(lengths.max())
-        grown_time = np.empty((n_cond, n_max))
-        grown_volt = np.empty((n_cond, n_max, n_seeds))
-        grown_time[:, :base_len] = time_matrix
-        grown_volt[:, :base_len] = volt_matrix
-        time_matrix, volt_matrix = grown_time, grown_volt
-        offset = base_len
-        for idx, times, voltages in extension_records:
-            span = times.shape[1] - 1
-            time_matrix[idx, offset:offset + span] = times[:, 1:]
-            volt_matrix[idx, offset:offset + span] = voltages[:, 1:]
-            offset += span
-        for index in np.nonzero(lengths < n_max)[0]:
-            length = lengths[index]
-            time_matrix[index, length:] = time_matrix[index, length - 1]
-            volt_matrix[index, length:] = volt_matrix[index, length - 1]
-
-    if np.any(quarantined):
-        # A quarantined row must read as "no measurement": non-finite rows
-        # are NaN already, but an exhausted (never-completing) row can still
-        # have crossed the 50% threshold and would otherwise yield a
-        # plausible-looking delay.  Poison them all uniformly.
-        volt_matrix[quarantined] = np.nan
-
-    # The input ramps, sampled on the same per-condition time axes with the
-    # exact expression of RampStimulus.voltage.
-    fraction = np.clip(time_matrix / sin[:, np.newaxis], 0.0, 1.0)
-    vin_matrix = vdd[:, np.newaxis] * _input_level(fraction, table.falling)
-
-    input_batch = WaveformBatch(time_matrix, vin_matrix, valid_len=lengths)
-    output_batch = WaveformBatch(time_matrix, volt_matrix, valid_len=lengths)
+    delays, slews = crossings.timing(
+        _input_crossings(sin, vdd, table.falling, ramp_steps))
+    # A quarantined row reads as "no measurement": an exhausted row may
+    # still have crossed its thresholds, so every one is NaN.
+    delays[quarantined] = np.nan
+    slews[quarantined] = np.nan
     return BatchTransientResult(
-        input_waveforms=input_batch,
-        output_waveforms=output_batch,
         sin=sin,
         cload=cload,
         vdd=vdd,
+        delays=delays,
+        slews=slews,
         quarantined=quarantined if on_failure == "quarantine" else None,
         stats=stats,
     )

@@ -15,8 +15,10 @@ library characterization needs:
 
 All measurements are vectorized: a :class:`Waveform` measures every seed in
 one array pass, and a :class:`WaveformBatch` measures a whole
-``(n_conditions, n_seeds)`` sweep at once (the extraction side of the batched
-transient engine in :mod:`repro.spice.batch`).
+``(n_conditions, n_seeds)`` sweep at once (the extraction side of the
+adaptive engine in :mod:`repro.spice.adaptive`; the fixed-step engine in
+:mod:`repro.spice.batch` applies the same crossing arithmetic inside its
+step loop and stores no waveform).
 
 **Dense output.**  The adaptive engine (:mod:`repro.spice.adaptive`) samples
 each condition on its own *non-uniform* grid whose spacing tracks the local

@@ -7,7 +7,8 @@ STA/SSTA.  The parity tests and the speedup benchmarks compare those paths
 against the simple implementations kept here, one small module per stage:
 
 * :mod:`oracles.transient` -- condition-by-condition integration through
-  :func:`repro.spice.simulate_arc_transition`;
+  :func:`repro.spice.simulate_arc_transition`, and the recording batched
+  engine that stored every sample and measured afterwards;
 * :mod:`oracles.library` -- one sweep and two MAP solves per arc;
 * :mod:`oracles.map` -- one scipy trust-region MAP solve per seed;
 * :mod:`oracles.historical` -- one sweep plus one least-squares fit per arc;

@@ -11,6 +11,10 @@ simulation-cache keys, and the runtime engine/tolerance configuration knobs.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,8 @@ from repro.spice import (
     sweep_conditions,
 )
 from repro.spice import transient as serial_engine
+from repro.spice.adaptive import _C2, _C3, _C4, _C5, _C6
+from repro.spice.batch import _input_level, _past_ramp_input
 from repro.spice.stepper import resolve_stepper
 from repro.spice.testbench import SimulationCache
 
@@ -89,6 +95,29 @@ class TestAccuracyParity:
                                                   [0.9])
         assert np.array_equal(single.delay(), batch.delay()[0])
         assert np.array_equal(single.output_slew(), batch.output_slew()[0])
+
+
+class TestPastRampShortcut:
+    @pytest.mark.parametrize("falling", [True, False, "mixed"])
+    def test_past_ramp_input_equals_every_stage_value(self, falling):
+        # Once no active row is on its ramp, the adaptive rhs takes its
+        # input from _past_ramp_input instead of forming it per stage; every
+        # stage time t + c*h with t >= sin must give the same bits.
+        rng = np.random.default_rng(7)
+        n_rows = 64
+        ramp = rng.uniform(1e-12, 3e-11, n_rows)
+        supply = rng.uniform(0.5, 1.2, n_rows)
+        flags = (rng.random(n_rows) < 0.5 if falling == "mixed"
+                 else falling)
+        t = ramp * rng.choice([1.0, 1.0 + 1e-16, 1.5, 40.0], n_rows)
+        h = ramp * rng.uniform(0.0, 8.0, n_rows)
+        constant = _past_ramp_input(supply, flags)
+        for c_frac in (_C2, _C3, _C4, _C5, _C6, 1.0):
+            fraction = np.clip((t + c_frac * h) / ramp, 0.0, 1.0)
+            per_stage = supply * _input_level(fraction, flags)
+            assert np.array_equal(per_stage, constant)
+            assert np.array_equal(supply[:, np.newaxis] - per_stage[:, np.newaxis],
+                                  supply[:, np.newaxis] - constant[:, np.newaxis])
 
 
 class TestIntegrationStats:
@@ -356,6 +385,42 @@ class TestRuntimeKnobs:
         assert resolve_stepper("adaptive").rtol == StepperSpec().rtol
         with pytest.raises(ValueError, match="transient_rtol"):
             runtime.configure(transient_rtol=-1.0)
+
+    @pytest.mark.parametrize("value", [1.0, 5.0, float("inf"), float("nan")])
+    def test_tolerances_outside_the_stepper_range_rejected(self, value):
+        # StepperSpec takes both tolerances in (0, 1) only; configure must
+        # not accept a value every default adaptive flow would then fail on.
+        config = runtime.runtime_config()
+        before = (config.transient_rtol, config.transient_atol_frac)
+        for knob in ("transient_rtol", "transient_atol_frac"):
+            with pytest.raises(ValueError, match=knob):
+                runtime.configure(**{knob: value})
+        assert (config.transient_rtol, config.transient_atol_frac) == before
+
+    def test_out_of_range_env_tolerance_is_ignored(self, tmp_path):
+        # A seed configure rejects is ignored like any other, so a default
+        # adaptive flow keeps the engine's own tolerance.
+        script = (
+            "import repro.runtime as runtime\n"
+            "from repro import get_technology, make_cell, sweep_conditions\n"
+            "from repro.spice.stepper import resolve_stepper\n"
+            "spec = resolve_stepper()\n"
+            "(result,) = sweep_conditions(make_cell('INV_X1'),\n"
+            "    get_technology('n28_bulk'), [(5e-12, 2e-15, 0.9)])\n"
+            "print(runtime.runtime_config().transient_rtol, spec.method,\n"
+            "      spec.rtol, result.delay.size)\n"
+        )
+        env = dict(os.environ, REPRO_TRANSIENT_ENGINE="adaptive",
+                   REPRO_TRANSIENT_RTOL="2", REPRO_TRANSIENT_ATOL="inf")
+        env.pop("REPRO_DISK_CACHE", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             cwd=tmp_path, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["None", "rk45", str(StepperSpec().rtol),
+                                      "1"]
 
     def test_loose_tolerance_costs_fewer_evaluations(self, tech28, inv_cell):
         inverter = reduce_cell(inv_cell, tech28)

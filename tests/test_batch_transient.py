@@ -4,17 +4,21 @@ Covers equivalence with the condition-by-condition oracle
 (:mod:`oracles.transient`, built on :func:`simulate_arc_transition`) over a
 grid of conditions, seeds and both transition polarities, the
 window-extension path, the non-functional
-``RuntimeError`` branch, ``WaveformBatch`` measurements, and the simulation /
-reduction caches.
+``RuntimeError`` branch, the engine's per-row memory estimate,
+``WaveformBatch`` measurements, and the simulation / reduction caches.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles.transient import serial_sweep, serial_transitions
 
+from repro import make_cell
 from repro.cells import Transition, clear_reduction_cache, reduce_cell, reduce_cell_cached
+from repro.characterization.input_space import InputSpace
 from repro.spice import (
     RampStimulus,
     SimulationCounter,
@@ -26,6 +30,7 @@ from repro.spice import (
     sweep_conditions,
 )
 from repro.spice import transient as serial_engine
+from repro.spice.batch import transient_item_bytes
 
 #: Mixed grid spanning slews, loads and supplies (including a slow low-Vdd
 #: corner so conditions retire from the active set at different times).
@@ -74,12 +79,12 @@ class TestBatchedSerialEquivalence:
         inverter = reduce_cell(inv_cell, tech14)
         sin, cload, vdd = (np.array(axis) for axis in zip(*GRID[:3]))
         batch = simulate_arc_transitions(inverter, sin, cload, vdd)
-        single = batch.condition(1)
         reference = simulate_arc_transition(inverter, sin=float(sin[1]),
                                             cload=float(cload[1]),
                                             vdd=float(vdd[1]))
-        np.testing.assert_allclose(single.delay(), reference.delay(), rtol=1e-9)
-        np.testing.assert_allclose(single.output_slew(),
+        np.testing.assert_allclose(batch.delay()[1], reference.delay(),
+                                   rtol=1e-9)
+        np.testing.assert_allclose(batch.output_slew()[1],
                                    reference.output_slew(), rtol=1e-9)
 
     def test_input_validation(self, tech14, inv_cell):
@@ -129,10 +134,14 @@ class TestWindowExtension:
         inverter = reduce_cell(inv_cell, tech28)
         sin, cload, vdd = (np.array(axis) for axis in zip(*GRID))
         batch = simulate_arc_transitions(inverter, sin, cload, vdd)
-        lengths = batch.output_waveforms.valid_len
-        # With a mixed grid and a tight window, at least one condition needs
-        # more chunks than another (the active set actually shrank).
-        assert lengths.max() > lengths.min()
+        alone = [simulate_arc_transitions(inverter, [s], [c], [v]).stats
+                 for s, c, v in GRID]
+        # Each row is charged the steps it took before it retired, and with
+        # a mixed grid and a tight window at least one condition needs more
+        # chunks than another (the active set actually shrank).
+        assert batch.stats.steps_taken == sum(s.steps_taken for s in alone)
+        assert (max(s.steps_taken for s in alone)
+                > min(s.steps_taken for s in alone))
 
     def test_non_functional_condition_raises(self, tech28, inv_cell,
                                              monkeypatch):
@@ -152,6 +161,41 @@ class TestWindowExtension:
         inverter = reduce_cell(inv_cell, tech28)
         with pytest.raises(RuntimeError, match="cload=4e-15"):
             simulate_arc_transitions(inverter, [5e-12], [4e-15], [0.7])
+
+
+class TestFootprint:
+    @pytest.mark.parametrize("n_seeds", [1, 32, 200])
+    def test_item_bytes_cover_the_measured_peak(self, tech28, n_seeds):
+        # A mixed row table (INV/NAND2/NOR2, both polarities, 4 conditions
+        # each): the per-row estimate the plan tiles by must cover the
+        # engine's traced peak, and by no more than twice.
+        variation = (tech28.variation.sample(n_seeds, rng=3)
+                     if n_seeds > 1 else None)
+        reductions = [
+            reduce_cell(cell, tech28, arc=cell.arc(cell.input_pins[0], tr),
+                        variation=variation)
+            for cell in map(make_cell, ("INV_X1", "NAND2_X1", "NOR2_X1"))
+            for tr in (Transition.FALL, Transition.RISE)]
+        conditions = InputSpace(tech28).sample_lhs(
+            4 * len(reductions), np.random.default_rng(3))
+        rows = [reductions[index % len(reductions)]
+                for index in range(len(conditions))]
+        sin, cload, vdd = (np.array(axis) for axis in zip(
+            *(condition.as_tuple() for condition in conditions)))
+        simulate_arc_transitions(rows[:2], sin[:2], cload[:2], vdd[:2])
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_arc_transitions(rows, sin, cload, vdd)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        estimate = len(rows) * transient_item_bytes(n_seeds)
+        assert peak <= estimate <= 2 * peak, (peak, estimate)
 
 
 class TestWaveformBatch:

@@ -23,11 +23,12 @@ import repro.runtime as runtime
 from repro import get_technology, make_cell
 from repro.cells.equivalent_inverter import default_arc
 from repro.characterization.input_space import InputSpace
+from repro.core import simulation_plan
 from repro.core.simulation_plan import SimulationPlan
 from repro.runtime.accounting import RunLedger
 from repro.runtime.executor import get_executor
-from repro.spice.batch import transient_item_bytes
-from repro.spice.stepper import StepperSpec
+from repro.spice.batch import BatchTransientResult, transient_item_bytes
+from repro.spice.stepper import IntegrationStats, StepperSpec
 from repro.spice.sweep import sweep_conditions
 from repro.spice.testbench import SimulationCounter, get_simulation_cache
 
@@ -54,8 +55,8 @@ def _conditions(technology, n, seed=5):
 
 
 def test_plan_tiles_are_sized_from_the_stepper(tech28, cold_cache):
-    # 1600-step rows cost four times the 400-step estimate; a budget of two
-    # such rows must split six rows into three tiles.
+    # 1600-step rows cost more than 400-step ones; a budget of two such
+    # rows must split six rows into three tiles.
     cell = make_cell("INV_X1")
     stepper = StepperSpec("rk4", n_steps=1600)
     variation = tech28.variation.sample(8, rng=3)
@@ -67,6 +68,54 @@ def test_plan_tiles_are_sized_from_the_stepper(tech28, cold_cache):
                   max_bytes=2 * transient_item_bytes(8, 1600))
     plan.finalize()
     assert ledger.stages()["test:integrate"]["calls"] == 3
+
+
+@pytest.fixture
+def tile_sizes(monkeypatch):
+    """Rows per fixed-step engine call, with the integration stubbed out."""
+    sizes = []
+
+    def engine(inverters, sin, cload, vdd, n_steps, on_failure):
+        sizes.append(len(sin))
+        n_seeds = max(np.size(inverters[0].parasitic_cap), 1)
+        zeros = np.zeros((len(sin), n_seeds))
+        return BatchTransientResult(sin, cload, vdd, zeros, zeros.copy(),
+                                    stats=IntegrationStats())
+
+    monkeypatch.setattr(simulation_plan, "simulate_arc_transitions", engine)
+    return sizes
+
+
+def test_default_budget_library_pass_is_one_tile(tech28, tile_sizes):
+    # The size of the benchmark's library pass: 160 rows at 200 seeds
+    # (seven tiles under the recording engine's 2.57 MB per-row estimate).
+    assert runtime.runtime_config().max_bytes is None
+    variation = tech28.variation.sample(200, rng=1)
+    plan = SimulationPlan(tech28, variation=variation, cache=False,
+                          stepper=StepperSpec("rk4"))
+    conditions = _conditions(tech28, 20)
+    for name in ("INV_X1", "INV_X2", "NAND2_X1", "AOI21_X1"):
+        cell = make_cell(name)
+        for transition in ("fall", "rise"):
+            plan.add_job(cell, cell.arc(cell.input_pins[0], transition),
+                         conditions)
+    ledger = RunLedger()
+    plan.record_metrics(ledger)
+    assert ledger.metrics()["fused_rows_simulated"] == 160
+    plan.simulate(get_executor("serial"), ledger)
+    assert tile_sizes == [160]
+
+
+@pytest.mark.parametrize("n_conditions, n_seeds", [(25, 300), (60, 120)])
+def test_default_budget_sweep_is_one_tile(tech28, tile_sizes, n_conditions,
+                                          n_seeds):
+    # The sweep sizes of the statistical example and fig9's baseline (two
+    # tiles each under the recording engine's estimate).
+    variation = tech28.variation.sample(n_seeds, rng=2)
+    sweep_conditions(make_cell("NAND2_X1"), tech28,
+                     _conditions(tech28, n_conditions), variation=variation,
+                     engine="batched", cache=False)
+    assert tile_sizes == [n_conditions]
 
 
 @pytest.mark.parametrize("engine", ["batched", "adaptive"])
