@@ -132,7 +132,9 @@ def simulate_rows_job(payload: tuple):
                 inverters, triples[:, 0], triples[:, 1], triples[:, 2],
                 n_steps=stepper.n_steps, on_failure=on_failure)
         record_integration_stats(ledger, result.stats)
-    return (result.delays, result.slews, result.quarantined), ledger
+        delay = np.asarray(result.delay(), dtype=float)
+        slew = np.asarray(result.output_slew(), dtype=float)
+    return (delay, slew, result.quarantined), ledger
 
 
 class SimulationPlan:

@@ -31,11 +31,19 @@ Design notes:
   on its ramp end; the FSAL stage is then corrected by subtracting the
   Miller term (the two one-sided derivatives differ by exactly
   ``C_M dVin/dt / C_tot``), which keeps the controller blind to the kink.
-* **Single-allocation workspace.**  All stage buffers, the clamp/current
-  scratch of the fused alpha-power kernel, and the sample stores are
-  allocated once up front at ``(n_conditions, n_seeds)``; the hot loop
-  runs entirely on ``[:n_active]`` views with ``out=`` ufuncs, compacting
-  the prefix only when rows retire.
+* **Single-allocation workspace.**  All stage buffers and the
+  clamp/current scratch of the fused alpha-power kernel are allocated once
+  up front at ``(n_conditions, n_seeds)``; the hot loop runs entirely on
+  ``[:n_active]`` views with ``out=`` ufuncs, compacting the prefix only
+  when rows retire.  Accepted samples go to a log, one entry per
+  iteration, that fills the padded result matrices once the longest row
+  is known.  The supply, the clamp bounds and the kernel's array
+  parameters are held as full ``(n_conditions, n_seeds)`` matrices too: a
+  ufunc over operands of one shape runs one flat loop, where a per-row
+  column or a per-seed vector costs one inner loop per row.
+* **One Miller term per step.**  A step's on-ramp mask holds for all six
+  of its stages, so the Miller term ``C_M dVin/dt`` is formed once per
+  iteration and added at every stage.
 * **Past the ramps.**  Once no active row is on its ramp, every stage sees
   each row's final input level and no Miller term, so the derivative takes
   input columns formed once (again after each compaction) and the loop
@@ -140,14 +148,14 @@ class AdaptiveTransientResult(BatchTransientResult):
 def adaptive_item_bytes(n_seeds: int, n_steps: int = DEFAULT_STEPS) -> int:
     """Bytes one condition row is budgeted inside the adaptive engine.
 
-    The adaptive engine keeps every accepted sample -- its time, voltage
-    and dense-output derivative -- in stores that double as they fill and
-    are padded in place into the result's batches.  A row is budgeted a
-    recording of the fixed-step grid of ``n_steps``: ``ramp + tail + 1``
-    samples of one time column and four seed-wide arrays.  That is about
-    four times the measured tracemalloc peak at 50-150 accepted samples per
-    row (0.65 MB per row against 2.57 MB at 200 seeds), so a tile keeps
-    room for rows that need many more steps.
+    The adaptive engine logs every accepted sample -- its time, voltage
+    and dense-output derivative -- and fills the result's padded matrices
+    from the log.  A row is budgeted a recording of the fixed-step grid of
+    ``n_steps``: ``ramp + tail + 1`` samples of one time column and four
+    seed-wide arrays.  That is about four times the measured tracemalloc
+    peak of a mixed row table at 60-110 accepted samples per row (0.61 MB
+    per row against 2.57 MB at 200 seeds), so a tile keeps room for rows
+    that need many more steps.
     """
     ramp_steps, tail_steps = _phase_steps(n_steps)
     return 8 * (ramp_steps + 1 + tail_steps) * (4 * max(int(n_seeds), 1) + 2)
@@ -162,20 +170,26 @@ class _AlphaPowerWorkspace:
     gain, the saturation ratio -- living in three scratch matrices
     allocated once for the whole batch.  Each call operates on the
     ``[:n]`` prefix views, so the adaptive hot loop performs no
-    per-evaluation array allocation.  Per-row parameters of a row table
-    (``params`` from :func:`repro.spice.batch._fused_params`) follow the
-    active prefix through :meth:`compact`.
+    per-evaluation array allocation.  Array parameters (``params`` from
+    :func:`repro.spice.batch._fused_params`: per-seed vectors, or per-row
+    values of a row table) are broadcast to full ``(n_cond, n_seeds)``
+    matrices, which follow the active prefix through :meth:`compact`;
+    scalar parameters stay scalars.
     """
 
     def __init__(self, params: tuple, n_cond: int, n_seeds: int):
-        self._params = params
         shape = (n_cond, n_seeds)
+        self._params = tuple(
+            {key: (value if np.ndim(value) == 0 or np.shape(value) == shape
+                   else np.broadcast_to(value, shape).copy())
+             for key, value in device.items()}
+            for device in params)
         self._s1 = np.empty(shape)
         self._s2 = np.empty(shape)
         self._s3 = np.empty(shape)
 
     def compact(self, keep: np.ndarray) -> None:
-        """Keep rows ``keep`` of the per-row parameters (prefix compaction)."""
+        """Keep rows ``keep`` of the array parameters (prefix compaction)."""
         self._params = tuple(_take_params(device, keep)
                              for device in self._params)
 
@@ -277,13 +291,15 @@ def simulate_arc_transitions_adaptive(
     # ------------------------------------------------------------------
     # Per-condition run state, compacted to the active prefix [:na].
     # ------------------------------------------------------------------
+    shape = (n_cond, n_seeds)
     ids = np.arange(n_cond)
     ramp = sin.copy()
     supply = vdd.copy()
     slope_signed = _signed_slope(supply, ramp, falling)
     caps = cload[:, np.newaxis] + table.parasitic
-    clamp_low = (-0.2 * supply)[:, np.newaxis].copy()
-    clamp_high = (1.2 * supply)[:, np.newaxis].copy()
+    supply_full = np.broadcast_to(supply[:, np.newaxis], shape).copy()
+    clamp_low = np.broadcast_to((-0.2 * supply)[:, np.newaxis], shape).copy()
+    clamp_high = np.broadcast_to((1.2 * supply)[:, np.newaxis], shape).copy()
     tmax = sin + horizon
     atol = stepper.atol_frac * supply
     h_floor = _H_UNDERFLOW_FRACTION * tmax
@@ -295,9 +311,8 @@ def simulate_arc_transitions_adaptive(
                         (n_cond, n_seeds)).copy()
 
     # ------------------------------------------------------------------
-    # Single-allocation workspace: stage buffers, scratch, sample stores.
+    # Single-allocation workspace: stage buffers, scratch, the sample log.
     # ------------------------------------------------------------------
-    shape = (n_cond, n_seeds)
     k = [np.empty(shape) for _ in range(7)]
     ystage = np.empty(shape)
     ynew = np.empty(shape)
@@ -306,11 +321,13 @@ def simulate_arc_transitions_adaptive(
     pull_down = np.empty(shape)
     pull_up = np.empty(shape)
     tmp = np.empty(shape)
+    kick = np.empty(shape)
 
-    capacity = 64
-    time_store = np.zeros((n_cond, capacity))
-    volt_store = np.empty((n_cond, capacity, n_seeds))
-    deriv_store = np.empty((n_cond, capacity, n_seeds))
+    # Accepted samples, one entry per iteration: the rows' original
+    # indices, their sample positions, times, voltages and dense-output
+    # derivatives.  The result's padded matrices are filled from it once
+    # the longest row is known.
+    samples = []
     counts = np.ones(n_cond, dtype=int)
     quarantined = np.zeros(n_cond, dtype=bool)
 
@@ -321,31 +338,44 @@ def simulate_arc_transitions_adaptive(
         vin_col = _past_ramp_input(supply[:na], falling)[:, np.newaxis]
         return vin_col, supply[:na, np.newaxis] - vin_col
 
-    def rhs(na: int, t_vec: np.ndarray, state: np.ndarray, out: np.ndarray,
-            on_ramp: np.ndarray, past: Optional[tuple] = None) -> np.ndarray:
-        """Derivative of the active prefix into ``out`` (no allocation).
+    def miller_term(na: int, on_ramp: np.ndarray) -> Optional[np.ndarray]:
+        """The Miller term ``C_M dVin/dt`` of a step (``None`` when zero).
 
         ``on_ramp`` is the *step-level* mask: steps never straddle a ramp
-        end, so one flag per row covers every stage time of the attempt.
-        ``past`` holds :func:`past_ramp_inputs` when no row is on its ramp:
-        every stage then sees the constant input and no Miller term.
+        end, so one term covers every stage of the attempt.
+        """
+        dvin = np.where(on_ramp, slope_signed[:na], 0.0)
+        # Adding an all-zero Miller term is exact, so it is skipped.
+        if not np.any(dvin):
+            return None
+        term = kick[:na]
+        np.multiply(miller, dvin[:, np.newaxis], out=term)
+        return term
+
+    def rhs(na: int, t_vec: np.ndarray, state: np.ndarray, out: np.ndarray,
+            term: Optional[np.ndarray], past: Optional[tuple] = None
+            ) -> np.ndarray:
+        """Derivative of the active prefix into ``out`` (no allocation).
+
+        ``term`` is the step's :func:`miller_term`.  ``past`` holds
+        :func:`past_ramp_inputs` when no row is on its ramp: every stage
+        then sees the constant input.
         """
         stats.rhs_evals += na * n_seeds
-        sup_col = supply[:na, np.newaxis]
         if past is None:
             frac = np.clip(t_vec / ramp[:na], 0.0, 1.0)
             vin = supply[:na] * _input_level(frac, falling)
-            dvin = np.where(on_ramp, slope_signed[:na], 0.0)
             vin_col = vin[:, np.newaxis]
-            vin_p = sup_col - vin_col
+            vin_p = supply[:na, np.newaxis] - vin_col
         else:
-            (vin_col, vin_p), dvin = past, None
+            vin_col, vin_p = past
         vc = vclamp[:na]
-        # np.clip's elementwise operation, without its Python-level wrapper.
+        # np.clip's elementwise result; its ufunc takes about twice as long
+        # as these two passes.
         np.maximum(state, clamp_low[:na], out=vc)
         np.minimum(vc, clamp_high[:na], out=vc)
         vdp = vds_p[:na]
-        np.subtract(sup_col, vc, out=vdp)
+        np.subtract(supply_full[:na], vc, out=vdp)
         if kernel is not None:
             kernel.currents(na, vin_col, vc, vin_p, vdp,
                             pull_down[:na], pull_up[:na])
@@ -354,17 +384,16 @@ def simulate_arc_transitions_adaptive(
             down = nmos.current(vin_col, vc)
             up = pmos.current(vin_p, vdp)
             np.subtract(up, down, out=out)
-        if dvin is not None and np.any(dvin):
-            mill = tmp[:na]
-            np.multiply(miller, dvin[:, np.newaxis], out=mill)
-            out += mill
+        if term is not None:
+            out += term
         out /= caps[:na]
         return out
 
     na = n_cond
-    rhs(na, t[:na], y[:na], k[0][:na], np.ones(na, dtype=bool))
-    volt_store[:, 0] = y
-    deriv_store[:, 0] = k[0]
+    rhs(na, t[:na], y[:na], k[0][:na],
+        miller_term(na, np.ones(na, dtype=bool)))
+    samples.append((ids.copy(), np.zeros(n_cond, dtype=int), t.copy(),
+                    y.copy(), k[0].copy()))
 
     first_failure = None  # (original index, reason) under on_failure="raise"
     past = None  # past_ramp_inputs(na) once every active row is past its ramp
@@ -379,10 +408,11 @@ def simulate_arc_transitions_adaptive(
             remaining = ramp[:na] - t[:na]
             hits_ramp_end = on_ramp & (h[:na] >= remaining)
             h_eff = np.where(on_ramp, np.minimum(h[:na], remaining), h[:na])
+            term = miller_term(na, on_ramp)
         else:
             # Past every ramp no step is clamped to a ramp end (t only
             # grows, and retirement only removes rows).
-            on_ramp = hits_ramp_end = None
+            hits_ramp_end = term = None
             h_eff = h[:na].copy()
         h_col = h_eff[:, np.newaxis]
 
@@ -397,8 +427,7 @@ def simulate_arc_transitions_adaptive(
                     acc += tmp[:na]
             acc *= h_col
             acc += y[:na]
-            rhs(na, t[:na] + c_frac * h_eff, acc, k[stage][:na], on_ramp,
-                past)
+            rhs(na, t[:na] + c_frac * h_eff, acc, k[stage][:na], term, past)
 
         # Fifth-order solution and the FSAL stage at its endpoint.
         yn = ynew[:na]
@@ -408,7 +437,7 @@ def simulate_arc_transitions_adaptive(
             yn += tmp[:na]
         yn *= h_col
         yn += y[:na]
-        rhs(na, t[:na] + h_eff, yn, k[6][:na], on_ramp, past)
+        rhs(na, t[:na] + h_eff, yn, k[6][:na], term, past)
 
         # Scaled embedded error, RMS over seeds, one scalar per condition.
         ev = ystage[:na]
@@ -459,10 +488,8 @@ def simulate_arc_transitions_adaptive(
 
         acc_idx = np.nonzero(accept)[0]
         if acc_idx.size:
-            # Every row accepted is the common case: copy slices, not gathers.
-            sel = slice(None, na) if acc_idx.size == na else acc_idx
-            y[sel] = yn[sel]
-            k[0][sel] = k[6][sel]
+            y[acc_idx] = yn[acc_idx]
+            k[0][acc_idx] = k[6][acc_idx]
             # Rows that just landed on their ramp end: the two one-sided
             # derivatives differ by exactly the Miller term, so the FSAL
             # stage is corrected in place of a fresh evaluation.  The
@@ -475,20 +502,10 @@ def simulate_arc_transitions_adaptive(
                                       * slope_signed[crossed_idx, np.newaxis]
                                       / caps[crossed_idx])
             # Commit samples under each row's original condition index.
-            if int(counts.max()) + 1 > capacity:
-                capacity *= 2
-                grown_t = np.zeros((n_cond, capacity))
-                grown_t[:, :time_store.shape[1]] = time_store
-                grown_v = np.empty((n_cond, capacity, n_seeds))
-                grown_v[:, :volt_store.shape[1]] = volt_store
-                grown_d = np.empty((n_cond, capacity, n_seeds))
-                grown_d[:, :deriv_store.shape[1]] = deriv_store
-                time_store, volt_store, deriv_store = grown_t, grown_v, grown_d
-            orig = ids[:na][sel]
+            orig = ids[:na][acc_idx]
             pos = counts[orig]
-            time_store[orig, pos] = t[:na][sel]
-            volt_store[orig, pos] = y[sel]
-            deriv_store[orig, pos] = k[0][sel]
+            samples.append((orig, pos, t[:na][acc_idx], y[acc_idx],
+                            k[0][acc_idx]))
             counts[orig] = pos + 1
 
         # Retirement: completed rows leave the batch; failed rows abort or
@@ -517,7 +534,7 @@ def simulate_arc_transitions_adaptive(
             for arr in (ids, ramp, supply, slope_signed, tmax, atol, h_floor,
                         t, h, errold, rejects):
                 arr[:new_na] = arr[:na][kidx]
-            for mat in (y, caps, clamp_low, clamp_high, k[0]):
+            for mat in (y, caps, supply_full, clamp_low, clamp_high, k[0]):
                 mat[:new_na] = mat[:na][kidx]
             if not isinstance(falling, bool):
                 falling = falling[kidx]
@@ -549,10 +566,15 @@ def simulate_arc_transitions_adaptive(
     # ------------------------------------------------------------------
     lengths = np.maximum(counts, 2)
     n_max = int(lengths.max())
-    # Views: the stores are not used again, so padding writes into them.
-    time_matrix = time_store[:, :n_max]
-    volt_matrix = volt_store[:, :n_max]
-    deriv_matrix = deriv_store[:, :n_max]
+    time_matrix = np.zeros((n_cond, n_max))
+    volt_matrix = np.empty((n_cond, n_max, n_seeds))
+    deriv_matrix = np.empty((n_cond, n_max, n_seeds))
+    for orig, pos, times, volts, derivs in samples:
+        time_matrix[orig, pos] = times
+        volt_matrix[orig, pos] = volts
+        deriv_matrix[orig, pos] = derivs
+    # Free the log before the measurements below allocate.
+    del samples
     for index in range(n_cond):
         length = int(counts[index])
         if length < 2:
@@ -581,8 +603,8 @@ def simulate_arc_transitions_adaptive(
         sin=sin,
         cload=cload,
         vdd=vdd,
-        delays=output_batch.propagation_delay(input_batch, vdd),
-        slews=output_batch.transition_time(vdd),
+        _delays=output_batch.propagation_delay(input_batch, vdd),
+        _slews=output_batch.transition_time(vdd),
         quarantined=quarantined if on_failure == "quarantine" else None,
         stats=stats,
         input_waveforms=input_batch,

@@ -43,13 +43,15 @@ Design notes:
   step, each trace's next output threshold (80/50/20 % of the supply for a
   falling output, 20/50/80 % for a rising one) is tested against the new
   sample; a trace that reaches it records the crossing time from the two
-  consecutive samples with the linear interpolation
+  consecutive samples with the chord interpolation
   :meth:`~repro.spice.waveform.WaveformBatch.crossing_time` applies to a
-  stored waveform.  The 50 % input crossing comes from the ramp chunk's
-  samples, so delays and slews equal a post-hoc measurement of the full
-  waveforms bit for bit (``tests/oracles/transient.py`` keeps that
-  recording engine as the reference).  Memory per row is a few
-  ``(n_seeds,)`` buffers instead of one per step (:func:`transient_item_bytes`).
+  stored waveform (one shared helper,
+  :func:`~repro.spice.waveform._interpolate_crossing`).  The 50 % input
+  crossing comes from the ramp chunk's samples, so delays and slews equal
+  a post-hoc measurement of the full waveforms bit for bit
+  (``tests/oracles/transient.py`` keeps that recording engine as the
+  reference).  Memory per row is a few ``(n_seeds,)`` buffers instead of
+  one per step (:func:`transient_item_bytes`).
 * **Active-set retirement.**  The completion check runs per row; the rows
   that finish are retired from the derivative evaluation while the
   geometric window extension continues only for the stragglers, so one slow
@@ -77,6 +79,7 @@ from repro.spice.waveform import (
     SLEW_HIGH_THRESHOLD,
     SLEW_LOW_THRESHOLD,
     WaveformBatch,
+    _interpolate_crossing,
 )
 
 SITE_INTEGRATE = faultinject.register_fault_site(
@@ -91,21 +94,20 @@ SITE_STATE = faultinject.register_fault_site(
 class BatchTransientResult:
     """Delays and slews of a batched multi-condition arc simulation.
 
+    :meth:`delay` and :meth:`output_slew` return the measurements, each of
+    shape ``(n_conditions, n_seeds)``, in seconds (NaN on quarantined rows).
+
     Attributes
     ----------
     sin, cload, vdd:
         The simulated conditions, each of shape ``(n_conditions,)``.
-    delays, slews:
-        50 %-to-50 % propagation delay and derated 20 %-80 % output slew,
-        each of shape ``(n_conditions, n_seeds)``, in seconds (NaN on
-        quarantined rows).
     """
 
     sin: np.ndarray
     cload: np.ndarray
     vdd: np.ndarray
-    delays: np.ndarray
-    slews: np.ndarray
+    _delays: np.ndarray
+    _slews: np.ndarray
     #: Boolean mask of shape ``(n_conditions,)`` marking rows retired by
     #: per-row quarantine (``on_failure="quarantine"``): their integration
     #: went non-finite or never completed, and their delay/slew values are
@@ -124,7 +126,7 @@ class BatchTransientResult:
     @property
     def n_seeds(self) -> int:
         """Number of Monte Carlo seeds per condition."""
-        return self.delays.shape[1]
+        return self._delays.shape[1]
 
     def quarantined_indices(self) -> np.ndarray:
         """Condition indices retired by quarantine (empty when none were)."""
@@ -134,11 +136,11 @@ class BatchTransientResult:
 
     def delay(self) -> np.ndarray:
         """Propagation delay, shape ``(n_conditions, n_seeds)``, in seconds."""
-        return self.delays
+        return self._delays
 
     def output_slew(self) -> np.ndarray:
         """Output transition time, shape ``(n_conditions, n_seeds)``, in seconds."""
-        return self.slews
+        return self._slews
 
 
 def transient_item_bytes(n_seeds: int, n_steps: int = DEFAULT_STEPS) -> int:
@@ -495,14 +497,18 @@ class _Crossings:
     threshold at a time: 80/50/20 % of the supply in turn when falling,
     20/50/80 % when rising.  ``times[k]`` holds every trace's ``k``-th
     crossing of that order (NaN until it happens).  Each crossing is
-    interpolated from the two consecutive samples bracketing it with the
-    arithmetic of :meth:`~repro.spice.waveform.WaveformBatch.crossing_time`,
-    so it equals the first crossing measured on the stored waveform.
+    interpolated from the two consecutive samples bracketing it with
+    :func:`~repro.spice.waveform._interpolate_crossing`, as
+    :meth:`~repro.spice.waveform.WaveformBatch.crossing_time` does on a
+    stored waveform, so it equals the first crossing measured there.
 
-    :meth:`watch` gathers a chunk's active rows and each trace's pending
-    threshold once; :meth:`step` then costs one comparison and one ``any``
-    per step.  A mixed-polarity chunk compares sign-flipped samples
-    (negation is exact, so ``-v >= -u`` is ``v <= u``).
+    Comparisons run on sign-flipped samples: a falling row's samples and
+    thresholds are negated, which is exact, so ``-v >= -u`` tests
+    ``v <= u`` and one comparison serves both polarities.  The sign is a
+    scalar when every row has the same polarity.  :meth:`watch` gathers a
+    chunk's active rows and each trace's pending (signed) threshold once;
+    :meth:`step` then costs one multiply, one comparison and one ``any``
+    per step.
     """
 
     def __init__(self, vdd: np.ndarray, falling, n_seeds: int):
@@ -516,74 +522,67 @@ class _Crossings:
         down = np.stack([high, mid, low, done], axis=1)
         up = np.stack([low, mid, high, done], axis=1)
         if isinstance(falling, bool):
-            self.all_levels = down if falling else up
+            self.levels = down if falling else up
+            self.signs = -1.0 if falling else 1.0
         else:
-            self.all_levels = np.where(falling[:, np.newaxis], down, up)
-        self.all_falling = falling
+            self.levels = np.where(falling[:, np.newaxis], down, up)
+            self.signs = np.where(falling, -1.0, 1.0)
+        self.falling = falling
         self.level = np.zeros((n_rows, n_seeds), dtype=np.int8)
         self.times = np.full((3, n_rows, n_seeds), np.nan)
+        # The watched chunk: its rows, their sign (a scalar or a column),
+        # each trace's signed pending threshold, and step scratch.
+        self.rows = self.sign = self.pending = self.scratch = None
+
+    def _sign_of(self, rows: np.ndarray):
+        """The sign of rows ``rows``: the shared scalar, or one per row."""
+        return self.signs if isinstance(self.signs, float) else self.signs[rows]
 
     def watch(self, idx: np.ndarray) -> None:
         """Start a chunk over the active rows ``idx``."""
         self.rows = idx
-        self.levels = self.all_levels[idx]
-        falling = self.all_falling
-        self.falling = falling if isinstance(falling, bool) else falling[idx]
-        self.pending = np.take_along_axis(self.levels, self.level[idx],
-                                          axis=1)
-        self.flag = np.empty(self.pending.shape, dtype=bool)
-        self.sign = None
-        if not isinstance(self.falling, bool):
-            self.sign = np.where(self.falling, -1.0, 1.0)[:, np.newaxis]
-            self.pending *= self.sign
-            self.flipped = np.empty(self.pending.shape)
+        sign = self._sign_of(idx)
+        self.sign = sign if np.ndim(sign) == 0 else sign[:, np.newaxis]
+        self.pending = np.take_along_axis(self.levels[idx], self.level[idx],
+                                          axis=1) * self.sign
+        self.scratch = (np.empty(self.pending.shape),
+                        np.empty(self.pending.shape, dtype=bool))
 
     def step(self, old: np.ndarray, new: np.ndarray, t_old: np.ndarray,
              t_new: np.ndarray) -> None:
         """Record every crossing between consecutive samples ``old``, ``new``."""
-        flag = self.flag
-        if self.sign is not None:
-            np.multiply(new, self.sign, out=self.flipped)
-            np.greater_equal(self.flipped, self.pending, out=flag)
-        elif self.falling:
-            np.less_equal(new, self.pending, out=flag)
-        else:
-            np.greater_equal(new, self.pending, out=flag)
+        flipped, flag = self.scratch
+        np.multiply(new, self.sign, out=flipped)
+        np.greater_equal(flipped, self.pending, out=flag)
         if not flag.any():
             return
         r, s = np.nonzero(flag)
         rows = self.rows[r]
+        sign = self._sign_of(rows)
         v0 = old[r, s]
         v1 = new[r, s]
         t0 = t_old[r]
         t1 = t_new[r]
         level = self.level[rows, s]
         while True:
-            span = v1 - v0
-            fraction = ((self.levels[r, level] - v0)
-                        / np.where(span == 0.0, 1.0, span))
-            self.times[level, rows, s] = np.where(
-                span == 0.0, t1, t0 + fraction * (t1 - t0))
+            self.times[level, rows, s] = _interpolate_crossing(
+                self.levels[rows, level], v0, v1, t0, t1)
             level = level + 1
             self.level[rows, s] = level
-            following = self.levels[r, level]
-            if self.sign is None:
-                self.pending[r, s] = following
-                more = (v1 <= following) if self.falling else (v1 >= following)
-            else:
-                self.pending[r, s] = following * self.sign[r, 0]
-                more = np.where(self.falling[r], v1 <= following,
-                                v1 >= following)
+            following = self.levels[rows, level] * sign
+            self.pending[r, s] = following
             # The same sample may pass the next threshold as well.
+            more = v1 * sign >= following
             if not more.any():
                 return
             r, s, rows, v0, v1, t0, t1, level = (
                 value[more] for value in (r, s, rows, v0, v1, t0, t1, level))
+            sign = sign if np.ndim(sign) == 0 else sign[more]
 
     def timing(self, input_crossing: np.ndarray) -> tuple:
         """``(delay, slew)`` per trace against the input's 50 % crossing."""
         first, middle, last = self.times
-        falling = self.all_falling
+        falling = self.falling
         if isinstance(falling, bool):
             low, high = (last, first) if falling else (first, last)
         else:
@@ -857,8 +856,8 @@ def simulate_arc_transitions(
         sin=sin,
         cload=cload,
         vdd=vdd,
-        delays=delays,
-        slews=slews,
+        _delays=delays,
+        _slews=slews,
         quarantined=quarantined if on_failure == "quarantine" else None,
         stats=stats,
     )

@@ -17,8 +17,9 @@ All measurements are vectorized: a :class:`Waveform` measures every seed in
 one array pass, and a :class:`WaveformBatch` measures a whole
 ``(n_conditions, n_seeds)`` sweep at once (the extraction side of the
 adaptive engine in :mod:`repro.spice.adaptive`; the fixed-step engine in
-:mod:`repro.spice.batch` applies the same crossing arithmetic inside its
-step loop and stores no waveform).
+:mod:`repro.spice.batch` applies the same chord interpolation,
+:func:`_interpolate_crossing`, inside its step loop and stores no
+waveform).
 
 **Dense output.**  The adaptive engine (:mod:`repro.spice.adaptive`) samples
 each condition on its own *non-uniform* grid whose spacing tracks the local
@@ -52,6 +53,18 @@ SLEW_DERATE = SLEW_HIGH_THRESHOLD - SLEW_LOW_THRESHOLD
 _HERMITE_BISECTIONS = 52
 
 
+def _interpolate_crossing(level, v0, v1, t0, t1):
+    """Linear crossing time of ``level`` between samples ``(t0, v0)``, ``(t1, v1)``.
+
+    The one chord interpolation of every crossing measurement: a flat
+    segment (``v1 == v0``) reads as crossing at ``t1``.  All arguments
+    broadcast.
+    """
+    span = v1 - v0
+    fraction = (level - v0) / np.where(span == 0.0, 1.0, span)
+    return np.where(span == 0.0, t1, t0 + fraction * (t1 - t0))
+
+
 def _hermite_eval(s: np.ndarray, v0: np.ndarray, v1: np.ndarray,
                   d0: np.ndarray, d1: np.ndarray, dt: np.ndarray
                   ) -> np.ndarray:
@@ -59,12 +72,14 @@ def _hermite_eval(s: np.ndarray, v0: np.ndarray, v1: np.ndarray,
 
     ``v0/v1`` are the segment endpoint values, ``d0/d1`` the endpoint time
     derivatives and ``dt`` the segment duration; all arguments broadcast.
+    ``h00`` is formed as ``1 - h01``: negation is exact, so this is the
+    rounded value of ``2 s^3 - 3 s^2 + 1`` evaluated left to right.
     """
     s2 = s * s
     s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h01 = 3.0 * s2 - 2.0 * s3
+    h00 = 1.0 - h01
     h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
     h11 = s3 - s2
     return h00 * v0 + h10 * dt * d0 + h01 * v1 + h11 * dt * d1
 
@@ -351,24 +366,33 @@ class WaveformBatch:
             direction = volts[:, -1, :] >= volts[:, 0, :]
         else:
             direction = np.full((n_conditions, n_seeds), bool(rising))
-        above = np.where(direction[:, np.newaxis, :], volts >= thr, volts <= thr)
+        # One comparison when every trace runs the same way (the usual case).
+        if direction.all():
+            above = volts >= thr
+        elif not direction.any():
+            above = volts <= thr
+        else:
+            above = np.where(direction[:, np.newaxis, :], volts >= thr,
+                             volts <= thr)
         # Ignore padded samples so they can never be the "first" crossing.
         above &= (np.arange(n_time)[np.newaxis, :]
                   < self._valid_len[:, np.newaxis])[:, :, np.newaxis]
 
-        any_above = above.any(axis=1)
-        at_start = above[:, 0, :]
-        hit = np.maximum(np.argmax(above, axis=1), 1)
+        first = np.argmax(above, axis=1)
         rows = np.arange(n_conditions)[:, np.newaxis]
         cols = np.arange(n_seeds)[np.newaxis, :]
+        # argmax reads 0 when a trace never crosses, so the sample it
+        # points at says whether any does.
+        any_above = above[rows, first, cols]
+        at_start = above[:, 0, :]
+        hit = np.maximum(first, 1)
         v0 = volts[rows, hit - 1, cols]
         v1 = volts[rows, hit, cols]
         t0 = time[rows, hit - 1]
         t1 = time[rows, hit]
         span = v1 - v0
-        fraction = (thresholds[:, np.newaxis] - v0) / np.where(span == 0.0, 1.0,
-                                                               span)
-        crossings = np.where(span == 0.0, t1, t0 + fraction * (t1 - t0))
+        crossings = _interpolate_crossing(thresholds[:, np.newaxis], v0, v1,
+                                          t0, t1)
         if self._derivative is not None:
             # Dense output: solve the bracketing segment's cubic Hermite
             # interpolant for the threshold by bisection.  The linear
@@ -382,16 +406,21 @@ class WaveformBatch:
             refine = ((span != 0.0) & ~at_start
                       & np.isfinite(d0) & np.isfinite(d1))
             dt = t1 - t0
-            f0_positive = (v0 - thr2) > 0.0
+            # The bracket starts at [0, 1] and halves every pass, so its ends
+            # are exact dyadic fractions: the midpoint 0.5 * (lo + hi) is
+            # exactly lo plus the halved width, and only lo needs keeping.
+            # ``a - b > 0`` is ``a > b`` in IEEE arithmetic, so the sign
+            # tests compare directly.
+            f0_positive = v0 > thr2
             lo = np.zeros_like(v0)
-            hi = np.ones_like(v0)
+            width = 1.0
             for _ in range(_HERMITE_BISECTIONS):
-                mid = 0.5 * (lo + hi)
-                fm = _hermite_eval(mid, v0, v1, d0, d1, dt) - thr2
-                same_side = (fm > 0.0) == f0_positive
+                width *= 0.5
+                mid = lo + width
+                same_side = ((_hermite_eval(mid, v0, v1, d0, d1, dt) > thr2)
+                             == f0_positive)
                 lo = np.where(same_side, mid, lo)
-                hi = np.where(same_side, hi, mid)
-            refined = t0 + 0.5 * (lo + hi) * dt
+            refined = t0 + (lo + 0.5 * width) * dt
             crossings = np.where(refine, refined, crossings)
         crossings = np.where(at_start, time[:, :1], crossings)
         return np.where(any_above, crossings, np.nan)

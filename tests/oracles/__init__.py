@@ -9,6 +9,8 @@ against the simple implementations kept here, one small module per stage:
 * :mod:`oracles.transient` -- condition-by-condition integration through
   :func:`repro.spice.simulate_arc_transition`, and the recording batched
   engine that stored every sample and measured afterwards;
+* :mod:`oracles.crossings` -- threshold-crossing extraction on stored
+  waveforms, linear and dense-output;
 * :mod:`oracles.library` -- one sweep and two MAP solves per arc;
 * :mod:`oracles.map` -- one scipy trust-region MAP solve per seed;
 * :mod:`oracles.historical` -- one sweep plus one least-squares fit per arc;

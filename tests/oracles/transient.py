@@ -10,9 +10,9 @@ Two references for the batched engines behind
 * :func:`recording_transitions` is the batched fixed-step engine as it was
   before it measured crossings inside its step loop: it stores every
   ``(row, step, seed)`` sample, grows the store for window extensions, and
-  extracts delay and slew afterwards through
-  :class:`~repro.spice.waveform.WaveformBatch`.  The lean engine must equal
-  it bit for bit (delays, slews, quarantine mask and step accounting).
+  extracts delay and slew afterwards with the reference measurement of
+  :mod:`oracles.crossings`.  The lean engine must equal it bit for bit
+  (delays, slews, quarantine mask and step accounting).
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from repro.spice.transient import (
     simulate_arc_transition,
 )
 from repro.spice.waveform import WaveformBatch
+
+from oracles.crossings import delay_and_slew
 
 
 def serial_transitions(inverter, conditions: Sequence[Sequence[float]],
@@ -290,7 +292,6 @@ def recording_transitions(inverter, sin, cload, vdd,
     vin_matrix = vdd[:, np.newaxis] * _input_level(fraction, table.falling)
     input_batch = WaveformBatch(time_matrix, vin_matrix, valid_len=lengths)
     output_batch = WaveformBatch(time_matrix, volt_matrix, valid_len=lengths)
-    return (output_batch.propagation_delay(input_batch, vdd),
-            output_batch.transition_time(vdd),
-            quarantined if on_failure == "quarantine" else None,
+    delay, slew = delay_and_slew(input_batch, output_batch, vdd)
+    return (delay, slew, quarantined if on_failure == "quarantine" else None,
             stats)
