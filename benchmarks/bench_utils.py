@@ -62,7 +62,7 @@ RESULTS_DIR = Path(os.environ.get("REPRO_BENCH_RESULTS_DIR", "").strip()
 #: ``REPRO_BENCH_SERVICE_CLIENTS``     concurrent serving clients (6)
 #: ``REPRO_BENCH_SERVICE_SEEDS``       seeds in the serving acceptance run (8)
 #: ``REPRO_BENCH_SERVICE_CONDITIONS``  fitting conditions per arc (2)
-#: ``REPRO_BENCH_SERVICE_MIN_SPEEDUP`` assertion floor, coalesced/naive (3.0)
+#: ``REPRO_BENCH_SERVICE_MIN_SPEEDUP`` assertion floor, median coalesced/naive (3.0)
 #: ``REPRO_BENCH_PRIORS_NODES``      historical nodes per technology star (8)
 #: ``REPRO_BENCH_PRIORS_CLASSES``    arc classes in the prior-learning fleet (50)
 #: ``REPRO_BENCH_PRIORS_MIN_SPEEDUP`` assertion floor, batched/per-graph-oracle BP (3.0)

@@ -8,29 +8,32 @@ characterizes the library once per client, serially, with every cache
 cleared in between (what N independent processes would each pay).  The
 service run submits all N requests concurrently to one
 :class:`~repro.runtime.service.CharacterizationService`, which folds them
-into one fused pass.
+into one fused pass.  The benchmark times ``PAIRS`` naive/service pairs,
+one after the other, and every pair must meet the contracts below.
 
 Contracts asserted:
 
-* coalesced throughput is at least ``REPRO_BENCH_SERVICE_MIN_SPEEDUP``
-  times the naive per-client serial baseline (default 3x),
+* the median coalesced/naive throughput ratio over the pairs is at least
+  ``REPRO_BENCH_SERVICE_MIN_SPEEDUP`` (default 3x); the median keeps one
+  scheduler hiccup on a shared host from deciding the gate,
 * every client's result is bit-identical to a solo cold run,
 * zero deadline misses under nominal load (generous deadlines),
 * overload sheds gracefully: with a shrunken queue the excess submits get
   :class:`~repro.runtime.service.ServiceOverloaded` immediately while every
   admitted request still completes.
 
-The record lands in ``BENCH_service.json``.  Knobs:
+The record, every pair included, lands in ``BENCH_service.json``.  Knobs:
 
 ``REPRO_BENCH_SERVICE_CLIENTS``      concurrent clients (6)
 ``REPRO_BENCH_SERVICE_SEEDS``        Monte Carlo seeds (8)
 ``REPRO_BENCH_SERVICE_CONDITIONS``   fitting conditions per arc (2)
-``REPRO_BENCH_SERVICE_MIN_SPEEDUP``  assertion floor, coalesced/naive (3.0)
+``REPRO_BENCH_SERVICE_MIN_SPEEDUP``  assertion floor, median coalesced/naive (3.0)
 """
 
 from __future__ import annotations
 
 import platform
+import statistics
 import sys
 import threading
 import time
@@ -54,6 +57,9 @@ from repro.runtime import RunLedger, clear_all_caches
 from repro.runtime.executor import get_executor
 from repro.runtime.service import CharacterizationService, ServiceOverloaded
 from repro.utils.rng import ensure_rng
+
+#: Naive/service pairs timed; the gate reads their median ratio.
+PAIRS = 3
 
 
 def _arcs_of(cell):
@@ -97,73 +103,90 @@ def test_service_acceptance(results_dir):
                             for arc, model in zip(arcs, models)})
         return results
 
-    # ----------------------------------------------------------------------
-    # Naive baseline: per-client serial, no sharing of any kind.
-    # ----------------------------------------------------------------------
-    naive_start = time.perf_counter()
-    for _ in range(n_clients):
+    def serve_naively():
+        """Naive baseline: per-client serial, no sharing of any kind."""
+        start = time.perf_counter()
+        for _ in range(n_clients):
+            clear_all_caches()
+            results = serve_one_client()
+        seconds = time.perf_counter() - start
         clear_all_caches()
-        reference = serve_one_client()
-    naive_seconds = time.perf_counter() - naive_start
-    clear_all_caches()
+        return results, seconds
 
-    # ----------------------------------------------------------------------
-    # Service run: N concurrent clients against one front door.
-    # ----------------------------------------------------------------------
-    outcomes = [None] * n_clients
-    errors = []
+    def serve_coalesced():
+        """N concurrent clients against one front door."""
+        outcomes = [None] * n_clients
+        errors = []
 
-    def client(slot, service, barrier):
-        try:
+        def client(slot, service, barrier):
+            try:
+                barrier.wait()
+                got = {}
+                for cell, arcs in requests:
+                    result = service.request(cell, arcs, conditions,
+                                             deadline_s=120.0)
+                    assert result.complete, \
+                        f"client {slot} got a partial result"
+                    got.update({f"{cell.name}:{name}": model
+                                for name, model
+                                in result.characterizations.items()})
+                outcomes[slot] = got
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append((slot, error))
+
+        with CharacterizationService(technology, delay_prior, slew_prior,
+                                     variation,
+                                     batch_window_s=0.05) as service:
+            barrier = threading.Barrier(n_clients + 1)
+            threads = [threading.Thread(target=client,
+                                        args=(slot, service, barrier))
+                       for slot in range(n_clients)]
+            for thread in threads:
+                thread.start()
             barrier.wait()
-            got = {}
-            for cell, arcs in requests:
-                result = service.request(cell, arcs, conditions,
-                                         deadline_s=120.0)
-                assert result.complete, f"client {slot} got a partial result"
-                got.update({f"{cell.name}:{name}": model
-                            for name, model
-                            in result.characterizations.items()})
-            outcomes[slot] = got
-        except Exception as error:  # pragma: no cover - failure path
-            errors.append((slot, error))
+            start = time.perf_counter()
+            for thread in threads:
+                thread.join(timeout=300)
+            seconds = time.perf_counter() - start
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, f"client failures: {errors}"
+            stats = service.stats()
+        return outcomes, seconds, stats
 
-    with CharacterizationService(technology, delay_prior, slew_prior,
-                                 variation, batch_window_s=0.05) as service:
-        barrier = threading.Barrier(n_clients + 1)
-        threads = [threading.Thread(target=client,
-                                    args=(slot, service, barrier))
-                   for slot in range(n_clients)]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        service_start = time.perf_counter()
-        for thread in threads:
-            thread.join(timeout=300)
-        service_seconds = time.perf_counter() - service_start
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors, f"client failures: {errors}"
-        stats = service.stats()
+    pairs, ratios, reference = [], [], None
+    for _ in range(PAIRS):
+        naive_results, naive_seconds = serve_naively()
+        if reference is None:
+            reference = naive_results
+        outcomes, service_seconds, stats = serve_coalesced()
 
-    # Bit-identical to the naive runs, no nominal deadline misses, and the
-    # overlap was actually coalesced rather than recomputed per client.
-    for slot, got in enumerate(outcomes):
-        assert got is not None
-        assert set(got) == set(reference)
-        for unit, model in got.items():
-            np.testing.assert_array_equal(model.delay_parameters,
-                                          reference[unit].delay_parameters)
-            np.testing.assert_array_equal(model.slew_parameters,
-                                          reference[unit].slew_parameters)
-    assert stats.deadline_misses == 0
-    assert stats.shed == 0
-    assert stats.coalesced_arcs > 0
+        # Bit-identical to the naive runs, no nominal deadline misses, and
+        # the overlap was actually coalesced rather than recomputed per
+        # client.
+        for got in [naive_results] + outcomes:
+            assert got is not None
+            assert set(got) == set(reference)
+            for unit, model in got.items():
+                np.testing.assert_array_equal(
+                    model.delay_parameters, reference[unit].delay_parameters)
+                np.testing.assert_array_equal(
+                    model.slew_parameters, reference[unit].slew_parameters)
+        assert stats.deadline_misses == 0
+        assert stats.shed == 0
+        assert stats.coalesced_arcs > 0
 
-    speedup = naive_seconds / service_seconds
+        ratios.append(naive_seconds / service_seconds)
+        pairs.append({"naive_seconds": round(naive_seconds, 4),
+                      "service_seconds": round(service_seconds, 4),
+                      "speedup": round(ratios[-1], 2),
+                      "batches": int(stats.batches),
+                      "coalesced_arcs": int(stats.coalesced_arcs)})
+
+    speedup = statistics.median(ratios)
     assert speedup >= min_speedup, (
-        f"coalesced serving {service_seconds:.3f}s vs naive per-client "
-        f"serial {naive_seconds:.3f}s = {speedup:.2f}x, below the "
-        f"{min_speedup:.1f}x floor")
+        f"median coalesced/naive of {PAIRS} pairs = {speedup:.2f}x, below "
+        f"the {min_speedup:.1f}x floor "
+        f"(pairs: {[pair['speedup'] for pair in pairs]})")
 
     # ----------------------------------------------------------------------
     # Overload: a shrunken queue sheds the excess, serves the admitted.
@@ -189,11 +212,13 @@ def test_service_acceptance(results_dir):
 
     print(f"\nService acceptance: {n_clients} clients x {n_arcs} arcs x "
           f"{n_seeds} seeds x {n_conditions} conditions")
-    print(f"naive per-client serial: {naive_seconds:.3f} s")
-    print(f"coalesced service      : {service_seconds:.3f} s "
-          f"({speedup:.2f}x, floor {min_speedup:.1f}x)")
-    print(f"batches {stats.batches}, coalesced arcs {stats.coalesced_arcs}, "
-          f"deadline misses {stats.deadline_misses}, "
+    for index, pair in enumerate(pairs):
+        print(f"pair {index}: naive per-client serial "
+              f"{pair['naive_seconds']:.3f} s, coalesced service "
+              f"{pair['service_seconds']:.3f} s ({pair['speedup']:.2f}x)")
+    print(f"median speedup: {speedup:.2f}x (floor {min_speedup:.1f}x)")
+    print(f"last pair: batches {stats.batches}, coalesced arcs "
+          f"{stats.coalesced_arcs}, deadline misses {stats.deadline_misses}; "
           f"overload shed {shed}/{n_clients}")
 
     payload = {
@@ -203,10 +228,13 @@ def test_service_acceptance(results_dir):
         "n_seeds": n_seeds,
         "n_conditions": n_conditions,
         "n_arcs": n_arcs,
-        "naive_seconds": round(naive_seconds, 4),
-        "service_seconds": round(service_seconds, 4),
+        "naive_seconds": statistics.median(
+            pair["naive_seconds"] for pair in pairs),
+        "service_seconds": statistics.median(
+            pair["service_seconds"] for pair in pairs),
         "coalescing_speedup": round(speedup, 2),
         "min_speedup": min_speedup,
+        "pairs": pairs,
         "batches": int(stats.batches),
         "coalesced_arcs": int(stats.coalesced_arcs),
         "deadline_misses": int(stats.deadline_misses),

@@ -89,7 +89,6 @@ from repro.core import (
     learn_class_priors,
     learn_prior,
     learn_priors,
-    map_estimate,
     map_estimate_batch,
 )
 from repro.bayes import (
@@ -156,7 +155,6 @@ __all__ = [
     "learn_priors",
     "list_technologies",
     "make_cell",
-    "map_estimate",
     "map_estimate_batch",
     "mean_relative_error",
     "nominal_baseline",

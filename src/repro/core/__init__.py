@@ -6,11 +6,10 @@
   and the input-condition-dependent model precision from historical
   technology nodes, optionally through Gaussian belief propagation
   (Section IV).
-* :mod:`repro.core.map_estimation` -- maximum-a-posteriori extraction of the
+* :mod:`repro.core.batch_map` -- maximum-a-posteriori extraction of the
   timing-model parameters from a handful of target-technology simulations
-  (Eq. 15).
-* :mod:`repro.core.batch_map` -- the seed-vectorized Levenberg-Marquardt MAP
-  solver that extracts every Monte Carlo seed's parameters at once.
+  (Eq. 15): one Levenberg-Marquardt solver, vectorized over rows, for the
+  nominal fits and for every Monte Carlo seed at once.
 * :mod:`repro.core.characterizer` -- the nominal characterization flow.
 * :mod:`repro.core.statistical_flow` -- the per-seed statistical
   characterization flow of Fig. 4.
@@ -33,7 +32,6 @@ from repro.core.prior_learning import (
     learn_prior,
     learn_priors,
 )
-from repro.core.map_estimation import MapObservations, map_estimate
 from repro.core.batch_map import (
     BatchMapObservations,
     BatchMapResult,
@@ -62,7 +60,6 @@ __all__ = [
     "HistoricalLibraryData",
     "LibraryArcCharacterization",
     "LibraryCharacterization",
-    "MapObservations",
     "NominalCharacterization",
     "SimulationPlan",
     "StatisticalCharacterization",
@@ -77,7 +74,6 @@ __all__ = [
     "learn_class_priors",
     "learn_prior",
     "learn_priors",
-    "map_estimate",
     "map_estimate_batch",
     "map_estimate_stacked",
 ]

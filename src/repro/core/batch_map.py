@@ -3,24 +3,24 @@
 The statistical flow extracts one compact-model parameter vector *per Monte
 Carlo seed* (and per response), so a 200-seed arc costs 400 independent
 four-parameter bounded least-squares problems.  Solving them one at a time
-through :func:`scipy.optimize.least_squares` pays the full Python/trust-region
-overhead 400 times over -- after the batched transient engine
-(:mod:`repro.spice.batch`) removed the simulation bottleneck, that extraction
-loop dominated the wall clock of
+with a general-purpose trust-region solver pays its full Python overhead 400
+times over -- after the batched transient engine (:mod:`repro.spice.batch`)
+removed the simulation bottleneck, that extraction loop dominated the wall
+clock of
 :meth:`repro.core.statistical_flow.StatisticalCharacterizer.characterize`.
 
 This module applies the same treatment the transient engine received:
 
 * **Analytic Jacobians.**  :meth:`CompactTimingModel.evaluate_and_jacobian`
   returns exact derivatives for a whole ``(n_seeds, 4)`` parameter matrix in
-  one broadcast, so no finite differencing (scipy's 2-point scheme costs four
+  one broadcast, so no finite differencing (a 2-point scheme costs four
   extra model evaluations per seed per iteration).
 * **Stacked whitened prior residuals.**  The Gaussian prior term of Eq. 15
   enters as four extra residual rows ``L @ (theta - mu0)`` per seed, with the
   shared whitener ``L`` from
   :meth:`repro.bayes.gaussian.GaussianDensity.whitening_matrix` -- the same
-  formulation the scalar estimator uses, so the two paths optimize literally
-  the same objective.
+  formulation as the scalar trust-region oracle, so the two optimize
+  literally the same objective.
 * **Per-seed Levenberg-Marquardt damping.**  Every seed carries its own
   damping factor, updated from its own step acceptance.
 * **Closed-form 4x4 Cholesky.**  An iteration forms only the ten unique
@@ -38,9 +38,10 @@ This module applies the same treatment the transient engine received:
   slow seeds do not keep the whole ensemble iterating.
 
 The result is ~10-40 vectorized LM iterations for a full seed batch instead
-of hundreds of scipy solves; the parity suite pins the extracted parameters
-to the per-seed scipy oracle (``tests/oracles/map.py``) at tight tolerance,
-and ``benchmarks/test_perf_map.py`` tracks the speedup in ``BENCH_map.json``.
+of hundreds of trust-region solves; the parity suite pins the extracted
+parameters to the per-seed oracle (``tests/oracles/map.py``) at tight
+tolerance, and ``benchmarks/test_perf_map.py`` tracks the speedup in
+``BENCH_map.json``.
 
 Beyond the single-arc batch, :func:`map_estimate_stacked` stacks *many* arcs'
 seed batches into one solve: every ``(arc, seed)`` pair becomes a row of one
@@ -51,7 +52,9 @@ solves are exactly the single-arc ones), so the stacked solve reproduces the
 per-arc solves bit-for-bit, in any block order and memory-budget chunking,
 while paying the interpreted per-iteration overhead once for the whole
 library instead of once per arc.  This is the extraction half of the fused
-library pipeline (:func:`repro.core.library_flow.characterize_library`).
+library pipeline (:func:`repro.core.library_flow.characterize_library`), and
+the nominal characterizer solves its delay and slew fits as one stack of two
+one-row blocks: this module is the only Eq. 15 solver.
 """
 
 from __future__ import annotations
@@ -256,10 +259,11 @@ def map_estimate_batch(
 
     Minimizes the Eq. 15 objective independently for every seed, all seeds
     advancing together through vectorized Levenberg-Marquardt iterations
-    (see the module docstring for the design).  The scalar counterpart is
-    :func:`repro.core.map_estimation.map_estimate`; the two agree to solver
-    tolerance because they share the residual formulation, the prior
-    whitener, the parameter bounds and the starting point.
+    (see the module docstring for the design); a one-block
+    :func:`map_estimate_stacked`.  The per-seed trust-region oracle
+    (``tests/oracles/map.py``) agrees to solver tolerance because it shares
+    the residual formulation, the prior whitener, the parameter bounds and
+    the starting point.
 
     Parameters
     ----------
@@ -289,17 +293,10 @@ def map_estimate_batch(
     BatchMapResult
         Parameters plus per-seed convergence reporting.
     """
-    if prior_weight <= 0.0:
-        raise ValueError("prior_weight must be positive; use fit_least_squares "
-                         "for a prior-free extraction")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
-    density = prior.density if isinstance(prior, TimingPrior) else prior
-    if density.dim != N_PARAMETERS:
-        raise ValueError(f"prior has dimension {density.dim}, expected {N_PARAMETERS}")
-    term = _PriorTerm.from_density(density, prior_weight)
-    return _chunked_solve(term, observations, model or CompactTimingModel(),
-                          max_iterations, gtol, xtol, max_bytes)
+    return map_estimate_stacked(
+        prior, [observations], model=model, prior_weight=prior_weight,
+        max_iterations=max_iterations, gtol=gtol, xtol=xtol,
+        max_bytes=max_bytes)[0]
 
 
 def map_estimate_stacked(
@@ -355,7 +352,8 @@ def map_estimate_stacked(
             raise ValueError(
                 f"got {len(priors)} priors for {len(blocks)} observation blocks")
     if prior_weight <= 0.0:
-        raise ValueError("prior_weight must be positive")
+        raise ValueError("prior_weight must be positive; use fit_least_squares "
+                         "for a prior-free extraction")
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
     k = blocks[0].k
@@ -394,11 +392,11 @@ def fit_least_squares_stacked(
     Every block's rows join one block-diagonal Levenberg-Marquardt solve of
     the plain relative-residual objective (no prior term, no precision
     weights unless a block carries ``beta``), starting from the same clipped
-    initial guess as the scipy path.  This is the extraction half of fused
-    historical-library characterization
+    initial guess as the trust-region path.  This is the extraction half of
+    fused historical-library characterization
     (:func:`repro.core.prior_learning.characterize_historical_library`):
     one solve fits every (arc, response) of a historical node instead of one
-    scipy trust-region loop per fit.  The two solvers optimize the same
+    trust-region solve per fit.  The two solvers optimize the same
     objective from the same start, so the fitted parameters agree to solver
     tolerance (~1e-6 relative; both well inside the fit's own residual
     scale).
@@ -738,8 +736,9 @@ def _chunked_solve(
 
 
 def _slice_observations(observations: BatchMapObservations,
-                        rows: slice) -> BatchMapObservations:
-    """One contiguous seed block of a batch (shared conditions stay shared)."""
+                        rows: "slice | np.ndarray") -> BatchMapObservations:
+    """A seed subset of a batch: a slice or row indices (shared conditions
+    stay shared)."""
 
     def take(value: Optional[np.ndarray]) -> Optional[np.ndarray]:
         if value is None or value.ndim == 1:
@@ -912,39 +911,29 @@ def repair_batch_result(
     result: BatchMapResult,
     observations: BatchMapObservations,
     prior: "TimingPrior | GaussianDensity",
-    model: Optional[CompactTimingModel] = None,
-    prior_weight: float = 1.0,
-    include_unconverged: bool = False,
     ledger=None,
 ) -> BatchMapResult:
-    """Per-seed fallback chain ``batched -> scipy -> prior mean``.
+    """Per-seed fallback chain ``solve -> re-solve -> prior mean``.
 
     Seeds whose solved parameter row is non-finite (a diverged or corrupted
-    batched solve) are re-solved one at a time through the scalar scipy
-    path (:func:`repro.core.map_estimation.map_estimate`); a seed the scipy
-    solver cannot rescue either falls back to the prior mean, clipped into
-    the model's parameter box and flagged unconverged.  Healthy rows are
-    returned untouched (same values, bit-identical), so a clean result
-    passes through unchanged -- the chain only ever *adds* information to
-    broken rows.
+    solve) are solved again, together, by :func:`map_estimate_batch`.  Rows
+    are independent problems, so a re-solved row equals its row of a clean
+    solve bit for bit.  A row the re-solve leaves non-finite as well falls
+    back to the solver's starting point -- the prior mean, clipped just
+    inside the model's parameter box -- flagged unconverged.  Healthy rows
+    are returned untouched, and a clean result is returned as the same
+    object, so the chain only ever *adds* information to broken rows.
 
     Parameters
     ----------
     result, observations:
-        One block's solve outcome and the observations that produced it.
+        One block's solve outcome (default model bounds and prior weight)
+        and the observations that produced it.
     prior:
-        The block's prior (supplies the scipy re-solve and the last-resort
-        mean).
-    model, prior_weight:
-        As in :func:`map_estimate_batch`.
-    include_unconverged:
-        Also re-solve finite-but-unconverged seeds.  Off by default: clean
-        runs legitimately carry a few unconverged seeds, and re-solving
-        them would break the bit-identity of non-faulted results between
-        strict and non-strict runs.
+        The block's prior (supplies the re-solve and the last-resort mean).
     ledger:
         Optional :class:`~repro.runtime.accounting.RunLedger`; repairs are
-        counted under ``map_repaired_scipy`` / ``map_repaired_prior``
+        counted under ``map_repaired_resolved`` / ``map_repaired_prior``
         (recorded only when nonzero).
 
     Returns
@@ -953,77 +942,30 @@ def repair_batch_result(
         The result with broken rows repaired; the same object when nothing
         needed repair.
     """
-    from repro.core.map_estimation import MapObservations, map_estimate
-
-    bad = ~np.all(np.isfinite(result.parameters), axis=1)
-    if include_unconverged:
-        bad = bad | ~result.converged
-    if not np.any(bad):
+    bad = np.flatnonzero(~np.all(np.isfinite(result.parameters), axis=1))
+    if bad.size == 0:
         return result
+    fields = ("parameters", "converged", "n_iterations", "cost", "residuals")
+    repaired = {name: getattr(result, name).copy() for name in fields}
 
-    model = model or CompactTimingModel()
-    lower, upper = model.bounds
-    density = prior.density if isinstance(prior, TimingPrior) else prior
-    whitener = density.scaled_covariance(
-        1.0 / prior_weight).whitening_matrix(jitter=1e-12)
-    mu0 = np.asarray(density.mean, dtype=float)
+    def put(rows: np.ndarray, part: BatchMapResult) -> None:
+        for name in fields:
+            repaired[name][rows] = getattr(part, name)
 
-    def row_of(value: Optional[np.ndarray], row: int) -> Optional[np.ndarray]:
-        if value is None or value.ndim == 1:
-            return value
-        return value[row]
-
-    parameters = result.parameters.copy()
-    converged = result.converged.copy()
-    residuals = result.residuals.copy()
-    cost = result.cost.copy()
-    via_scipy = 0
-    via_prior = 0
-    for row in np.nonzero(bad)[0]:
-        response_row = observations.response[row]
-        theta = None
-        try:
-            fit = map_estimate(
-                prior,
-                MapObservations(
-                    sin=row_of(observations.sin, row),
-                    cload=row_of(observations.cload, row),
-                    vdd=row_of(observations.vdd, row),
-                    ieff=row_of(observations.ieff, row),
-                    response=response_row,
-                    beta=row_of(observations.beta, row),
-                ),
-                model=model,
-                prior_weight=prior_weight,
-            )
-            candidate = fit.params.as_array()
-            if np.all(np.isfinite(candidate)):
-                theta = candidate
-                converged[row] = bool(fit.converged)
-                via_scipy += 1
-        except Exception:
-            theta = None
-        if theta is None:
-            theta = np.clip(mu0, lower, upper)
-            converged[row] = False
-            via_prior += 1
-        parameters[row] = theta
-        prediction = CompactTimingModel.evaluate_array(
-            theta[np.newaxis, np.newaxis, :],
-            row_of(observations.sin, row), row_of(observations.cload, row),
-            row_of(observations.vdd, row), row_of(observations.ieff, row))[0]
-        residuals[row] = (prediction - response_row) / response_row
-        beta_row = row_of(observations.beta, row)
-        weight = (np.sqrt(beta_row) if beta_row is not None
-                  else 1.0) / response_row
-        data = (prediction - response_row) * weight
-        prior_res = whitener @ (theta - mu0)
-        cost[row] = float(data @ data + prior_res @ prior_res)
-
+    resolved = map_estimate_batch(prior, _slice_observations(observations, bad))
+    put(bad, resolved)
+    stuck = bad[~np.all(np.isfinite(resolved.parameters), axis=1)]
+    if stuck.size:
+        # A zero-iteration pass: the starting point, with its cost and
+        # residuals evaluated exactly as the solver evaluates them.
+        density = prior.density if isinstance(prior, TimingPrior) else prior
+        put(stuck, _solve_seed_block(
+            _PriorTerm.from_density(density, 1.0),
+            _slice_observations(observations, stuck), CompactTimingModel(),
+            max_iterations=0, gtol=0.0, xtol=0.0))
     if ledger is not None:
-        if via_scipy:
-            ledger.add_metric("map_repaired_scipy", via_scipy)
-        if via_prior:
-            ledger.add_metric("map_repaired_prior", via_prior)
-    return replace(result, parameters=parameters, converged=converged,
-                   residuals=residuals, cost=cost)
+        if bad.size > stuck.size:
+            ledger.add_metric("map_repaired_resolved", int(bad.size - stuck.size))
+        if stuck.size:
+            ledger.add_metric("map_repaired_prior", int(stuck.size))
+    return replace(result, **repaired)

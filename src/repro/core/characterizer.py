@@ -26,7 +26,7 @@ from repro.characterization.input_space import (
     InputSpace,
     conditions_to_arrays,
 )
-from repro.core.map_estimation import MapObservations, map_estimate
+from repro.core.batch_map import BatchMapObservations, map_estimate_stacked
 from repro.core.prior_learning import TimingPrior
 from repro.core.timing_model import CompactTimingModel, FitResult
 from repro.spice.sweep import sweep_conditions
@@ -153,21 +153,22 @@ class BayesianCharacterizer:
         slews = np.array([m.nominal_slew() for m in measurements])
         unit = self._space.normalize(conditions)
 
-        delay_obs = MapObservations(
-            sin=sin, cload=cload, vdd=vdd, ieff=ieff, response=delays,
-            beta=self._delay_prior.precision_model.beta(unit))
-        slew_obs = MapObservations(
-            sin=sin, cload=cload, vdd=vdd, ieff=ieff, response=slews,
-            beta=self._slew_prior.precision_model.beta(unit))
-
-        delay_fit = map_estimate(self._delay_prior, delay_obs, model=self._model)
-        slew_fit = map_estimate(self._slew_prior, slew_obs, model=self._model)
+        # Delay and slew are two one-row blocks of one stacked MAP solve,
+        # each under its own prior; rows never interact, so each fit is
+        # exactly its solo solve.
+        priors = (self._delay_prior, self._slew_prior)
+        delay, slew = map_estimate_stacked(priors, [
+            BatchMapObservations(sin=sin, cload=cload, vdd=vdd, ieff=ieff,
+                                 response=response[np.newaxis],
+                                 beta=prior.precision_model.beta(unit))
+            for prior, response in zip(priors, (delays, slews))],
+            model=self._model)
 
         self._result = NominalCharacterization(
             cell_name=self._cell.name,
             arc_name=self._arc.name,
-            delay_fit=delay_fit,
-            slew_fit=slew_fit,
+            delay_fit=delay.fit_result(0),
+            slew_fit=slew.fit_result(0),
             fitting_conditions=tuple(conditions),
             simulation_runs=len(conditions),
         )

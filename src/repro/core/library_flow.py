@@ -462,8 +462,8 @@ def characterize_fused_jobs(
                 + sum(int(result.n_iterations.sum())
                       for result in slew_results.values())))
     if not strict:
-        # Corrupted-solve fallback chain (batched -> scipy -> prior
-        # mean, per seed row).  A clean result passes through as the
+        # Corrupted-solve fallback chain (solve -> re-solve of the broken
+        # seed rows -> prior mean).  A clean result passes through as the
         # same object, so nothing here perturbs the fault-free path.
         for job in sorted(delay_results):
             cell, arc = jobs[job]
@@ -480,8 +480,9 @@ def characterize_fused_jobs(
                     failures.append(FailureReport(
                         unit=f"{cell.name}:{arc.name}", stage="extract",
                         error=(f"{response} solve produced {broken} "
-                               f"non-finite seed rows; repaired via the "
-                               f"scipy/prior fallback chain"),
+                               f"non-finite seed rows; repaired by "
+                               f"re-solving them (prior mean where the "
+                               f"re-solve failed too)"),
                         error_type="RepairedSolve"))
     characterizations: List[Optional[StatisticalCharacterization]] = []
     for job, (cell, arc) in enumerate(jobs):
@@ -576,9 +577,9 @@ def characterize_library(
         ``True`` (the default, also via ``REPRO_STRICT``) fails fast on the
         first broken arc, exactly the pre-resilience behavior.  ``False``
         degrades gracefully: broken simulation rows are quarantined, arcs
-        re-fit on their surviving conditions, corrupted solves run the
-        scipy/prior repair chain, and arcs that still fail are dropped --
-        every degradation lands as a
+        re-fit on their surviving conditions, corrupted solves re-solve
+        their broken seed rows (falling back to the prior mean), and arcs
+        that still fail are dropped -- every degradation lands as a
         :class:`~repro.runtime.resilience.FailureReport` on the result's
         ``failures`` and the ledger.  Non-faulted arcs are bit-identical
         between the two modes.

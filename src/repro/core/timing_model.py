@@ -263,7 +263,7 @@ def fit_least_squares(
     Relative residuals are minimized, so small and large responses are
     weighted evenly across the input space.  This is the "Proposed Model +
     LSE" baseline of the paper's Figs. 6 and 8; the MAP estimator in
-    :mod:`repro.core.map_estimation` adds the prior and precision terms.
+    :mod:`repro.core.batch_map` adds the prior and precision terms.
 
     Parameters
     ----------

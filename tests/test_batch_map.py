@@ -1,8 +1,9 @@
 """Tests for the batched seed-parallel MAP solver (repro.core.batch_map).
 
 The contract under test: `map_estimate_batch` minimizes exactly the Eq. 15
-objective of the scalar `map_estimate`, seed by seed, so it must agree with
-the per-seed oracle (:func:`oracles.map.map_estimate_per_seed`) to solver
+objective of the scalar scipy solve (:func:`oracles.map.map_estimate`), seed
+by seed, so it must agree with the per-seed oracle
+(:func:`oracles.map.map_estimate_per_seed`) to solver
 tolerance across parameter regimes (interior optima, bound-active optima,
 strong/weak priors) for both responses and output polarities -- while doing
 the whole seed batch in a handful of vectorized LM iterations.

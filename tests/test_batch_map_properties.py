@@ -3,10 +3,12 @@
 Rows of a stacked solve never interact: every block of any subset, order
 and memory-budget chunking of a stack must get, bit for bit, the result of
 that block solved alone -- under one shared prior, under per-block priors
-and prior-free.  One level down, the closed-form 4x4 Cholesky that solves
-each row's damped normal system must match a dense ``np.linalg.solve``,
-reject (never NaN) systems it cannot factor, and keep rank-deficient
-prior-free fits finite.
+and prior-free.  Within a block, any subset of its rows solved again
+reproduces exactly those rows of the whole solve, which is what the
+repair of non-finite seed rows relies on.  One level down, the
+closed-form 4x4 Cholesky that solves each row's damped normal system must
+match a dense ``np.linalg.solve``, reject (never NaN) systems it cannot
+factor, and keep rank-deficient prior-free fits finite.
 
 Hypothesis runs derandomized with no example database, so Tier-1 stays
 deterministic.
@@ -24,6 +26,7 @@ from repro.core.batch_map import (
     BatchMapObservations,
     _UPPER,
     _cholesky_solve,
+    _slice_observations,
     fit_least_squares_stacked,
     map_estimate_batch,
     map_estimate_stacked,
@@ -44,6 +47,8 @@ TRUTH = np.array([0.45, 1.2, -0.2, 0.12])
 BLOCK_SEEDS = (1, 3, 2, 5, 1, 4)
 RESULT_FIELDS = ("parameters", "converged", "n_iterations", "cost",
                  "residuals")
+#: Seeds per block in the row-subset re-solves.
+SUBSET_SEEDS = 9
 
 
 def _block(index: int, n_seeds: int) -> BatchMapObservations:
@@ -113,6 +118,32 @@ def test_every_block_matches_its_solo_solve(solo, mode, subset, max_bytes):
         for field in RESULT_FIELDS:
             assert np.array_equal(getattr(result, field),
                                   getattr(reference, field)), (index, field)
+
+
+@pytest.fixture(scope="module")
+def whole():
+    """One block of each layout with its own prior, solved whole."""
+    blocks = [_block(index, SUBSET_SEEDS) for index in range(6)]
+    priors = [_prior(index) for index in range(len(blocks))]
+    return blocks, priors, [map_estimate_batch(prior, block)
+                            for prior, block in zip(priors, blocks)]
+
+
+@PROPERTY
+@given(index=st.integers(0, 5),
+       rows=st.lists(st.integers(0, SUBSET_SEEDS - 1), min_size=1,
+                     max_size=SUBSET_SEEDS, unique=True),
+       max_bytes=st.one_of(st.none(), st.integers(1, 20_000)))
+def test_row_subset_resolve_matches_whole_solve(whole, index, rows,
+                                                max_bytes):
+    blocks, priors, results = whole
+    rows = np.array(rows)
+    result = map_estimate_batch(priors[index],
+                                _slice_observations(blocks[index], rows),
+                                max_bytes=max_bytes)
+    for field in RESULT_FIELDS:
+        assert np.array_equal(getattr(result, field),
+                              getattr(results[index], field)[rows]), field
 
 
 def test_solo_solves_converge(solo):

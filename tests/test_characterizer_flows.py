@@ -86,6 +86,46 @@ class TestBayesianCharacterizer:
         assert 0.0 <= params.cpar_ff < 10.0
         assert -0.6 < params.vprime_v < 0.5
 
+    def test_fits_are_solo_batched_solves(self, tech14, nor2_cell,
+                                          delay_prior, slew_prior):
+        """Delay and slew share one stacked solve, yet each fit is exactly
+        its one-row ``map_estimate_batch`` solve, and agrees with the
+        scipy oracle to solver tolerance."""
+        from oracles.map import MapObservations, map_estimate
+
+        from repro.cells.equivalent_inverter import reduce_cell_cached
+        from repro.characterization.input_space import conditions_to_arrays
+        from repro.core.batch_map import BatchMapObservations, map_estimate_batch
+        from repro.spice.sweep import sweep_conditions
+
+        flow = BayesianCharacterizer(tech14, nor2_cell, delay_prior, slew_prior)
+        result = flow.fit(3, rng=8)
+        conditions = list(result.fitting_conditions)
+        measurements = sweep_conditions(
+            nor2_cell, tech14, [c.as_tuple() for c in conditions], arc=flow.arc)
+        sin, cload, vdd = conditions_to_arrays(conditions)
+        ieff = np.asarray(reduce_cell_cached(nor2_cell, tech14, arc=flow.arc)
+                          .effective_current(vdd), dtype=float).reshape(-1)
+        unit = InputSpace(tech14).normalize(conditions)
+        for prior, fit, response in (
+                (delay_prior, result.delay_fit,
+                 [m.nominal_delay() for m in measurements]),
+                (slew_prior, result.slew_fit,
+                 [m.nominal_slew() for m in measurements])):
+            beta = prior.precision_model.beta(unit)
+            solo = map_estimate_batch(prior, BatchMapObservations(
+                sin=sin, cload=cload, vdd=vdd, ieff=ieff,
+                response=np.array([response]), beta=beta))
+            assert np.array_equal(fit.params.as_array(), solo.parameters[0])
+            assert np.array_equal(fit.residuals, solo.residuals[0])
+            assert fit.converged
+            oracle = map_estimate(prior, MapObservations(
+                sin=sin, cload=cload, vdd=vdd, ieff=ieff, response=response,
+                beta=beta), ftol=1e-13, xtol=1e-13, gtol=1e-13)
+            np.testing.assert_allclose(fit.params.as_array(),
+                                       oracle.params.as_array(),
+                                       rtol=1e-4, atol=1e-6)
+
 
 class TestStatisticalCharacterizer:
     @pytest.fixture(scope="class")

@@ -25,6 +25,7 @@ from repro.core.batch_map import (
 )
 from repro.core.library_flow import characterize_library
 from repro.core.prior_learning import characterize_historical_library
+from repro.core.timing_model import CompactTimingModel
 from repro.runtime import RunLedger, clear_all_caches
 from repro.runtime.executor import ProcessExecutor, get_executor
 from repro.runtime.faultinject import (
@@ -530,10 +531,16 @@ class TestBatchMapRepair:
             cload=np.full(5, 2e-15),
             vdd=np.full(5, 0.9),
             ieff=np.full(5, 2e-4),
-            response=np.tile(np.array([4e-11, 5e-11, 7e-11, 1.1e-10,
-                                       1.9e-10]), (4, 1)),
+            response=np.array([4e-11, 5e-11, 7e-11, 1.1e-10, 1.9e-10])
+            * np.array([[1.0], [1.03], [0.96], [1.08]]),
         )
         return observations, map_estimate_batch(delay_prior, observations)
+
+    @staticmethod
+    def poisoned(result, row):
+        parameters = result.parameters.copy()
+        parameters[row] = np.nan
+        return dataclasses.replace(result, parameters=parameters)
 
     def test_non_finite_response_named(self):
         response = np.ones((2, 4)) * 1e-11
@@ -549,20 +556,51 @@ class TestBatchMapRepair:
         assert repair_batch_result(result, observations, delay_prior) is result
 
     def test_repair_fixes_poisoned_rows(self, solved, delay_prior):
+        """The re-solve returns the clean solve's row bit for bit: rows of a
+        batched solve are independent problems."""
         observations, result = solved
-        poisoned = result.parameters.copy()
-        poisoned[2] = np.nan
-        broken = dataclasses.replace(result, parameters=poisoned)
+        broken = self.poisoned(result, 2)
         ledger = RunLedger()
         repaired = repair_batch_result(broken, observations, delay_prior,
                                        ledger=ledger)
-        assert np.isfinite(repaired.parameters).all()
-        healthy = [0, 1, 3]
+        for field in ("parameters", "cost", "residuals", "converged",
+                      "n_iterations"):
+            assert np.array_equal(getattr(repaired, field),
+                                  getattr(result, field)), field
+        # The broken input is not modified in place.
+        assert np.isnan(broken.parameters[2]).all()
+        assert ledger.as_dict()["metrics"] == {"map_repaired_resolved": 1}
+
+    def test_poisoned_resolve_falls_back_to_prior_mean(self, solved,
+                                                       delay_prior):
+        observations, result = solved
+        broken = self.poisoned(result, 1)
+        ledger = RunLedger()
+        # The first batched solve inside the window -- the re-solve of the
+        # one broken row -- comes back poisoned as well.
+        with inject([FaultSpec(site="batch_map.result", kind="nan",
+                               at_calls=(0,))]) as injector:
+            repaired = repair_batch_result(broken, observations, delay_prior,
+                                           ledger=ledger)
+        assert [event.site for event in injector.events] == \
+            ["batch_map.result"]
+        lower, upper = CompactTimingModel().bounds
+        start = np.clip(delay_prior.density.mean, lower + 1e-9, upper - 1e-9)
+        assert np.array_equal(repaired.parameters[1], start)
+        assert not repaired.converged[1]
+        assert repaired.n_iterations[1] == 0
+        assert np.isfinite(repaired.cost[1])
+        prediction = CompactTimingModel.evaluate_array(
+            start, observations.sin, observations.cload, observations.vdd,
+            observations.ieff)
+        np.testing.assert_allclose(
+            repaired.residuals[1],
+            (prediction - observations.response[1]) / observations.response[1],
+            rtol=1e-12, atol=0.0)
+        healthy = [0, 2, 3]
         assert np.array_equal(repaired.parameters[healthy],
                               result.parameters[healthy])
-        metrics = ledger.as_dict()["metrics"]
-        assert metrics.get("map_repaired_scipy", 0) \
-            + metrics.get("map_repaired_prior", 0) == 1
+        assert ledger.as_dict()["metrics"] == {"map_repaired_prior": 1}
 
 
 class TestFactorGraphResilience:
@@ -688,12 +726,17 @@ class TestLibraryResilience:
                 strict=False)
         assert any(report.error_type == "RepairedSolve"
                    for report in library.failures)
-        assert len(library.entries) == 4
-        for entry in library.entries:
-            assert np.isfinite(entry.statistical.delay_parameters).all()
         metrics = ledger.as_dict()["metrics"]
-        assert metrics.get("map_repaired_scipy", 0) \
-            + metrics.get("map_repaired_prior", 0) >= 1
+        assert metrics["map_repaired_resolved"] == 1
+        assert "map_repaired_prior" not in metrics
+        # The re-solved seed row is bit-identical to a clean run's.
+        clean, _ = _run_library(delay_prior, slew_prior, small_cells)
+        assert len(library.entries) == len(clean.entries) == 4
+        for entry, reference in zip(library.entries, clean.entries):
+            for field in ("delay_parameters", "slew_parameters",
+                          "delay_converged", "slew_converged"):
+                assert np.array_equal(getattr(entry.statistical, field),
+                                      getattr(reference.statistical, field))
 
     def test_tile_retry_recovers(self, delay_prior, slew_prior, small_cells):
         """A failed simulation tile is retried at the executor."""
