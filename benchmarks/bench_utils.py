@@ -32,8 +32,6 @@ RESULTS_DIR = Path(os.environ.get("REPRO_BENCH_RESULTS_DIR", "").strip()
 #: ``REPRO_BENCH_INTEG_CONDITIONS`` conditions in the integrator benchmark (50)
 #: ``REPRO_BENCH_INTEG_SEEDS``      seeds in the integrator benchmark (200)
 #: ``REPRO_BENCH_INTEG_REPEATS``    best-of-N timing passes per engine (3)
-#: ``REPRO_BENCH_INTEG_MIN_RHS_RATIO``  assertion floor for RK4/RK45 RHS evals (3.0)
-#: ``REPRO_BENCH_INTEG_MIN_SPEEDUP``    assertion floor for RK4/RK45 wall clock (2.0)
 #: ``REPRO_BENCH_INTEG_ACC_CONDITIONS`` conditions in the accuracy subset (8)
 #: ``REPRO_BENCH_INTEG_ACC_SEEDS``      seeds in the accuracy subset (25)
 #: ``REPRO_BENCH_MAP_SEEDS``        seeds in the MAP extraction benchmark (200)
@@ -58,11 +56,9 @@ RESULTS_DIR = Path(os.environ.get("REPRO_BENCH_RESULTS_DIR", "").strip()
 #: ``REPRO_BENCH_PERSIST_CELLS``       cells in the durable-store library (6)
 #: ``REPRO_BENCH_PERSIST_SEEDS``       seeds in the durable-store run (16)
 #: ``REPRO_BENCH_PERSIST_CONDITIONS``  fitting conditions per arc (3)
-#: ``REPRO_BENCH_PERSIST_MIN_SPEEDUP`` assertion floor for cold/warm (3.0)
 #: ``REPRO_BENCH_SERVICE_CLIENTS``     concurrent serving clients (6)
 #: ``REPRO_BENCH_SERVICE_SEEDS``       seeds in the serving acceptance run (8)
 #: ``REPRO_BENCH_SERVICE_CONDITIONS``  fitting conditions per arc (2)
-#: ``REPRO_BENCH_SERVICE_MIN_SPEEDUP`` assertion floor, median coalesced/naive (3.0)
 #: ``REPRO_BENCH_PRIORS_NODES``      historical nodes per technology star (8)
 #: ``REPRO_BENCH_PRIORS_CLASSES``    arc classes in the prior-learning fleet (50)
 #: ``REPRO_BENCH_PRIORS_MIN_SPEEDUP`` assertion floor, batched/per-graph-oracle BP (3.0)

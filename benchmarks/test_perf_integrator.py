@@ -8,6 +8,13 @@ error-controlled RK45 engine (:mod:`repro.spice.adaptive`) at the default
 step/rejection/RHS-evaluation counts from each engine's
 :class:`~repro.spice.stepper.IntegrationStats`, speedup and RHS-cost ratio).
 
+Both engines retire a row once every seed has completed its transition, so
+the wall-clock and RHS ratios between them measure step control alone; they
+are recorded, not gated.  What is gated is a count: the fixed engine's RHS
+evaluations on the sweep are at most half of what integrating every row to
+the end of its first window costs (``4 x rows x seeds x steps``), so a
+change that stops retiring finished rows fails here on any host.
+
 Accuracy is asserted against a fine fixed-step reference (the fixed engine
 converges monotonically to the adaptive answer as steps increase, so direct
 adaptive-versus-RK4-at-400-steps comparison would measure the *fixed*
@@ -31,8 +38,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bench_utils import env_float, env_int  # noqa: E402
-from bench_utils import write_json_result  # noqa: E402
+from bench_utils import env_int, write_json_result  # noqa: E402
 
 from repro import get_technology, make_cell
 from repro.cells import reduce_cell_cached
@@ -49,11 +55,6 @@ def test_adaptive_integrator_throughput(results_dir):
     n_conditions = env_int("REPRO_BENCH_INTEG_CONDITIONS", 50)
     n_seeds = env_int("REPRO_BENCH_INTEG_SEEDS", 200)
     repeats = env_int("REPRO_BENCH_INTEG_REPEATS", 3)
-    # Floors are regression tripwires.  The RHS-evaluation ratio is a
-    # deterministic property of the two schemes on this workload (~4x), so
-    # its floor is tight; the wall-clock ratio is noisier.
-    min_rhs_ratio = env_float("REPRO_BENCH_INTEG_MIN_RHS_RATIO", 3.0)
-    min_speedup = env_float("REPRO_BENCH_INTEG_MIN_SPEEDUP", 2.0)
 
     technology = get_technology("n28_bulk")
     cell = make_cell("NAND2_X1")
@@ -117,6 +118,10 @@ def test_adaptive_integrator_throughput(results_dir):
 
     speedup = fixed_seconds / adaptive_seconds
     rhs_ratio = fixed.stats.rhs_evals / adaptive.stats.rhs_evals
+    # Every row integrated to the end of its first window: the ramp and
+    # the first tail chunk take DEFAULT_STEPS steps together (a lower
+    # bound of the unretired count: window extensions only add).
+    unretired_rhs_evals = 4 * n_conditions * n_seeds * DEFAULT_STEPS
     payload = {
         "benchmark": "integrator",
         "n_conditions": n_conditions,
@@ -130,6 +135,7 @@ def test_adaptive_integrator_throughput(results_dir):
         "adaptive_steps": adaptive.stats.steps_taken,
         "adaptive_steps_rejected": adaptive.stats.steps_rejected,
         "fixed_rhs_evals": fixed.stats.rhs_evals,
+        "fixed_rhs_evals_unretired": unretired_rhs_evals,
         "adaptive_rhs_evals": adaptive.stats.rhs_evals,
         "rhs_eval_ratio": round(rhs_ratio, 2),
         "rtol": stepper.rtol,
@@ -149,9 +155,6 @@ def test_adaptive_integrator_throughput(results_dir):
     assert adaptive_error <= fixed_error * 1.05 + 1e-6, (
         f"adaptive delay error {adaptive_error:.2e} worse than fixed-step "
         f"error {fixed_error:.2e} against the refined reference")
-    assert rhs_ratio >= min_rhs_ratio, (
-        f"adaptive engine only saves {rhs_ratio:.2f}x RHS evaluations "
-        f"(floor {min_rhs_ratio}x)")
-    assert speedup >= min_speedup, (
-        f"adaptive engine only {speedup:.2f}x faster than fixed-step "
-        f"(floor {min_speedup}x)")
+    assert 2 * fixed.stats.rhs_evals <= unretired_rhs_evals, (
+        f"fixed-step engine took {fixed.stats.rhs_evals} RHS evaluations, "
+        f"more than half of the {unretired_rhs_evals} without retirement")

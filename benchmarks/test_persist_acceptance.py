@@ -10,12 +10,16 @@ store.  Every warm run must
 
 * reproduce its cold run's entries bit for bit (disk entries are pickled
   float64 arrays -- the round trip is exact),
-* report its reuse through the ledger's ``simulation:disk`` activity row,
+* integrate nothing: its plan simulates no row (``fused_rows_simulated``
+  is 0) and finds every row cached (``fused_rows_cached`` equals
+  ``fused_rows_total``),
+* read every row its cold run wrote: the ledger's ``simulation:disk``
+  hits equal the cold run's disk writes.
 
-and the median cold/warm ratio over the pairs must be at least
-``REPRO_BENCH_PERSIST_MIN_SPEEDUP`` (default 3x: a warm run replays
-transient integrations as disk reads).  The median keeps one scheduler
-hiccup on a shared host from deciding the gate.
+Those are counts, so the gate reads the same on any host; a warm run that
+lost its durable tier recomputes and fails it.  The cold/warm wall-clock
+ratio of every pair and their median are printed and recorded beside it:
+how much a warm start saves depends on how cheap integration is.
 
 One more contract rides along: corrupted store entries (one truncated, one
 bit-flipped) are quarantined and recomputed -- same results, never a crash.
@@ -25,7 +29,6 @@ The record, every pair included, lands in ``BENCH_persist.json``.  Knobs:
 ``REPRO_BENCH_PERSIST_CELLS``        cells in the synthetic library (6)
 ``REPRO_BENCH_PERSIST_SEEDS``        Monte Carlo seeds (16)
 ``REPRO_BENCH_PERSIST_CONDITIONS``   fitting conditions per arc (3)
-``REPRO_BENCH_PERSIST_MIN_SPEEDUP`` assertion floor for cold/warm (3.0)
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bench_utils import env_float, env_int, write_json_result  # noqa: E402
+from bench_utils import env_int, write_json_result  # noqa: E402
 
 import repro.runtime as runtime
 from repro import RunLedger, get_technology, make_cell
@@ -53,7 +56,8 @@ from repro.core.prior_learning import characterize_historical_library, learn_pri
 
 _TEMPLATES = ("INV_X1", "NAND2_X1", "NOR2_X1", "INV_X2")
 
-#: Cold/warm pairs timed; the gate reads their median ratio.
+#: Cold/warm pairs run; each warm run is gated, and the record keeps the
+#: median cold/warm ratio.
 PAIRS = 5
 
 
@@ -81,7 +85,6 @@ def test_persist_acceptance(results_dir):
     n_cells = env_int("REPRO_BENCH_PERSIST_CELLS", 6)
     n_seeds = env_int("REPRO_BENCH_PERSIST_SEEDS", 16)
     conditions = env_int("REPRO_BENCH_PERSIST_CONDITIONS", 3)
-    min_speedup = env_float("REPRO_BENCH_PERSIST_MIN_SPEEDUP", 3.0)
 
     technology = get_technology("n28_bulk")
     library = synthetic_library(n_cells)
@@ -91,17 +94,22 @@ def test_persist_acceptance(results_dir):
     delay_prior = learn_prior(historical, response="delay")
     slew_prior = learn_prior(historical, response="slew")
 
+    def disk_writes():
+        return runtime.cache_stats()["simulation"].disk_writes
+
     def run():
         # clear_all_caches() empties every *memory* tier, so each run sees
         # exactly what a fresh process would: nothing in RAM, whatever the
         # durable tier holds on disk.
         runtime.clear_all_caches()
         ledger = RunLedger()
+        writes = disk_writes()
         start = time.perf_counter()
         result = characterize_library(
             technology, library, delay_prior, slew_prior,
             conditions=conditions, n_seeds=n_seeds, rng=17, ledger=ledger)
-        return result, ledger, time.perf_counter() - start
+        seconds = time.perf_counter() - start
+        return result, ledger, seconds, disk_writes() - writes
 
     pairs, ratios = [], []
     with tempfile.TemporaryDirectory(prefix="repro_bench_persist_") as root:
@@ -110,26 +118,33 @@ def test_persist_acceptance(results_dir):
                 # A fresh, empty store per pair: every cold run integrates.
                 store = Path(root) / f"pair{index}"
                 runtime.configure(disk_cache_dir=str(store))
-                cold, _, cold_seconds = run()
-                warm, warm_ledger, warm_seconds = run()
+                cold, _, cold_seconds, cold_writes = run()
+                warm, warm_ledger, warm_seconds, _ = run()
 
                 # ----------------------------------------------------------
-                # Warm start: bit-identical and disk-served on every pair.
+                # Warm start: bit-identical, and every row served from the
+                # durable tier, on every pair.
                 # ----------------------------------------------------------
                 _assert_entries_equal(warm, cold)
-                disk_activity = warm_ledger.cache_activity()["simulation:disk"]
-                assert disk_activity["hits"] > 0, \
-                    "the warm run must be served from the durable tier"
+                rows = warm_ledger.metrics()
+                warm_hits = warm_ledger.cache_activity().get(
+                    "simulation:disk", {}).get("hits", 0)
+                assert rows["fused_rows_simulated"] == 0, (
+                    f"pair {index}: the warm run integrated "
+                    f"{rows['fused_rows_simulated']} rows")
+                assert rows["fused_rows_cached"] == rows["fused_rows_total"]
+                assert cold_writes > 0
+                assert warm_hits == cold_writes, (
+                    f"pair {index}: the warm run read {warm_hits} disk "
+                    f"entries of the {cold_writes} its cold run wrote")
                 ratios.append(cold_seconds / warm_seconds)
                 pairs.append({"cold_seconds": round(cold_seconds, 4),
                               "warm_seconds": round(warm_seconds, 4),
                               "speedup": round(ratios[-1], 2),
-                              "warm_disk_hits": int(disk_activity["hits"])})
+                              "cold_disk_writes": int(cold_writes),
+                              "warm_disk_hits": int(warm_hits),
+                              "warm_rows_total": int(rows["fused_rows_total"])})
             speedup = statistics.median(ratios)
-            assert speedup >= min_speedup, (
-                f"median warm start of {PAIRS} cold/warm pairs "
-                f"= {speedup:.2f}x, below the {min_speedup:.1f}x floor "
-                f"(pairs: {[pair['speedup'] for pair in pairs]})")
 
             sim_stats = runtime.cache_stats()["simulation"]
             store_root = store / "simulation"
@@ -145,7 +160,7 @@ def test_persist_acceptance(results_dir):
             flipped[-1] ^= 0x01
             entries[1].write_bytes(bytes(flipped))
 
-            repaired, repaired_ledger, repaired_seconds = run()
+            repaired, _, repaired_seconds, _ = run()
             _assert_entries_equal(repaired, cold)
             quarantined = runtime.cache_stats()["simulation"].disk_quarantined
             assert quarantined >= 2, \
@@ -159,7 +174,9 @@ def test_persist_acceptance(results_dir):
     for index, pair in enumerate(pairs):
         print(f"pair {index}         : cold {pair['cold_seconds']:.3f} s, "
               f"warm {pair['warm_seconds']:.3f} s ({pair['speedup']:.2f}x)")
-    print(f"median speedup : {speedup:.2f}x (floor {min_speedup:.1f}x)")
+    print(f"median speedup : {speedup:.2f}x; every warm run read its cold "
+          f"run's {pairs[-1]['cold_disk_writes']} disk writes and integrated "
+          f"0 of {pairs[-1]['warm_rows_total']} rows")
     print(f"corrupted rerun: {repaired_seconds:.3f} s "
           f"({quarantined} entr{'y' if quarantined == 1 else 'ies'} quarantined)")
     print("\n" + format_cache_stats({"simulation": sim_stats},
@@ -175,7 +192,6 @@ def test_persist_acceptance(results_dir):
         "cold_seconds": statistics.median(pair["cold_seconds"] for pair in pairs),
         "warm_seconds": statistics.median(pair["warm_seconds"] for pair in pairs),
         "speedup": round(speedup, 2),
-        "min_speedup": min_speedup,
         "pairs": pairs,
         "disk_entries": int(sim_stats.disk_entries),
         "disk_bytes": int(sim_stats.disk_bytes),

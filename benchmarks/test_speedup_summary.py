@@ -38,7 +38,8 @@ def collect_bench_records(results_dir):
     numeric top-level key containing ``speedup``, ``overhead`` or ``ratio``
     is picked up, so new benchmark records (e.g. the integrator benchmark's
     wall-clock speedup and RHS-evaluation ratio) fold in without touching
-    this module.
+    this module.  Each figure carries its record's absolute ``*_seconds``
+    values beside it, so a ratio can be read against what it divides.
     """
     rows = []
     for path in sorted(results_dir.glob("BENCH_*.json")):
@@ -47,13 +48,16 @@ def collect_bench_records(results_dir):
         except (OSError, ValueError):
             continue
         name = payload.get("benchmark", path.stem)
-        for key, value in sorted(payload.items()):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                continue
-            if "speedup" in key and "min" not in key:
-                rows.append([name, key, float(value)])
-            elif "overhead" in key or "ratio" in key:
-                rows.append([name, key, float(value)])
+        numbers = {key: value for key, value in sorted(payload.items())
+                   if isinstance(value, (int, float))
+                   and not isinstance(value, bool)}
+        seconds = ", ".join(f"{key[:-len('_seconds')]} {value:.3f}"
+                            for key, value in numbers.items()
+                            if key.endswith("_seconds"))
+        for key, value in numbers.items():
+            if (("speedup" in key and "min" not in key)
+                    or "overhead" in key or "ratio" in key):
+                rows.append([name, key, float(value), seconds])
     return rows
 
 
@@ -97,7 +101,7 @@ def test_speedup_summary(benchmark, nominal_curves_14, statistical_curves_28,
     bench_rows = collect_bench_records(results_dir)
     if bench_rows:
         text += "\n\n" + format_table(
-            ["benchmark", "figure", "value (x)"], bench_rows,
+            ["benchmark", "figure", "value (x)", "seconds"], bench_rows,
             title="Wall-clock engine benchmarks (BENCH_*.json aggregate)")
     write_result(results_dir / "speedup_summary.txt", text)
 

@@ -52,10 +52,18 @@ Design notes:
   (``tests/oracles/transient.py`` keeps that recording engine as the
   reference).  Memory per row is a few ``(n_seeds,)`` buffers instead of
   one per step (:func:`transient_item_bytes`).
-* **Active-set retirement.**  The completion check runs per row; the rows
-  that finish are retired from the derivative evaluation while the
-  geometric window extension continues only for the stragglers, so one slow
-  low-Vdd corner no longer forces extra integration work on the whole batch.
+* **Active-set retirement.**  Each tail chunk tests every row's completion
+  (:func:`_transition_complete`: every seed past the far slew threshold,
+  so all three output crossings are recorded) every :data:`RETIRE_EVERY`
+  steps, and the rows that pass leave the active set there: the rest go on
+  over their own time samples with the chunk's own ``dt``, their operands
+  gathered again for the smaller set.  A row therefore stops a few checks
+  after it completes instead of running to the end of its post-ramp
+  window (``0.5 * sin + 8x`` its intrinsic delay), and delays, slews and
+  quarantine masks are unchanged; only :class:`IntegrationStats` falls.
+  Rows still running at a chunk's end are tested once more, and the
+  geometric window extension continues only for the stragglers, so one
+  slow low-Vdd corner forces no extra integration work on the whole batch.
 """
 
 from __future__ import annotations
@@ -88,6 +96,10 @@ SITE_INTEGRATE = faultinject.register_fault_site(
 SITE_STATE = faultinject.register_fault_site(
     "transient.state",
     "post-ramp RK4 state of a batched transient call (NaN row faults)")
+
+#: Steps between two completion checks inside a tail chunk: rows whose
+#: every seed has completed its transition retire at the next check.
+RETIRE_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -670,151 +682,180 @@ def simulate_arc_transitions(
     stats = IntegrationStats(method="rk4")
     crossings = _Crossings(vdd, table.falling, n_seeds)
 
+    def charge(steps: int, n_rows: int) -> None:
+        """Fixed-step accounting: every step is "accepted" and costs four
+        RK4 stage evaluations per (condition, seed)."""
+        stats.steps_taken += steps * n_rows
+        stats.rhs_evals += 4 * steps * n_rows * n_seeds
+
     def integrate_chunk(t_begin: np.ndarray, t_end: np.ndarray, steps: int,
                         state: np.ndarray, idx: np.ndarray, on_ramp: bool,
-                        ramp_end: bool = False) -> np.ndarray:
+                        ramp_end: bool = False) -> tuple:
         """Lockstep RK4 over per-condition intervals ``[t_begin, t_end]``.
 
         Everything that is constant across the chunk -- the active rows of
         the condition arrays and of the row table, the clamp bounds, the
-        signed ramp slopes -- is gathered once here rather than on every
-        RK4 stage evaluation, and the RK4 combination runs in place on the
-        stage buffers.  ``on_ramp`` marks the ramp chunk, whose stages
-        follow the input ramp; every other chunk lies past its rows' ramps
-        and forms the constant input terms once.  ``ramp_end`` marks the
-        first tail chunk, whose first stage sits at ``t = sin`` and still
-        adds the Miller term.  Each step's crossings go to ``crossings``;
-        the final state is returned.
+        signed ramp slopes -- is gathered once per active set rather than
+        on every RK4 stage evaluation, and the RK4 combination runs in
+        place on the stage buffers.  ``on_ramp`` marks the ramp chunk,
+        whose stages follow the input ramp; every other chunk lies past its
+        rows' ramps and forms the constant input terms once.  ``ramp_end``
+        marks the first tail chunk, whose first stage sits at ``t = sin``
+        and still adds the Miller term.  Each step's crossings go to
+        ``crossings``.
+
+        A tail chunk tests :func:`_transition_complete` every
+        :data:`RETIRE_EVERY` steps; rows that pass leave the active set and
+        the rest go on over their own samples of ``times`` with the
+        chunk's own ``dt`` (re-deriving the step from the remaining samples
+        could change its last bit), their operands gathered anew.  Returns
+        ``(state, idx)``: the final state of the rows still active at the
+        chunk's end, and those rows.
         """
-        ramp = sin[idx]
-        supply = vdd[idx]
-        supply_col = supply[:, np.newaxis]
-        clamp_low = -0.2 * supply_col
-        clamp_high = 1.2 * supply_col
-        falling = table.falling_at(idx)
-        slope = _signed_slope(supply, ramp, falling)
-        cap = total_cap[idx]
-        miller = _take(table.miller, idx)
-        if fused is not None:
-            gates, kernel = _alpha_power_kernel(
-                tuple(_take_params(params, idx) for params in fused))
-        else:
-            nmos = _take_device(table.nmos, idx)
-            pmos = _take_device(table.pmos, idx)
-
-        def input_terms(vin):
-            """What the devices take of the ``(n_active, 1)`` input level."""
-            vin_p = supply_col - vin
-            return gates(vin, vin_p) if fused is not None else (vin, vin_p)
-
-        def ramp_input(t):
-            fraction = np.clip(t / ramp, 0.0, 1.0)
-            dvin = np.where((t >= 0.0) & (t <= ramp), slope, 0.0)
-            vin = supply * _input_level(fraction, falling)
-            # Adding an all-zero Miller term is exact, so it is skipped.
-            kick = miller * dvin[:, np.newaxis] if np.any(dvin) else None
-            return input_terms(vin[:, np.newaxis]), kick
-
-        def derivative(inputs, vout: np.ndarray) -> np.ndarray:
-            terms, kick = inputs
-            vout_clamped = np.minimum(np.maximum(vout, clamp_low), clamp_high)
-            if fused is not None:
-                pull_down, pull_up = kernel(terms[0], terms[1], vout_clamped,
-                                            supply_col - vout_clamped)
-                out = pull_up
-                out -= pull_down
-            else:
-                pull_down = nmos.current(terms[0], vout_clamped)
-                pull_up = pmos.current(terms[1], supply_col - vout_clamped)
-                out = pull_up - pull_down
-            if kick is not None:
-                out += kick
-            out /= cap
-            return out
-
         times = np.linspace(t_begin, t_end, steps + 1, axis=1)
         dt = times[:, 1] - times[:, 0]
-        half = dt / 2.0
-        if on_ramp:
-            def stage_inputs(index):
-                t = times[:, index]
-                return ramp_input(t), ramp_input(t + half), ramp_input(t + dt)
-        else:
-            # Past the ramp the input level is its end value (the ramp
-            # fraction clips to 1) and its slope is zero.
-            steady = (input_terms(
-                _past_ramp_input(supply, falling)[:, np.newaxis]), None)
-            opening = ((steady[0], miller * slope[:, np.newaxis]) if ramp_end
-                       else steady)
+        begin = 0
+        while True:
+            ramp = sin[idx]
+            supply = vdd[idx]
+            supply_col = supply[:, np.newaxis]
+            clamp_low = -0.2 * supply_col
+            clamp_high = 1.2 * supply_col
+            falling = table.falling_at(idx)
+            slope = _signed_slope(supply, ramp, falling)
+            cap = total_cap[idx]
+            miller = _take(table.miller, idx)
+            if fused is not None:
+                gates, kernel = _alpha_power_kernel(
+                    tuple(_take_params(params, idx) for params in fused))
+            else:
+                nmos = _take_device(table.nmos, idx)
+                pmos = _take_device(table.pmos, idx)
 
-            def stage_inputs(index):
-                return opening if index == 0 else steady, steady, steady
+            def input_terms(vin):
+                """What the devices take of the ``(n_active, 1)`` input level."""
+                vin_p = supply_col - vin
+                return gates(vin, vin_p) if fused is not None else (vin, vin_p)
 
-        half_col = half[:, np.newaxis]
-        dt_col = dt[:, np.newaxis]
-        sixth_col = (dt / 6.0)[:, np.newaxis]
-        stage = np.empty((idx.size, n_seeds))
-        following = np.empty((idx.size, n_seeds))
-        crossings.watch(idx)
-        # Fixed-step accounting: every step is "accepted" and costs four
-        # RK4 stage evaluations per (condition, seed).
-        stats.steps_taken += steps * idx.size
-        stats.rhs_evals += 4 * steps * idx.size * n_seeds
-        for index in range(steps):
-            start, middle, end = stage_inputs(index)
-            k1 = derivative(start, state)
-            np.multiply(half_col, k1, out=stage)
-            stage += state
-            k2 = derivative(middle, stage)
-            np.multiply(half_col, k2, out=stage)
-            stage += state
-            k3 = derivative(middle, stage)
-            np.multiply(dt_col, k3, out=stage)
-            stage += state
-            k4 = derivative(end, stage)
-            # state + dt/6 * (k1 + 2*k2 + 2*k3 + k4), accumulated in k1.
-            k2 *= 2.0
-            k1 += k2
-            k3 *= 2.0
-            k1 += k3
-            k1 += k4
-            k1 *= sixth_col
-            np.add(state, k1, out=following)
-            crossings.step(state, following, times[:, index],
-                           times[:, index + 1])
-            state, following = following, state
-        return state
+            def ramp_input(t):
+                fraction = np.clip(t / ramp, 0.0, 1.0)
+                dvin = np.where((t >= 0.0) & (t <= ramp), slope, 0.0)
+                vin = supply * _input_level(fraction, falling)
+                # Adding an all-zero Miller term is exact, so it is skipped.
+                kick = miller * dvin[:, np.newaxis] if np.any(dvin) else None
+                return input_terms(vin[:, np.newaxis]), kick
+
+            def derivative(inputs, vout: np.ndarray) -> np.ndarray:
+                terms, kick = inputs
+                vout_clamped = np.minimum(np.maximum(vout, clamp_low),
+                                          clamp_high)
+                if fused is not None:
+                    pull_down, pull_up = kernel(terms[0], terms[1],
+                                                vout_clamped,
+                                                supply_col - vout_clamped)
+                    out = pull_up
+                    out -= pull_down
+                else:
+                    pull_down = nmos.current(terms[0], vout_clamped)
+                    pull_up = pmos.current(terms[1],
+                                           supply_col - vout_clamped)
+                    out = pull_up - pull_down
+                if kick is not None:
+                    out += kick
+                out /= cap
+                return out
+
+            half = dt / 2.0
+            if on_ramp:
+                def stage_inputs(index):
+                    t = times[:, index]
+                    return (ramp_input(t), ramp_input(t + half),
+                            ramp_input(t + dt))
+            else:
+                # Past the ramp the input level is its end value (the ramp
+                # fraction clips to 1) and its slope is zero.
+                steady = (input_terms(
+                    _past_ramp_input(supply, falling)[:, np.newaxis]), None)
+                opening = ((steady[0], miller * slope[:, np.newaxis])
+                           if ramp_end else steady)
+
+                def stage_inputs(index):
+                    return opening if index == 0 else steady, steady, steady
+
+            half_col = half[:, np.newaxis]
+            dt_col = dt[:, np.newaxis]
+            sixth_col = (dt / 6.0)[:, np.newaxis]
+            stage = np.empty((idx.size, n_seeds))
+            following = np.empty((idx.size, n_seeds))
+            crossings.watch(idx)
+            for index in range(begin, steps):
+                start, middle, end = stage_inputs(index)
+                k1 = derivative(start, state)
+                np.multiply(half_col, k1, out=stage)
+                stage += state
+                k2 = derivative(middle, stage)
+                np.multiply(half_col, k2, out=stage)
+                stage += state
+                k3 = derivative(middle, stage)
+                np.multiply(dt_col, k3, out=stage)
+                stage += state
+                k4 = derivative(end, stage)
+                # state + dt/6 * (k1 + 2*k2 + 2*k3 + k4), accumulated in k1.
+                k2 *= 2.0
+                k1 += k2
+                k3 *= 2.0
+                k1 += k3
+                k1 += k4
+                k1 *= sixth_col
+                np.add(state, k1, out=following)
+                crossings.step(state, following, times[:, index],
+                               times[:, index + 1])
+                state, following = following, state
+                if (not on_ramp and (index + 1) % RETIRE_EVERY == 0
+                        and index + 1 < steps):
+                    done = _transition_complete(state, supply_col, falling)
+                    if done.any():
+                        break
+            else:
+                charge(steps - begin, idx.size)
+                return state, idx
+            charge(index + 1 - begin, idx.size)
+            keep = ~done
+            idx, state, times, dt = idx[keep], state[keep], times[keep], dt[keep]
+            if idx.size == 0:
+                return state, idx
+            begin = index + 1
 
     initial_value = np.where(table.falling, vdd, 0.0)[:, np.newaxis]
-    vout = np.broadcast_to(initial_value, (n_cond, n_seeds)).copy()
+    state = np.broadcast_to(initial_value, (n_cond, n_seeds)).copy()
 
     # Phase A: the input ramps.  All conditions are active; chunk boundaries
     # align with each condition's own ramp end (see the serial engine).
     ramp_steps, tail_steps = _phase_steps(n_steps)
-    all_idx = np.arange(n_cond)
-    vout = integrate_chunk(np.zeros(n_cond), sin, ramp_steps, vout, all_idx,
-                           on_ramp=True)
+    active = np.arange(n_cond)
+    state, _ = integrate_chunk(np.zeros(n_cond), sin, ramp_steps, state,
+                               active, on_ramp=True)
     # Identity without an active injector; under injection, NaN-poisoned
     # rows flow into phase B and are caught by the quarantine check below.
-    vout = faultinject.corrupt_rows(SITE_STATE, vout)
+    state = faultinject.corrupt_rows(SITE_STATE, state)
 
-    # Phase B: per-condition tail windows with geometric extension.  Finished
-    # conditions retire from the active set; stragglers keep extending.
+    # Phase B: per-condition tail windows with geometric extension.  Rows
+    # retire inside a chunk as they complete; stragglers keep extending.
     window = table.windows(sin, cload, vdd)
     t_start = sin.copy()
-    active = all_idx
     quarantined = np.zeros(n_cond, dtype=bool)
     for extension in range(_serial._MAX_EXTENSIONS):
         chunk_steps = (tail_steps if extension == 0
                        else _extension_steps(tail_steps))
         t_end = t_start[active] + window[active]
-        state = integrate_chunk(t_start[active], t_end, chunk_steps,
-                                vout[active], active, on_ramp=False,
-                                ramp_end=extension == 0)
-        vout[active] = state
+        state, running = integrate_chunk(t_start[active], t_end,
+                                         chunk_steps, state, active,
+                                         on_ramp=False,
+                                         ramp_end=extension == 0)
+        t_start[active] = t_end
 
-        done = _transition_complete(state, vdd[active, np.newaxis],
-                                    table.falling_at(active))
+        done = _transition_complete(state, vdd[running, np.newaxis],
+                                    table.falling_at(running))
         if on_failure == "quarantine":
             # A non-finite state row can never satisfy the completion
             # thresholds (NaN comparisons are False), so without quarantine
@@ -822,15 +863,13 @@ def simulate_arc_transitions(
             # now; its delay/slew are set to NaN below.
             broken = ~np.all(np.isfinite(state), axis=1)
             if np.any(broken):
-                quarantined[active[broken]] = True
+                quarantined[running[broken]] = True
                 done = done | broken
-        t_start[active] = t_end
-        still_active = active[~done]
-        if still_active.size == 0:
-            active = still_active
+        active = running[~done]
+        if active.size == 0:
             break
-        window[still_active] *= 1.8
-        active = still_active
+        state = state[~done]
+        window[active] *= 1.8
     else:
         if on_failure == "quarantine":
             # Window extensions exhausted: quarantine the stragglers

@@ -11,8 +11,12 @@ Two references for the batched engines behind
   before it measured crossings inside its step loop: it stores every
   ``(row, step, seed)`` sample, grows the store for window extensions, and
   extracts delay and slew afterwards with the reference measurement of
-  :mod:`oracles.crossings`.  The lean engine must equal it bit for bit
-  (delays, slews, quarantine mask and step accounting).
+  :mod:`oracles.crossings`.  It integrates every row to the end of each
+  window, and works out from its recorded samples the step accounting of
+  an engine that retires a row at the first completion check (every
+  ``RETIRE_EVERY`` steps of a tail chunk) it passes.  The lean engine must
+  equal it bit for bit (delays, slews, quarantine mask and step
+  accounting).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from repro.cells.equivalent_inverter import default_arc, reduce_cell
 from repro.runtime import faultinject
 from repro.spice import transient as _serial
 from repro.spice.batch import (
+    RETIRE_EVERY,
     SITE_INTEGRATE,
     SITE_STATE,
     _fused_params,
@@ -130,7 +135,6 @@ def recording_transitions(inverter, sin, cload, vdd,
     n_seeds = table.n_seeds
     total_cap = cload[:, np.newaxis] + table.parasitic
     fused = _fused_params(table.nmos, table.pmos)
-    stats = IntegrationStats(method="rk4")
 
     def integrate_chunk(t_begin, t_end, steps, state, idx, time_out,
                         volt_out):
@@ -179,8 +183,6 @@ def recording_transitions(inverter, sin, cload, vdd,
         dt_col = dt[:, np.newaxis]
         sixth_col = (dt / 6.0)[:, np.newaxis]
         stage = np.empty((idx.size, n_seeds))
-        stats.steps_taken += steps * idx.size
-        stats.rhs_evals += 4 * steps * idx.size * n_seeds
         volt_out[:, 0] = state
         for index in range(steps):
             t = times[:, index]
@@ -216,6 +218,7 @@ def recording_transitions(inverter, sin, cload, vdd,
     vout = integrate_chunk(np.zeros(n_cond), sin, ramp_steps, vout, all_idx,
                            time_matrix[:, :ramp_steps + 1],
                            volt_matrix[:, :ramp_steps + 1])
+    counted_steps = ramp_steps * n_cond
     vout = faultinject.corrupt_rows(SITE_STATE, vout)
 
     window = table.windows(sin, cload, vdd)
@@ -240,10 +243,20 @@ def recording_transitions(inverter, sin, cload, vdd,
                                 voltages)
         vout[active] = state
 
-        done = _transition_complete(state, vdd[active, np.newaxis],
-                                    table.falling_at(active))
+        # A retiring engine stops a row at the first check it passes, and
+        # the row does not extend.
+        supply_col = vdd[active, np.newaxis]
+        falling = table.falling_at(active)
+        steps_run = np.full(active.size, chunk_steps)
+        for check in range(RETIRE_EVERY, chunk_steps, RETIRE_EVERY):
+            passed = _transition_complete(voltages[:, check], supply_col,
+                                          falling)
+            steps_run[passed & (steps_run == chunk_steps)] = check
+        counted_steps += int(steps_run.sum())
+        retired = steps_run < chunk_steps
+        done = retired | _transition_complete(state, supply_col, falling)
         if on_failure == "quarantine":
-            broken = ~np.all(np.isfinite(state), axis=1)
+            broken = ~np.all(np.isfinite(state), axis=1) & ~retired
             if np.any(broken):
                 quarantined[active[broken]] = True
                 done = done | broken
@@ -266,6 +279,9 @@ def recording_transitions(inverter, sin, cload, vdd,
                 f"this operating point ({active.size} of {n_cond} conditions "
                 "incomplete)"
             )
+
+    stats = IntegrationStats(method="rk4", steps_taken=counted_steps,
+                             rhs_evals=4 * counted_steps * n_seeds)
 
     if extension_records:
         n_max = int(lengths.max())

@@ -134,8 +134,10 @@ class TestIntegrationStats:
         assert fixed.stats.steps_rejected == 0
         assert adaptive.stats.steps_taken > 0
         assert adaptive.stats.rhs_evals > 0
-        # The entire point: far fewer evaluations at the same accuracy.
-        assert adaptive.stats.rhs_evals < fixed.stats.rhs_evals / 3
+        # Both engines retire rows as they complete, so what is left of
+        # the gap is step control alone: fewer evaluations, not several
+        # times fewer.
+        assert adaptive.stats.rhs_evals < fixed.stats.rhs_evals
 
     def test_sweep_records_stats_in_ledger(self, tech28, inv_cell):
         get_simulation_cache().clear()

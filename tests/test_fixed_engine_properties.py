@@ -8,7 +8,10 @@ output polarities, in one table), seed counts, step counts, forced window
 extensions, NaN rows injected at ``transient.state`` under quarantine and
 the fail-fast path, the two must agree exactly: delays, slews, quarantine
 mask and step/RHS accounting by ``np.array_equal``, and the same error on
-a failed batch.
+a failed batch.  The lean engine retires a row inside a tail chunk at the
+first completion check it passes; the recording engine integrates every
+row to the end of its window and derives that accounting from its
+samples, so equal stats pin where each row retired.
 
 Hypothesis runs derandomized with no example database, so Tier-1 stays
 deterministic.
@@ -102,6 +105,17 @@ rows_strategy = st.lists(
          n_steps=400, extend=True, mode="quarantine", nan_pick=3)
 @example(rows=[(5, 0), (0, 1), (2, 4)], n_seeds=8, n_steps=400,
          extend=False, mode="raise", nan_pick=1)
+# Rows retire inside the first tail chunk, two at its second completion
+# check and four at its third, the rest going on over their own samples.
+@example(rows=[(i, i % N_CONDITIONS) for i in range(6)], n_seeds=32,
+         n_steps=400, extend=False, mode="clean", nan_pick=1)
+# One row retires in the first tail chunk; the other five extend and
+# retire at four different checks of the extension chunk.
+@example(rows=[(i, (i + 1) % N_CONDITIONS) for i in range(6)], n_seeds=8,
+         n_steps=400, extend=True, mode="clean", nan_pick=0)
+# Every row retires at the first completion check.
+@example(rows=[(i, i % N_CONDITIONS) for i in range(6)], n_seeds=8,
+         n_steps=16, extend=False, mode="clean", nan_pick=0)
 def test_lean_engine_equals_recording_engine(arcs, rows, n_seeds, n_steps,
                                              extend, mode, nan_pick):
     reductions, conditions = arcs
